@@ -132,12 +132,10 @@ def _check_points(scenario: Scenario, cap=125):
     """Deterministic sample points: grid nodes, strided down to at most `cap`."""
     num = scenario.numerics
     axis = np.linspace(num.grid_min, num.grid_max, num.grid_n)
-    X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = [Point(float(x), float(y), float(z)) for x, y, z in zip(X.ravel(), Y.ravel(), Z.ravel())]
-    if len(pts) > cap:
-        stride = max(1, len(pts) // cap)
-        pts = pts[:: stride][:cap]
-    return pts
+    total = num.grid_n ** 3
+    flat = np.arange(0, total, max(1, total // cap))[:cap]
+    i, j, k = np.unravel_index(flat, (num.grid_n,) * 3)
+    return [Point(float(axis[a]), float(axis[b]), float(axis[c])) for a, b, c in zip(i, j, k)]
 
 
 def _check(name, max_residual, tolerance):

@@ -2,12 +2,15 @@
 stress, and the balance-law residuals.
 
 The description is Eulerian: scenarios supply the inverse map X^A(x) whose
-direct derivative is the push-forward F^A_a; forward maps are supported
-through damped per-point Newton inversion.  The body manifold is taken in
-Cartesian orthonormal coordinates (its triad is the identity), so with an
-identity spatial coframe the coordinate and orthonormal deformation
-gradients coincide; a non-identity spatial triad h enters via the sandwich
-F^A_a(orth) = F^A_b (h^-1)^b_a.
+direct derivative is the push-forward F^A_a, or the forward map x^a(X).  For
+a forward map the implicit function theorem gives the push-forward exactly,
+F = (dx/dX)^-1 at X(x); fields are kept symbolic in body coordinates and
+evaluated at X(x), found by one damped Newton solve per point array.
+
+The body manifold is taken in Cartesian orthonormal coordinates (its triad
+is the identity), so with an identity spatial coframe the coordinate and
+orthonormal deformation gradients coincide; a non-identity spatial triad h
+enters via the sandwich F^A_a(orth) = F^A_b (h^-1)^b_a.
 
 Strain and stress:
 
@@ -37,8 +40,8 @@ from .errors import (
     SingularDeformation,
 )
 from .fields import (
+    BodyFormField,
     FormField,
-    NumericFormField,
     Point,
     SymbolicFormField,
     VectorField,
@@ -49,6 +52,7 @@ from .fields import (
     matrix_inverse,
     matrix_multiply,
     matrix_of_scalar_fields,
+    quotient,
     scalar_field,
     time_derivative,
     wedge,
@@ -60,6 +64,7 @@ from .geometry import CoFrame, levi_civita_connection
 _DET_FLOOR = 1e-8
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
+_BODY_VARS = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -91,29 +96,140 @@ class MaterialConstants:
                 )
 
 
+class _ForwardChart:
+    """Body coordinates of a forward map x^a(X, t): the chart of its BodyFormFields.
+
+    The Jacobian J^a_B = dx^a/dX^B, its symbolic inverse and the body-point
+    velocity dX^B/dt at fixed x = -(J^-1 dx/dt)^B are built once.  `solve`
+    inverts the map on whole coordinate arrays by damped Newton and keeps the
+    last solution, since one pipeline evaluates many fields at the same points.
+    """
+
+    def __init__(self, exprs):
+        self.exprs = exprs
+        self.jac = [ex.differentiate(xa, v) for xa in exprs for v in _BODY_VARS]
+        inv = matrix_inverse(matrix_of_scalar_fields([self.jac[3 * a: 3 * a + 3] for a in range(3)]))
+        self.inv_jac = [[inv[B][a].comps[0] for a in range(3)] for B in range(3)]
+        rate = [ex.differentiate(xa, "t") for xa in exprs]
+        self.body_rate = [ex.neg(_dot(self.inv_jac[B], rate)) for B in range(3)]
+        self._solved = None
+
+    def lift(self, expr):
+        return ex.substitute(expr, dict(zip(_BODY_VARS, self.exprs)))
+
+    def partial(self, expr, var):
+        """d/d var of expr(X(x, t), t) for var in x, y, z, t (chain rule, exact)."""
+        grad = [ex.differentiate(expr, v) for v in _BODY_VARS]
+        if var == "t":
+            return ex.add(ex.differentiate(expr, "t"), _dot(grad, self.body_rate))
+        a = _BODY_VARS.index(var)
+        return _dot(grad, [self.inv_jac[B][a] for B in range(3)])
+
+    def solve(self, xs, ys, zs, ts):
+        """Body coordinates X(x, t), shape (3,) + the broadcast shape of the inputs."""
+        target = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (xs, ys, zs, ts))))
+        key = (target.shape, target.tobytes())
+        if self._solved is None or self._solved[0] != key:
+            flat = target.reshape(4, -1)
+            X = self._newton(flat[:3], flat[3])
+            self._solved = (key, X.reshape((3,) + target.shape[1:]))
+        return self._solved[1]
+
+    def _residual(self, X, target, ts):
+        vals = ex.evaluate_many(self.exprs, X[0], X[1], X[2], ts)
+        return np.stack([np.broadcast_to(v, ts.shape) for v in vals]) - target
+
+    def _newton(self, target, ts):
+        """Solve x(X, t) = target column by column, all columns at once, from X = target."""
+        X = target.copy()
+        err = self._residual(X, target, ts)
+        norm = np.linalg.norm(err, axis=0)
+        for _ in range(_NEWTON_MAX_ITER):
+            act = np.flatnonzero(~(norm <= _NEWTON_TOL))
+            if act.size == 0:
+                break
+            Xa, ta, goal, start = X[:, act], ts[act], target[:, act], norm[act]
+            jac = self._jacobian(Xa, ta)
+            try:
+                step = np.linalg.solve(jac, err[:, act].T[..., None])[..., 0].T
+            except np.linalg.LinAlgError as exc:
+                raise _singular(jac, act, target, ts) from exc
+            # per column: halve the step until the residual drops, at most 30 times,
+            # and take the last trial if it never does
+            damping = np.ones(act.size)
+            pending = np.arange(act.size)
+            for _ in range(30):
+                trial = Xa[:, pending] - damping[pending] * step[:, pending]
+                trial_err = self._residual(trial, goal[:, pending], ta[pending])
+                trial_norm = np.linalg.norm(trial_err, axis=0)
+                cols = act[pending]
+                X[:, cols], err[:, cols] = trial, trial_err
+                norm[cols] = trial_norm
+                better = trial_norm < start[pending]
+                pending = pending[~better]
+                if pending.size == 0:
+                    break
+                damping[pending] *= 0.5
+        stalled = np.flatnonzero(~(norm <= _NEWTON_TOL))
+        if stalled.size:
+            first = stalled[0]
+            raise NewtonFailure(
+                f"forward-map inversion stalled at residual {norm[first]:.3e} after {_NEWTON_MAX_ITER}"
+                f" iterations at {_point(target, ts, first)}"
+            )
+        # the loop factorises the Jacobian only before a step, never at the
+        # solution, and a point may be solved before any step (x = X^3 at 0)
+        jac = self._jacobian(X, ts)
+        if np.any(np.linalg.det(jac) == 0.0):
+            raise _singular(jac, np.arange(ts.size), target, ts)
+        return X
+
+    def _jacobian(self, X, ts):
+        vals = ex.evaluate_many(self.jac, X[0], X[1], X[2], ts)
+        return np.stack([np.broadcast_to(v, ts.shape) for v in vals], axis=-1).reshape(-1, 3, 3)
+
+
+def _dot(exprs, coeffs):
+    acc = ex.ZERO
+    for e, c in zip(exprs, coeffs):
+        acc = ex.add(acc, ex.mul(e, c))
+    return acc
+
+
+def _singular(jac, cols, target, ts):
+    first = cols[int(np.argmax(np.linalg.det(jac) == 0.0))]
+    return SingularDeformation(f"singular forward-map Jacobian at {_point(target, ts, first)}")
+
+
+def _point(target, ts, i):
+    return Point(float(target[0, i]), float(target[1, i]), float(target[2, i]), float(ts[i]))
+
+
 @dataclass(frozen=True)
 class DeformationMap:
     """Eulerian deformation data: the inverse map X^A(x), or a forward map.
 
     `maps` holds three scalar fields; with kind="inverse" they are X^A as
-    functions of the spatial point, with kind="forward" they are x^a as
-    functions of the body point and are inverted numerically per evaluation.
+    functions of the spatial point, with kind="forward" they are symbolic
+    x^a as functions of the body point (read x, y, z as X^1, X^2, X^3).  A
+    forward map's derived fields are BodyFormFields: exact in body
+    coordinates and evaluated at X(x) solved by vectorised Newton.
     """
 
     maps: tuple
     kind: str = "inverse"
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in ("inverse", "forward"):
             raise ValueError(f"kind must be 'inverse' or 'forward', got {self.kind!r}")
         if len(self.maps) != 3:
             raise ValueError("a deformation map needs exactly 3 components")
-        object.__setattr__(
-            self,
-            "maps",
-            tuple(m if isinstance(m, FormField) else scalar_field(m) for m in self.maps),
-        )
+        maps = tuple(m if isinstance(m, FormField) else scalar_field(m) for m in self.maps)
+        object.__setattr__(self, "maps", maps)
+        if self.kind == "forward":
+            if not all(isinstance(m, SymbolicFormField) and m.degree == 0 for m in maps):
+                raise ValueError("forward-map components must be symbolic scalar fields")
+            object.__setattr__(self, "_chart", _ForwardChart(tuple(m.comps[0] for m in maps)))
 
     @classmethod
     def identity(cls):
@@ -123,66 +239,7 @@ class DeformationMap:
         """The three scalar fields X^A(x, y, z, t)."""
         if self.kind == "inverse":
             return list(self.maps)
-        return [self._newton_component(A) for A in range(3)]
-
-    def _forward_value(self, X, t):
-        return np.asarray(
-            [m.evaluate(Point(X[0], X[1], X[2], t)).components[0] for m in self.maps]
-        )
-
-    def _forward_jacobian(self, X, t):
-        jac = np.empty((3, 3))
-        if all(isinstance(m, SymbolicFormField) for m in self.maps):
-            for A in range(3):
-                for var_idx, var in enumerate(("x", "y", "z")):
-                    d = ex.differentiate(self.maps[A].comps[0], var)
-                    jac[A, var_idx] = float(ex.evaluate(d, X[0], X[1], X[2], t))
-            return jac
-        h = self.fd_step
-        for var_idx in range(3):
-            dX = np.zeros(3)
-            dX[var_idx] = h
-            jac[:, var_idx] = (
-                self._forward_value(X + dX, t) - self._forward_value(X - dX, t)
-            ) / (2.0 * h)
-        return jac
-
-    def _invert_at(self, point: Point):
-        """Solve forward(X) = point by damped Newton from X = point."""
-        target = np.asarray([point.x, point.y, point.z])
-        X = target.copy()
-        err = self._forward_value(X, point.t) - target
-        norm = float(np.linalg.norm(err))
-        for _ in range(_NEWTON_MAX_ITER):
-            if norm <= _NEWTON_TOL:
-                return X
-            jac = self._forward_jacobian(X, point.t)
-            try:
-                step = np.linalg.solve(jac, err)
-            except np.linalg.LinAlgError as exc:
-                raise SingularDeformation(f"singular forward-map Jacobian at {point}") from exc
-            damping = 1.0
-            for _ in range(30):
-                trial = X - damping * step
-                trial_err = self._forward_value(trial, point.t) - target
-                trial_norm = float(np.linalg.norm(trial_err))
-                if trial_norm < norm:
-                    break
-                damping *= 0.5
-            X, err, norm = trial, trial_err, trial_norm
-        if norm <= _NEWTON_TOL:
-            return X
-        raise NewtonFailure(
-            f"forward-map inversion stalled at residual {norm:.3e} after {_NEWTON_MAX_ITER} iterations at {point}"
-        )
-
-    def _newton_component(self, A):
-        def func(point):
-            from .forms import KForm
-
-            return KForm(0, np.asarray([self._invert_at(point)[A]]))
-
-        return NumericFormField(0, func, fd_step=self.fd_step)
+        return [BodyFormField(0, [ex.Var(v)], self._chart) for v in _BODY_VARS]
 
 
 def _partial(f: FormField, axis: int) -> FormField:
@@ -397,18 +454,7 @@ def volume_relation_residual(dm: DeformationMap, e: CoFrame | None = None) -> Fo
     X = dm.inverse_fields()
     push_coord = [[_partial(X[A], a) for a in FRAME_INDICES] for A in range(3)]
     det_push_coord = matrix_determinant(matrix_of_scalar_fields(push_coord))
-    vol_coeff = component_field(e.volume(), 1, 2, 3)
-    if isinstance(vol_coeff, SymbolicFormField) and isinstance(det_push_coord, SymbolicFormField):
-        ratio = SymbolicFormField(0, [ex.div(vol_coeff.comps[0], det_push_coord.comps[0])])
-    else:
-        from .fields import _combine
-        from .forms import KForm
-
-        ratio = _combine(
-            0,
-            (vol_coeff, det_push_coord),
-            lambda n, d: KForm(0, n.components / d.components),
-        )
+    ratio = quotient(component_field(e.volume(), 1, 2, 3), det_push_coord)
     return det_pull - ratio
 
 

@@ -258,7 +258,13 @@ def evaluate(e: Expr, x, y, z, t=0.0, cache=None):
         cache[id(node)] = val
         return val
 
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        # rec refers to itself through its closure; breaking that cycle frees
+        # the cache (arrays for every node) now instead of at the next
+        # garbage collection, which otherwise sets the process's peak memory
+        del rec
 
 
 def evaluate_many(exprs, x, y, z, t=0.0):
@@ -321,7 +327,51 @@ def differentiate(e: Expr, var: str) -> Expr:
         cache[id(node)] = out
         return out
 
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        del rec  # see evaluate
+
+
+def substitute(e: Expr, mapping) -> Expr:
+    """`e` with every variable named in `mapping` replaced by its expression.
+
+    Rebuilt through the folding constructors; subtrees without a replaced
+    variable come back as the same nodes.
+    """
+    cache: dict[int, Expr] = {}
+    ops = {"+": add, "-": sub, "*": mul, "/": div}
+
+    def rec(node):
+        got = cache.get(id(node))
+        if got is not None:
+            return got
+        out = node
+        if isinstance(node, Var):
+            out = mapping.get(node.name, node)
+        elif isinstance(node, Neg):
+            arg = rec(node.arg)
+            if arg is not node.arg:
+                out = neg(arg)
+        elif isinstance(node, Bin):
+            a, b = rec(node.lhs), rec(node.rhs)
+            if a is not node.lhs or b is not node.rhs:
+                out = ops[node.op](a, b)
+        elif isinstance(node, Pow):
+            base = rec(node.base)
+            if base is not node.base:
+                out = pow_(base, node.exponent)
+        elif isinstance(node, Fun):
+            arg = rec(node.arg)
+            if arg is not node.arg:
+                out = fun(node.name, arg)
+        cache[id(node)] = out
+        return out
+
+    try:
+        return rec(e)
+    finally:
+        del rec  # see evaluate
 
 
 def depends_on(e: Expr, var: str) -> bool:
@@ -344,7 +394,10 @@ def depends_on(e: Expr, var: str) -> bool:
             return rec(node.arg)
         return False
 
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        del rec  # see evaluate
 
 
 # ---- printing and structural equality --------------------------------------

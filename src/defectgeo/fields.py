@@ -1,11 +1,15 @@
 """Fields of forms over R^3 (optionally time dependent).
 
-A FormField evaluates to a KForm of fixed degree at every Point.  Two
+A FormField evaluates to a KForm of fixed degree at every Point.  Three
 concrete kinds exist:
 
 * SymbolicFormField - components are expression ASTs; exterior and time
   derivatives differentiate the ASTs exactly, so identities such as
   d(d(alpha)) = 0 hold to rounding error at any nesting depth.
+* BodyFormField - components are expression ASTs in the body coordinates X
+  of a forward map x(X, t) (the chart); the value at a spatial point is
+  their value at the solved X(x, t).  Derivatives follow the chain rule
+  through the chart's exact inverse Jacobian.
 * NumericFormField - components come from an opaque callable; derivatives
   either use a caller-supplied exact derivative field or second-order
   central differences with step `fd_step`.  Finite differencing nests at a
@@ -17,8 +21,9 @@ ambient Euclidean space.  Position-dependent orthonormal coframes are
 handled by the geometry module on top of this one.
 
 All algebra (wedge, Hodge, interior product, Lie derivative, the vector
-calculus isomorphisms) stays symbolic whenever every operand is symbolic
-and otherwise falls back to pointwise closures.
+calculus isomorphisms) stays symbolic whenever every operand is symbolic in
+one chart - spatial symbolic operands join a body chart by substituting
+x = x(X) - and otherwise falls back to pointwise closures.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ def _as_expr(value):
 
 
 class FormField:
-    """Base class; see SymbolicFormField and NumericFormField."""
+    """Base class; see SymbolicFormField, BodyFormField and NumericFormField."""
 
     degree: int
 
@@ -91,10 +96,10 @@ class FormField:
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError(f"cannot add degree {self.degree} and degree {other.degree} fields")
-        if isinstance(self, SymbolicFormField) and isinstance(other, SymbolicFormField):
-            return SymbolicFormField(
-                self.degree, [ex.add(a, b) for a, b in zip(self.comps, other.comps)]
-            )
+        exprs = _in_common_chart(self, other)
+        if exprs is not None:
+            (lhs, rhs), build = exprs
+            return build(self.degree, [ex.add(a, b) for a, b in zip(lhs, rhs)])
         return _combine(self.degree, (self, other), lambda a, b: a + b)
 
     def __sub__(self, other):
@@ -102,15 +107,17 @@ class FormField:
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError(f"cannot subtract degree {other.degree} from degree {self.degree} fields")
-        if isinstance(self, SymbolicFormField) and isinstance(other, SymbolicFormField):
-            return SymbolicFormField(
-                self.degree, [ex.sub(a, b) for a, b in zip(self.comps, other.comps)]
-            )
+        exprs = _in_common_chart(self, other)
+        if exprs is not None:
+            (lhs, rhs), build = exprs
+            return build(self.degree, [ex.sub(a, b) for a, b in zip(lhs, rhs)])
         return _combine(self.degree, (self, other), lambda a, b: a - b)
 
     def __neg__(self):
-        if isinstance(self, SymbolicFormField):
-            return SymbolicFormField(self.degree, [ex.neg(a) for a in self.comps])
+        exprs = _in_common_chart(self)
+        if exprs is not None:
+            (comps,), build = exprs
+            return build(self.degree, [ex.neg(a) for a in comps])
         return _combine(self.degree, (self,), lambda a: -a)
 
     def __mul__(self, factor):
@@ -194,8 +201,6 @@ class NumericFormField(FormField):
         return value
 
     def evaluate_batch(self, xs, ys, zs, ts=0.0):
-        from .sampling import map_points
-
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         zs = np.asarray(zs, dtype=float)
@@ -204,9 +209,61 @@ class NumericFormField(FormField):
             Point(float(x), float(y), float(z), float(t))
             for x, y, z, t in zip(xs.ravel(), ys.ravel(), zs.ravel(), ts.ravel())
         ]
-        flat = [v.components for v in map_points(self.evaluate, points)]
+        flat = [self.evaluate(p).components for p in points]
         stacked = np.stack(flat, axis=-1).reshape((COMPONENT_COUNTS[self.degree],) + xs.shape)
         return KForm(self.degree, stacked)
+
+
+class BodyFormField(FormField):
+    """A field whose components are expressions in the body coordinates of a chart.
+
+    The variables x, y, z of `comps` stand for X^1, X^2, X^3.  The chart
+    provides `solve(xs, ys, zs, ts)` (the body coordinates X(x, t) of
+    spatial coordinate arrays), `partial(expr, var)` (the spatial or time
+    derivative of expr(X(x, t), t), again in body coordinates) and
+    `lift(expr)` (a spatial expression rewritten in body coordinates).
+    """
+
+    def __init__(self, degree, comps, chart):
+        self.body = SymbolicFormField(degree, comps)
+        self.degree = degree
+        self.comps = self.body.comps
+        self.chart = chart
+
+    def evaluate_batch(self, xs, ys, zs, ts=0.0):
+        xs = np.asarray(xs, dtype=float)
+        ts = np.broadcast_to(np.asarray(ts, dtype=float), xs.shape)
+        X = self.chart.solve(xs, ys, zs, ts)
+        return self.body.evaluate_batch(X[0], X[1], X[2], ts)
+
+    def evaluate(self, point):
+        value = self.evaluate_batch([point.x], [point.y], [point.z], [point.t])
+        return KForm(self.degree, value.components[:, 0])
+
+
+def _in_common_chart(*fields):
+    """Component expressions of `fields` in one chart, with a builder for results.
+
+    Returns (comps per field, build(degree, comps)) when every operand is
+    symbolic: all spatial, or body fields of one chart plus spatial fields,
+    which are lifted into it.  Returns None when an operand is numeric or
+    two body charts differ.
+    """
+    chart = None
+    for f in fields:
+        if isinstance(f, BodyFormField):
+            if chart is not None and f.chart is not chart:
+                return None
+            chart = f.chart
+        elif not isinstance(f, SymbolicFormField):
+            return None
+    if chart is None:
+        return [f.comps for f in fields], SymbolicFormField
+    comps = [
+        f.comps if isinstance(f, BodyFormField) else tuple(chart.lift(c) for c in f.comps)
+        for f in fields
+    ]
+    return comps, lambda degree, cs: BodyFormField(degree, cs, chart)
 
 
 def constant_field(kform: KForm) -> SymbolicFormField:
@@ -259,25 +316,29 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
     if p + q > 3:
         # fail fast with the pointwise error message
         kform_wedge(KForm.zero(p), KForm.zero(q))
-    if isinstance(alpha, SymbolicFormField) and isinstance(beta, SymbolicFormField):
+    exprs = _in_common_chart(alpha, beta)
+    if exprs is not None:
+        (a, b), build = exprs
         out = [ex.ZERO] * COMPONENT_COUNTS[p + q]
         for i, j, k, sign in WEDGE_TERMS[(p, q)]:
-            term = ex.mul(alpha.comps[i], beta.comps[j])
+            term = ex.mul(a[i], b[j])
             if sign < 0:
                 term = ex.neg(term)
             out[k] = ex.add(out[k], term)
-        return SymbolicFormField(p + q, out)
+        return build(p + q, out)
     return _combine(p + q, (alpha, beta), kform_wedge)
 
 
 def hodge(alpha: FormField) -> FormField:
     """Hodge dual against the fixed Cartesian orthonormal background."""
     p = alpha.degree
-    if isinstance(alpha, SymbolicFormField):
+    exprs = _in_common_chart(alpha)
+    if exprs is not None:
+        (a,), build = exprs
         out = [ex.ZERO] * COMPONENT_COUNTS[3 - p]
         for i, k, sign in HODGE_TERMS[p]:
-            out[k] = ex.neg(alpha.comps[i]) if sign < 0 else alpha.comps[i]
-        return SymbolicFormField(3 - p, out)
+            out[k] = ex.neg(a[i]) if sign < 0 else a[i]
+        return build(3 - p, out)
     return _combine(3 - p, (alpha,), kform_hodge)
 
 
@@ -288,12 +349,14 @@ def interior(index: int, alpha: FormField) -> FormField:
     p = alpha.degree
     if p == 0:
         return zero_field(0)
-    if isinstance(alpha, SymbolicFormField):
+    exprs = _in_common_chart(alpha)
+    if exprs is not None:
+        (a,), build = exprs
         out = [ex.ZERO] * COMPONENT_COUNTS[p - 1]
         for i, k, sign in INTERIOR_TERMS[index][p]:
-            term = ex.neg(alpha.comps[i]) if sign < 0 else alpha.comps[i]
+            term = ex.neg(a[i]) if sign < 0 else a[i]
             out[k] = ex.add(out[k], term)
-        return SymbolicFormField(p - 1, out)
+        return build(p - 1, out)
     return _combine(p - 1, (alpha,), lambda a: kform_interior(index, a))
 
 
@@ -309,17 +372,20 @@ def exterior_derivative(alpha: FormField) -> FormField:
     p = alpha.degree
     if p == 3:
         return zero_field(3)
-    if isinstance(alpha, SymbolicFormField):
+    exprs = _in_common_chart(alpha)
+    if exprs is not None:
+        (comps,), build = exprs
+        partial = _partial_derivative(alpha)
         out = [ex.ZERO] * COMPONENT_COUNTS[p + 1]
         for a, var in zip(FRAME_INDICES, ("x", "y", "z")):
             for i, j, k, sign in WEDGE_TERMS[(1, p)]:
                 if i != a - 1:
                     continue
-                term = ex.differentiate(alpha.comps[j], var)
+                term = partial(comps[j], var)
                 if sign < 0:
                     term = ex.neg(term)
                 out[k] = ex.add(out[k], term)
-        return SymbolicFormField(p + 1, out)
+        return build(p + 1, out)
     if alpha.d_field is not None:
         return alpha.d_field
     if alpha.fd_depth >= MAX_FD_DEPTH:
@@ -342,8 +408,11 @@ def exterior_derivative(alpha: FormField) -> FormField:
 
 def time_derivative(alpha: FormField) -> FormField:
     """Componentwise d/dt; structurally time-independent symbolic fields give exact zero."""
-    if isinstance(alpha, SymbolicFormField):
-        return SymbolicFormField(alpha.degree, [ex.differentiate(c, "t") for c in alpha.comps])
+    exprs = _in_common_chart(alpha)
+    if exprs is not None:
+        (comps,), build = exprs
+        partial = _partial_derivative(alpha)
+        return build(alpha.degree, [partial(c, "t") for c in comps])
     if alpha.dt_field is not None:
         return alpha.dt_field
     if alpha.fd_depth >= MAX_FD_DEPTH:
@@ -358,6 +427,11 @@ def time_derivative(alpha: FormField) -> FormField:
         return (plus - minus) * (0.5 / h)
 
     return NumericFormField(alpha.degree, func, fd_step=h, fd_depth=alpha.fd_depth + 1)
+
+
+def _partial_derivative(alpha):
+    """(expr, var) -> d expr / d var at fixed other spatial coordinates, in alpha's chart."""
+    return alpha.chart.partial if isinstance(alpha, BodyFormField) else ex.differentiate
 
 
 # ---- vector fields and the vector-calculus isomorphisms ----------------------
@@ -392,8 +466,10 @@ class VectorField:
 
     def as_one_form(self) -> FormField:
         """The 1-form with the same orthonormal components."""
-        if all(isinstance(c, SymbolicFormField) for c in self.comps):
-            return SymbolicFormField(1, [c.comps[0] for c in self.comps])
+        exprs = _in_common_chart(*self.comps)
+        if exprs is not None:
+            comps, build = exprs
+            return build(1, [c[0] for c in comps])
         return _combine(1, tuple(self.comps), lambda a, b, c: KForm(
             1, np.stack([a.components[0], b.components[0], c.components[0]])
         ))
@@ -432,8 +508,10 @@ def one_form_to_vector(alpha: FormField) -> VectorField:
 
 
 def _component_field(alpha: FormField, slot: int) -> FormField:
-    if isinstance(alpha, SymbolicFormField):
-        return SymbolicFormField(0, [alpha.comps[slot]])
+    exprs = _in_common_chart(alpha)
+    if exprs is not None:
+        (comps,), build = exprs
+        return build(0, [comps[slot]])
     return _combine(0, (alpha,), lambda a: KForm(0, a.components[slot: slot + 1]))
 
 
@@ -492,10 +570,6 @@ def matrix_of_scalar_fields(entries):
     return out
 
 
-def _all_symbolic(matrix):
-    return all(isinstance(c, SymbolicFormField) for row in matrix for c in row)
-
-
 def matrix_determinant(matrix):
     """Determinant of a 3x3 of 0-form fields, as a 0-form field."""
     m = matrix
@@ -510,8 +584,10 @@ def matrix_inverse(matrix):
     """Pointwise inverse of a 3x3 of 0-form fields (adjugate over determinant)."""
     m = matrix
     det = matrix_determinant(m)
-    if _all_symbolic(m):
-        det_expr = det.comps[0]
+    exprs = _in_common_chart(det, *(c for row in m for c in row))
+    if exprs is not None:
+        ((det_expr,), *cells), build = exprs
+        e = [[cells[3 * r + c][0] for c in range(3)] for r in range(3)]
         out = []
         for i in range(3):
             row = []
@@ -520,11 +596,11 @@ def matrix_inverse(matrix):
                 r = [k for k in range(3) if k != j]
                 c = [k for k in range(3) if k != i]
                 minor = ex.sub(
-                    ex.mul(m[r[0]][c[0]].comps[0], m[r[1]][c[1]].comps[0]),
-                    ex.mul(m[r[0]][c[1]].comps[0], m[r[1]][c[0]].comps[0]),
+                    ex.mul(e[r[0]][c[0]], e[r[1]][c[1]]),
+                    ex.mul(e[r[0]][c[1]], e[r[1]][c[0]]),
                 )
                 cof = minor if (i + j) % 2 == 0 else ex.neg(minor)
-                row.append(SymbolicFormField(0, [ex.div(cof, det_expr)]))
+                row.append(build(0, [ex.div(cof, det_expr)]))
             out.append(row)
         return out
 
@@ -538,6 +614,15 @@ def matrix_inverse(matrix):
         return NumericFormField(0, func, fd_step=step, fd_depth=depth)
 
     return [[entry(i, j) for j in range(3)] for i in range(3)]
+
+
+def quotient(numerator: FormField, denominator: FormField) -> FormField:
+    """Pointwise ratio of two scalar (0-form) fields."""
+    exprs = _in_common_chart(numerator, denominator)
+    if exprs is not None:
+        ((n,), (d,)), build = exprs
+        return build(0, [ex.div(n, d)])
+    return _combine(0, (numerator, denominator), lambda n, d: KForm(0, n.components / d.components))
 
 
 def matrix_multiply(a, b):
@@ -565,9 +650,12 @@ def substitute_basis(alpha: FormField, matrix) -> FormField:
     if p == 0:
         return alpha
     m = matrix
-    if isinstance(alpha, SymbolicFormField) and _all_symbolic(m):
-        a_expr = [[m[i][j].comps[0] for j in range(3)] for i in range(3)]
-        c = alpha.comps
+    if p == 3:
+        return matrix_determinant(matrix_of_scalar_fields(m)) * alpha
+    exprs = _in_common_chart(alpha, *(cell for row in m for cell in row))
+    if exprs is not None:
+        (c, *cells), build = exprs
+        a_expr = [[cells[3 * i + j][0] for j in range(3)] for i in range(3)]
         if p == 1:
             out = []
             for col in range(3):
@@ -575,7 +663,7 @@ def substitute_basis(alpha: FormField, matrix) -> FormField:
                 for j in range(3):
                     acc = ex.add(acc, ex.mul(c[j], a_expr[j][col]))
                 out.append(acc)
-            return SymbolicFormField(1, out)
+            return build(1, out)
         if p == 2:
             out = []
             for (a, b) in BASIS[2]:
@@ -587,9 +675,7 @@ def substitute_basis(alpha: FormField, matrix) -> FormField:
                     )
                     acc = ex.add(acc, ex.mul(c[i], minor))
                 out.append(acc)
-            return SymbolicFormField(2, out)
-        det = matrix_determinant(matrix_of_scalar_fields(m))
-        return SymbolicFormField(3, [ex.mul(c[0], det.comps[0])])
+            return build(2, out)
 
     depth, step = _combined_meta([alpha] + [cell for row in m for cell in row])
 

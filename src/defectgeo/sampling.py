@@ -2,33 +2,9 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .fields import Point
-
-#: environment variable capping worker threads for grid sweeps
-THREADS_ENV = "DEFECTGEO_THREADS"
-
-
-def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def map_points(fn, points):
-    """Apply fn to each point; results keep input order (deterministic reduction)."""
-    n = thread_count()
-    if n <= 1 or len(points) < 4 * n:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, points))
 
 
 def sample_points(count, bounds=(-1.0, 1.0), seed=0, t=0.0):
@@ -83,18 +59,3 @@ def grid_points(bounds_min, bounds_max, counts, t=0.0, midpoints=False):
     X, Y, Z = np.meshgrid(*axes, indexing="ij")
     return X.ravel(), Y.ravel(), Z.ravel(), np.full(X.size, t)
 
-
-def midpoint_volume_integral(scalar_field, bounds_min, bounds_max, counts, t=0.0, mask=None):
-    """Midpoint-rule integral of a 0-form field over a box, optionally masked.
-
-    `mask(x, y, z)` restricts the sum to cells whose centres satisfy it.
-    """
-    xs, ys, zs, ts = grid_points(bounds_min, bounds_max, counts, t=t, midpoints=True)
-    cell = np.prod(
-        [(hi - lo) / n for lo, hi, n in zip(bounds_min, bounds_max, counts)]
-    )
-    vals = scalar_field.evaluate_batch(xs, ys, zs, ts).components[0]
-    if mask is not None:
-        keep = mask(xs, ys, zs)
-        vals = np.where(keep, vals, 0.0)
-    return float(np.sum(vals) * cell)

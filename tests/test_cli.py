@@ -90,6 +90,38 @@ def test_elastic_dilation_samples(tmp_path):
     assert np.allclose(stress, np.eye(3) * 15.0 / 8.0, atol=1e-12)
 
 
+def test_elastic_accepts_diagonal_forward_map(tmp_path):
+    scales = (1.2, 0.9, 1.1)
+    scenario = tmp_path / "forward.toml"
+    lines = ["[deformation]", "kind = forward"]
+    lines += [f'X{i} = "{s}*{v}"' for i, (s, v) in enumerate(zip(scales, "xyz"), start=1)]
+    lines += ["[material]", "lambda = 1.0", "mu = 1.5", "[numerics]", "grid_n = 3"]
+    scenario.write_text("\n".join(lines) + "\n")
+    report_path = tmp_path / "forward.json"
+    assert run(["elastic", scenario, "--json", report_path]) == 0
+    samples = json.loads(report_path.read_text())["samples"]
+    want = np.diag([(1.0 - 1.0 / s**2) / 2.0 for s in scales])
+    assert np.max(np.abs(np.array(samples["strain"]) - want)) <= 1e-10
+    # a homogeneous deformation has constant stress, so the static residual vanishes
+    assert samples["static_momentum_residual_max"] <= 1e-12
+
+
+@pytest.mark.parametrize("grid_n", [2, 3, 5, 9, 24, 48])
+def test_check_points_match_strided_grid(grid_n):
+    from defectgeo.cli import _check_points
+    from defectgeo.fields import Point
+    from defectgeo.scenario import parse_scenario
+
+    scenario = parse_scenario(f"[numerics]\ngrid_min = -0.7\ngrid_max = 1.3\ngrid_n = {grid_n}\n")
+    # the construction the flat-index version replaces: every grid node, then strided
+    axis = np.linspace(-0.7, 1.3, grid_n)
+    X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
+    pts = [Point(float(x), float(y), float(z)) for x, y, z in zip(X.ravel(), Y.ravel(), Z.ravel())]
+    if len(pts) > 125:
+        pts = pts[:: max(1, len(pts) // 125)][:125]
+    assert _check_points(scenario) == pts
+
+
 def test_energy_linear_rho(tmp_path):
     report_path = tmp_path / "energy.json"
     assert run(["energy", SCENARIOS / "energy_linear_rho.toml", "--json", report_path]) == 0
@@ -143,21 +175,6 @@ def test_defects_zero_scenario_all_norms_zero(tmp_path):
     report = json.loads(report_path.read_text())
     for name, value in report["samples"]["field_max_abs"].items():
         assert value == 0.0, name
-
-
-def test_thread_cap_environment_variable(tmp_path, monkeypatch):
-    # grid sweeps honour DEFECTGEO_THREADS; results must not depend on it
-    from defectgeo.fields import NumericFormField, symbolic
-    from defectgeo.sampling import sample_points, batch_components
-
-    base = symbolic(0, "sin(x)+y*z")
-    field = NumericFormField(0, base.evaluate)
-    pts = sample_points(64, seed=1)
-    monkeypatch.delenv("DEFECTGEO_THREADS", raising=False)
-    serial = batch_components([field], pts)
-    monkeypatch.setenv("DEFECTGEO_THREADS", "4")
-    threaded = batch_components([field], pts)
-    assert np.array_equal(serial, threaded)
 
 
 def test_calibrate_passes(tmp_path):

@@ -24,15 +24,20 @@ from defectgeo.errors import (
     SingularDeformation,
 )
 from defectgeo.fields import (
+    BodyFormField,
+    NumericFormField,
     Point,
     VectorField,
+    component_field,
+    exterior_derivative,
     scalar_field,
     symbolic,
+    time_derivative,
     zero_field,
 )
 from defectgeo.forms import FRAME_INDICES
 from defectgeo.geometry import CoFrame
-from defectgeo.sampling import normalized_residual, sample_points
+from defectgeo.sampling import batch_components, normalized_residual, sample_points
 
 from util import fd_partial, flow_jacobian, flow_map, random_points, random_scalar_field
 
@@ -113,6 +118,99 @@ def test_newton_failure_on_noninvertible_map():
     collapsed = DeformationMap(("0*x", "y", "z"), kind="forward")
     with pytest.raises((NewtonFailure, SingularDeformation)):
         collapsed.inverse_fields()[0].evaluate(Point(0.5, 0.5, 0.5))
+    # x^1 = 0 is solved at once where x = 0; the first point off that plane is named
+    pts = [Point(0.0, 0.2, 0.3), Point(0.5, 0.5, 0.5), Point(0.7, 0.1, 0.1)]
+    with pytest.raises(SingularDeformation, match=r"at Point\(x=0\.5, y=0\.5, z=0\.5, t=0\.0\)"):
+        batch_components(collapsed.inverse_fields(), pts)
+    # x = X^3 solves x = 0 without a step, where dx/dX = 0
+    cubic = DeformationMap(("x^3", "y", "z"), kind="forward")
+    with pytest.raises(SingularDeformation, match=r"at Point\(x=0\.0, y=0\.2, z=0\.3, t=0\.0\)"):
+        batch_components(cubic.inverse_fields(), [Point(1.0, 0.0, 0.0)] + pts)
+
+
+def test_stalled_forward_inversion_names_first_failing_point():
+    # sqrt(X^2 + 1) never drops below 1: x = 2 is solved, x = 0.5 and x = -2 stall
+    dm = DeformationMap(("sqrt(x^2+1)", "y", "z"), kind="forward")
+    pts = [Point(2.0, 0.0, 0.0), Point(0.5, 0.25, 0.0), Point(-2.0, 0.0, 0.0)]
+    with pytest.raises(NewtonFailure, match=r"after 50 iterations at Point\(x=0\.5, y=0\.25"):
+        batch_components(dm.inverse_fields(), pts)
+
+
+def test_forward_map_needs_symbolic_components():
+    numeric = NumericFormField(0, symbolic(0, "2*x").evaluate)
+    with pytest.raises(ValueError, match="symbolic"):
+        DeformationMap((numeric, "y", "z"), kind="forward")
+
+
+def test_cubic_forward_map_push_forward_closed_form():
+    # x = X + 0.1 X^3 componentwise: F^A_a = delta / (1 + 0.3 X^2) exactly, and
+    # d/dx^a F^A_a = -0.6 X / (1 + 0.3 X^2)^3 checks the chain rule to second order
+    dm = DeformationMap(("x+0.1*x^3", "y+0.1*y^3", "z+0.1*z^3"), kind="forward")
+    _, push = deformation_gradients(dm)
+    body = np.random.default_rng(5).uniform(-1.5, 1.5, size=(3, 200))
+    xs = body + 0.1 * body**3
+    for A in range(3):
+        got = push[A][A].evaluate_batch(*xs).components[0]
+        assert np.max(np.abs(got - 1.0 / (1.0 + 0.3 * body[A] ** 2))) <= 1e-10
+        d = component_field(exterior_derivative(push[A][A]), A + 1)
+        want = -0.6 * body[A] / (1.0 + 0.3 * body[A] ** 2) ** 3
+        assert np.max(np.abs(d.evaluate_batch(*xs).components[0] - want)) <= 1e-10
+        for a in range(3):
+            if a != A:
+                assert np.max(np.abs(push[A][a].evaluate_batch(*xs).components[0])) == 0.0
+
+
+COUPLED = ("x+0.2*sin(y)", "y+0.1*x*z", "z+0.05*x^2+0.1*y")
+
+
+def _coupled_forward(X):
+    return np.stack([X[0] + 0.2 * np.sin(X[1]), X[1] + 0.1 * X[0] * X[2], X[2] + 0.05 * X[0] ** 2 + 0.1 * X[1]])
+
+
+def test_coupled_forward_map_round_trip_in_one_solve():
+    dm = DeformationMap(COUPLED, kind="forward")
+    pts = sample_points(1000, seed=9)
+    solves = []
+    newton = dm._chart._newton
+    dm._chart._newton = lambda *args: solves.append(1) or newton(*args)
+    X = batch_components(dm.inverse_fields(), pts)
+    assert len(solves) == 1
+    target = np.array([[p.x, p.y, p.z] for p in pts]).T
+    assert np.max(np.abs(_coupled_forward(X) - target)) <= 1e-12
+
+
+def test_coupled_forward_push_forward_matches_finite_differences():
+    dm = DeformationMap(COUPLED, kind="forward")
+    pull, push = deformation_gradients(dm)
+    X = dm.inverse_fields()
+    for p in random_points(np.random.default_rng(6), 5, lo=-0.8, hi=0.8):
+        F = np.array([[push[A][a].evaluate(p).components[0] for a in range(3)] for A in range(3)])
+        fd = np.array(
+            [[fd_partial(lambda q: X[A].evaluate(q).components[0], p, v) for v in "xyz"] for A in range(3)]
+        )
+        assert np.max(np.abs(F - fd)) <= 1e-8
+        P = np.array([[pull[a][A].evaluate(p).components[0] for A in range(3)] for a in range(3)])
+        assert np.max(np.abs(P @ F - np.eye(3))) <= 1e-12
+
+
+def test_time_dependent_forward_map_exact_rates():
+    # x = X (1 + t) + 0.1 t Y: X(x, t) = (x - 0.1 t y / (1 + t)) / (1 + t)
+    dm = DeformationMap(("x*(1+t)+0.1*t*y", "y*(1+t)", "z"), kind="forward")
+    X1 = dm.inverse_fields()[0]
+    p = Point(0.4, -0.3, 0.2, 0.5)
+    s = 1.0 + p.t
+    assert X1.evaluate(p).components[0] == pytest.approx((p.x - 0.1 * p.t * p.y / s) / s, abs=1e-14)
+    # d/dt at fixed x of the closed form
+    want = -p.x / s**2 + 0.1 * p.y * (2.0 * p.t / s**3 - 1.0 / s**2)
+    assert time_derivative(X1).evaluate(p).components[0] == pytest.approx(want, abs=1e-12)
+
+
+def test_spatial_operands_join_the_body_chart():
+    dm = DeformationMap(("2*x", "2*y", "2*z"), kind="forward")
+    X1 = dm.inverse_fields()[0]
+    gap = X1 - scalar_field("x") * 0.5 + scalar_field(1.0)
+    assert isinstance(gap, BodyFormField)
+    assert gap.evaluate(Point(0.8, -0.4, 0.2)).components[0] == pytest.approx(1.0, abs=1e-15)
 
 
 # ---- strain ---------------------------------------------------------------------
