@@ -13,17 +13,25 @@ Variables: x y z t.  Functions: sin cos tan exp ln sqrt abs (arity 1);
 `sign` is accepted so printed derivatives of `abs` re-parse.  The
 derivative of abs is defined as sign, with sign(0) = 0.
 
-ASTs are immutable and hashed by identity, so shared subtrees are cheap;
-`evaluate` and `differentiate` memoise on node identity to stay linear in
-the DAG size.  Evaluation accepts floats or numpy arrays and raises
-EvaluationError (carrying the offending point) on division by zero,
-ln/sqrt outside their domain, or 0 raised to a negative power.
+Nodes are immutable and interned (hash-consed): calling `Num`, `Var`,
+`Bin`, ... with the fields of an existing node returns that node, so
+structurally equal expressions are the same object and `is` is structural
+equality.  Numbers are keyed by value and by the sign of zero, children by
+identity.  Evaluation, differentiation, substitution and `depends_on` loop
+over one iterative post-order of the reachable nodes, so their depth is not
+limited by Python's recursion limit (printing still recurses).  Evaluation
+drops each node's value once the last node that reads it has run, so only
+the live frontier of arrays is held at once.  The node table and the
+per-variable derivative memo live for the whole process.
+
+Evaluation accepts floats or numpy arrays and raises EvaluationError
+(carrying the offending point) on division by zero, ln/sqrt outside their
+domain, or 0 raised to a negative power.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,45 +41,85 @@ VARIABLES = ("x", "y", "z", "t")
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "sign")
 CONSTANTS = {"pi": math.pi, "euler": math.e}
 
+#: every node built so far, keyed by class and fields; it keeps each node's
+#: children alive, so keying them by id is safe
+_TABLE: dict[tuple, Expr] = {}
 
-@dataclass(frozen=True, eq=False)
+
+def _num_key(v):
+    """Key of a float: 0.0 and -0.0 differ, every NaN is the same."""
+    return (v, math.copysign(1.0, v)) if v == v else ("nan",)
+
+
+def _intern(cls, key, kids, *fields):
+    """The node of `cls` under `key`, made from `fields` (in __slots__ order) if new."""
+    node = _TABLE.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "kids", kids)
+        _TABLE[key] = node
+    return node
+
+
 class Expr:
+    """An interned node; `kids` are its operands, left to right."""
+
+    __slots__ = ("kids",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
     def __str__(self):
         return to_text(self)
 
+    def __repr__(self):
+        return f"parse_expr({to_text(self)!r})"
 
-@dataclass(frozen=True, eq=False)
+
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __new__(cls, value):
+        value = float(value)
+        return _intern(cls, (cls, *_num_key(value)), (), value)
 
 
-@dataclass(frozen=True, eq=False)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name):
+        return _intern(cls, (cls, name), (), name)
 
 
-@dataclass(frozen=True, eq=False)
 class Bin(Expr):
-    op: str  # one of + - * /
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("op", "lhs", "rhs")  # op is one of + - * /
+
+    def __new__(cls, op, lhs, rhs):
+        return _intern(cls, (cls, op, id(lhs), id(rhs)), (lhs, rhs), op, lhs, rhs)
 
 
-@dataclass(frozen=True, eq=False)
 class Pow(Expr):
-    base: Expr
-    exponent: float
+    __slots__ = ("base", "exponent")
+
+    def __new__(cls, base, exponent):
+        exponent = float(exponent)
+        return _intern(cls, (cls, id(base), *_num_key(exponent)), (base,), base, exponent)
 
 
-@dataclass(frozen=True, eq=False)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __new__(cls, arg):
+        return _intern(cls, (cls, id(arg)), (arg,), arg)
 
 
-@dataclass(frozen=True, eq=False)
 class Fun(Expr):
-    name: str
-    arg: Expr
+    __slots__ = ("name", "arg")
+
+    def __new__(cls, name, arg):
+        return _intern(cls, (cls, name, id(arg)), (arg,), name, arg)
 
 
 ZERO = Num(0.0)
@@ -177,6 +225,34 @@ def fun(name: str, arg: Expr) -> Expr:
     return Fun(name, arg)
 
 
+# ---- the walk ----------------------------------------------------------------
+
+
+def _postorder(roots, done=()):
+    """Nodes reachable from `roots` but not through `done`, each once, children first.
+
+    Children are visited left to right and roots in order, the order in which
+    a recursive walk finishes them, so the first failing node is the same.
+    """
+    order, seen = [], set()
+    for root in roots:
+        if root in seen or root in done:
+            continue
+        seen.add(root)
+        stack = [(root, iter(root.kids))]
+        while stack:
+            node, kids = stack[-1]
+            for kid in kids:
+                if kid not in seen and kid not in done:
+                    seen.add(kid)
+                    stack.append((kid, iter(kid.kids)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    return order
+
+
 # ---- evaluation ------------------------------------------------------------
 
 
@@ -189,91 +265,114 @@ def _point_of(env, mask=None):
     return tuple(pick(env[k]) for k in VARIABLES)
 
 
-def evaluate(e: Expr, x, y, z, t=0.0, cache=None):
-    """Evaluate at a point or componentwise over equally-shaped arrays.
+def _value(node, vals, env):
+    """Value of `node`, its kids' values being in `vals`."""
+    kind = type(node)
+    if kind is Bin:
+        a, b = vals[node.lhs], vals[node.rhs]
+        if node.op == "*":
+            return a * b
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        bad = np.asarray(b) == 0.0
+        if np.any(bad):
+            raise EvaluationError("division by zero", _point_of(env, bad if np.ndim(b) else None))
+        return a / b
+    if kind is Num:
+        return node.value
+    if kind is Var:
+        return env[node.name]
+    a = vals[node.kids[0]]
+    if kind is Neg:
+        return -a
+    arr = np.asarray(a)
+    if kind is Pow:
+        c = node.exponent
+        if c < 0.0 and np.any(arr == 0.0):
+            raise EvaluationError("zero raised to a negative power", _point_of(env, arr == 0.0 if np.ndim(a) else None))
+        if not float(c).is_integer() and np.any(arr < 0.0):
+            raise EvaluationError("negative base with non-integer exponent", _point_of(env, arr < 0.0 if np.ndim(a) else None))
+        return arr**c if np.ndim(a) else float(a) ** c
+    if node.name == "ln":
+        if np.any(arr <= 0.0):
+            raise EvaluationError("ln of a non-positive value", _point_of(env, arr <= 0.0 if np.ndim(a) else None))
+        return np.log(arr) if np.ndim(a) else math.log(a)
+    if node.name == "sqrt":
+        if np.any(arr < 0.0):
+            raise EvaluationError("sqrt of a negative value", _point_of(env, arr < 0.0 if np.ndim(a) else None))
+        return np.sqrt(arr) if np.ndim(a) else math.sqrt(a)
+    fn = _UFUNCS[node.name]
+    return fn(arr) if np.ndim(a) else float(fn(a))
 
-    Passing the same `cache` dict across calls with identical arguments lets
-    sibling expressions reuse shared subtrees.
-    """
-    env = {"x": x, "y": y, "z": z, "t": t}
-    if cache is None:
-        cache = {}
 
-    def rec(node):
-        got = cache.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Num):
-            val = node.value
-        elif isinstance(node, Var):
-            val = env[node.name]
-        elif isinstance(node, Neg):
-            val = -rec(node.arg)
-        elif isinstance(node, Bin):
-            a = rec(node.lhs)
-            b = rec(node.rhs)
-            if node.op == "+":
-                val = a + b
-            elif node.op == "-":
-                val = a - b
-            elif node.op == "*":
-                val = a * b
-            else:
-                bad = np.asarray(b) == 0.0
-                if np.any(bad):
-                    raise EvaluationError("division by zero", _point_of(env, bad if np.ndim(b) else None))
-                val = a / b
-        elif isinstance(node, Pow):
-            a = rec(node.base)
-            c = node.exponent
-            arr = np.asarray(a)
-            if c < 0.0 and np.any(arr == 0.0):
-                raise EvaluationError("zero raised to a negative power", _point_of(env, arr == 0.0 if np.ndim(a) else None))
-            if not float(c).is_integer() and np.any(arr < 0.0):
-                raise EvaluationError("negative base with non-integer exponent", _point_of(env, arr < 0.0 if np.ndim(a) else None))
-            val = arr**c if np.ndim(a) else float(a) ** c
-        elif isinstance(node, Fun):
-            a = rec(node.arg)
-            arr = np.asarray(a)
-            if node.name == "ln":
-                if np.any(arr <= 0.0):
-                    raise EvaluationError("ln of a non-positive value", _point_of(env, arr <= 0.0 if np.ndim(a) else None))
-                val = np.log(arr) if np.ndim(a) else math.log(a)
-            elif node.name == "sqrt":
-                if np.any(arr < 0.0):
-                    raise EvaluationError("sqrt of a negative value", _point_of(env, arr < 0.0 if np.ndim(a) else None))
-                val = np.sqrt(arr) if np.ndim(a) else math.sqrt(a)
-            else:
-                fn = {
-                    "sin": np.sin,
-                    "cos": np.cos,
-                    "tan": np.tan,
-                    "exp": np.exp,
-                    "abs": np.abs,
-                    "sign": np.sign,
-                }[node.name]
-                val = fn(arr) if np.ndim(a) else float(fn(a))
-        else:  # pragma: no cover
-            raise TypeError(f"not an Expr node: {node!r}")
-        cache[id(node)] = val
-        return val
-
-    try:
-        return rec(e)
-    finally:
-        # rec refers to itself through its closure; breaking that cycle frees
-        # the cache (arrays for every node) now instead of at the next
-        # garbage collection, which otherwise sets the process's peak memory
-        del rec
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "abs": np.abs, "sign": np.sign}
 
 
 def evaluate_many(exprs, x, y, z, t=0.0):
-    """Evaluate several expressions with one shared subtree cache."""
-    cache: dict[int, object] = {}
-    return [evaluate(e, x, y, z, t, cache=cache) for e in exprs]
+    """Evaluate expressions at a point or componentwise over equally-shaped arrays.
+
+    One walk over their shared DAG; a node's value is dropped as soon as the
+    last node that reads it has been evaluated.
+    """
+    env = {"x": x, "y": y, "z": z, "t": t}
+    order = _postorder(exprs)
+    last_reader = {kid: node for node in order for kid in node.kids}
+    last_reader.update(dict.fromkeys(exprs))  # the results are kept
+    vals = {}
+    for node in order:
+        vals[node] = _value(node, vals, env)
+        for kid in node.kids:
+            if last_reader[kid] is node:
+                vals.pop(kid, None)  # None: both kids of x*x are x
+    return [vals[e] for e in exprs]
 
 
-# ---- differentiation -------------------------------------------------------
+def evaluate(e: Expr, x, y, z, t=0.0):
+    """Evaluate one expression; see evaluate_many."""
+    return evaluate_many([e], x, y, z, t)[0]
+
+
+# ---- differentiation and substitution ----------------------------------------
+
+#: derivative of every node differentiated so far, per variable
+_DERIVATIVES: dict[str, dict[Expr, Expr]] = {v: {} for v in VARIABLES}
+
+_CHAIN = {
+    "sin": lambda u: fun("cos", u),
+    "cos": lambda u: neg(fun("sin", u)),
+    "tan": lambda u: div(ONE, mul(fun("cos", u), fun("cos", u))),
+    "exp": lambda u: fun("exp", u),
+    "ln": lambda u: div(ONE, u),
+    "sqrt": lambda u: div(ONE, mul(Num(2.0), fun("sqrt", u))),
+    "abs": lambda u: fun("sign", u),
+    "sign": lambda u: ZERO,
+}
+
+
+def _derivative(node, var, d):
+    """d(node)/d(var) given the derivatives `d` of its kids."""
+    if isinstance(node, Num):
+        return ZERO
+    if isinstance(node, Var):
+        return ONE if node.name == var else ZERO
+    if isinstance(node, Neg):
+        return neg(d[node.arg])
+    if isinstance(node, Bin):
+        a, b = node.lhs, node.rhs
+        da, db = d[a], d[b]
+        if node.op == "+":
+            return add(da, db)
+        if node.op == "-":
+            return sub(da, db)
+        if node.op == "*":
+            return add(mul(da, b), mul(a, db))
+        return div(sub(mul(da, b), mul(a, db)), mul(b, b))
+    if isinstance(node, Pow):
+        c = node.exponent
+        return mul(mul(Num(c), pow_(node.base, c - 1.0)), d[node.base])
+    return mul(_CHAIN[node.name](node.arg), d[node.arg])
 
 
 def differentiate(e: Expr, var: str) -> Expr:
@@ -283,54 +382,13 @@ def differentiate(e: Expr, var: str) -> Expr:
     """
     if var not in VARIABLES:
         raise ValueError(f"variable must be one of {VARIABLES}, got {var!r}")
-    cache: dict[int, Expr] = {}
+    memo = _DERIVATIVES[var]
+    for node in _postorder([e], memo):
+        memo[node] = _derivative(node, var, memo)
+    return memo[e]
 
-    def rec(node):
-        got = cache.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Num):
-            out = ZERO
-        elif isinstance(node, Var):
-            out = ONE if node.name == var else ZERO
-        elif isinstance(node, Neg):
-            out = neg(rec(node.arg))
-        elif isinstance(node, Bin):
-            da, db = rec(node.lhs), rec(node.rhs)
-            a, b = node.lhs, node.rhs
-            if node.op == "+":
-                out = add(da, db)
-            elif node.op == "-":
-                out = sub(da, db)
-            elif node.op == "*":
-                out = add(mul(da, b), mul(a, db))
-            else:
-                out = div(sub(mul(da, b), mul(a, db)), mul(b, b))
-        elif isinstance(node, Pow):
-            c = node.exponent
-            out = mul(mul(Num(c), pow_(node.base, c - 1.0)), rec(node.base))
-        elif isinstance(node, Fun):
-            u, du = node.arg, rec(node.arg)
-            chain = {
-                "sin": lambda: fun("cos", u),
-                "cos": lambda: neg(fun("sin", u)),
-                "tan": lambda: div(ONE, mul(fun("cos", u), fun("cos", u))),
-                "exp": lambda: fun("exp", u),
-                "ln": lambda: div(ONE, u),
-                "sqrt": lambda: div(ONE, mul(Num(2.0), fun("sqrt", u))),
-                "abs": lambda: fun("sign", u),
-                "sign": lambda: ZERO,
-            }[node.name]()
-            out = mul(chain, du)
-        else:  # pragma: no cover
-            raise TypeError(f"not an Expr node: {node!r}")
-        cache[id(node)] = out
-        return out
 
-    try:
-        return rec(e)
-    finally:
-        del rec  # see evaluate
+_BIN_OPS = {"+": add, "-": sub, "*": mul, "/": div}
 
 
 def substitute(e: Expr, mapping) -> Expr:
@@ -339,68 +397,30 @@ def substitute(e: Expr, mapping) -> Expr:
     Rebuilt through the folding constructors; subtrees without a replaced
     variable come back as the same nodes.
     """
-    cache: dict[int, Expr] = {}
-    ops = {"+": add, "-": sub, "*": mul, "/": div}
-
-    def rec(node):
-        got = cache.get(id(node))
-        if got is not None:
-            return got
-        out = node
+    new = {}
+    for node in _postorder([e]):
+        args = [new[kid] for kid in node.kids]
         if isinstance(node, Var):
-            out = mapping.get(node.name, node)
+            new[node] = mapping.get(node.name, node)
+        elif all(a is kid for a, kid in zip(args, node.kids)):
+            new[node] = node
         elif isinstance(node, Neg):
-            arg = rec(node.arg)
-            if arg is not node.arg:
-                out = neg(arg)
+            new[node] = neg(*args)
         elif isinstance(node, Bin):
-            a, b = rec(node.lhs), rec(node.rhs)
-            if a is not node.lhs or b is not node.rhs:
-                out = ops[node.op](a, b)
+            new[node] = _BIN_OPS[node.op](*args)
         elif isinstance(node, Pow):
-            base = rec(node.base)
-            if base is not node.base:
-                out = pow_(base, node.exponent)
-        elif isinstance(node, Fun):
-            arg = rec(node.arg)
-            if arg is not node.arg:
-                out = fun(node.name, arg)
-        cache[id(node)] = out
-        return out
-
-    try:
-        return rec(e)
-    finally:
-        del rec  # see evaluate
+            new[node] = pow_(*args, node.exponent)
+        else:
+            new[node] = fun(node.name, *args)
+    return new[e]
 
 
 def depends_on(e: Expr, var: str) -> bool:
     """Structural check whether `var` occurs in the expression."""
-    seen = set()
-
-    def rec(node):
-        if id(node) in seen:
-            return False
-        seen.add(id(node))
-        if isinstance(node, Var):
-            return node.name == var
-        if isinstance(node, Neg):
-            return rec(node.arg)
-        if isinstance(node, Bin):
-            return rec(node.lhs) or rec(node.rhs)
-        if isinstance(node, Pow):
-            return rec(node.base)
-        if isinstance(node, Fun):
-            return rec(node.arg)
-        return False
-
-    try:
-        return rec(e)
-    finally:
-        del rec  # see evaluate
+    return Var(var) in _postorder([e])
 
 
-# ---- printing and structural equality --------------------------------------
+# ---- printing ----------------------------------------------------------------
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
@@ -410,9 +430,10 @@ def to_text(e: Expr) -> str:
 
     def render(node, ctx):
         if isinstance(node, Num):
-            v = node.value
-            text = repr(int(v)) if float(v).is_integer() and abs(v) < 1e16 else repr(v)
-            if v < 0:
+            v = abs(node.value)
+            text = repr(int(v)) if v.is_integer() and v < 1e16 else repr(v)
+            if math.copysign(1.0, node.value) < 0.0:  # -0 too, so it re-parses to Num(-0.0)
+                text = f"-{text}"
                 return f"({text})" if ctx > _PREC["neg"] - 0.5 else text
             return text
         if isinstance(node, Var):
@@ -437,24 +458,6 @@ def to_text(e: Expr) -> str:
         raise TypeError(f"not an Expr node: {node!r}")  # pragma: no cover
 
     return render(e, 0)
-
-
-def structurally_equal(a: Expr, b: Expr) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Num):
-        return a.value == b.value
-    if isinstance(a, Var):
-        return a.name == b.name
-    if isinstance(a, Neg):
-        return structurally_equal(a.arg, b.arg)
-    if isinstance(a, Bin):
-        return a.op == b.op and structurally_equal(a.lhs, b.lhs) and structurally_equal(a.rhs, b.rhs)
-    if isinstance(a, Pow):
-        return a.exponent == b.exponent and structurally_equal(a.base, b.base)
-    if isinstance(a, Fun):
-        return a.name == b.name and structurally_equal(a.arg, b.arg)
-    return False  # pragma: no cover
 
 
 # ---- parser -----------------------------------------------------------------
@@ -561,7 +564,7 @@ def _parse_power(tz):
 
 def _fold_constant(e):
     """Value of a variable-free expression, or None."""
-    if any(depends_on(e, v) for v in VARIABLES):
+    if any(isinstance(node, Var) for node in _postorder([e])):
         return None
     try:
         return float(evaluate(e, 0.0, 0.0, 0.0, 0.0))

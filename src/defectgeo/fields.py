@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .errors import DerivativeDepthExceeded
+from .errors import DerivativeDepthExceeded, EvaluationError
 from .forms import (
     BASIS,
     COMPONENT_COUNTS,
@@ -159,24 +159,42 @@ class SymbolicFormField(FormField):
         self.comps = comps
 
     def evaluate(self, point):
-        cache = {}
-        vals = [ex.evaluate(c, point.x, point.y, point.z, point.t, cache=cache) for c in self.comps]
-        return KForm(self.degree, np.asarray(vals, dtype=float))
+        coords = (point.x, point.y, point.z, point.t)
+        vals = np.asarray(ex.evaluate_many(self.comps, *coords), dtype=float)
+        return KForm(self.degree, _finite(vals, coords))
 
     def evaluate_batch(self, xs, ys, zs, ts=0.0):
-        xs = np.asarray(xs, dtype=float)
-        shape = xs.shape
-        cache = {}
-        vals = [
-            np.broadcast_to(
-                np.asarray(ex.evaluate(c, xs, ys, zs, ts, cache=cache), dtype=float), shape
-            )
-            for c in self.comps
-        ]
-        return KForm(self.degree, np.stack(vals))
+        return evaluate_fields([self], xs, ys, zs, ts)[0]
 
     def __repr__(self):
         return f"SymbolicFormField({self.degree}, [{', '.join(map(str, self.comps))}])"
+
+
+def evaluate_fields(fields, xs, ys, zs, ts=0.0):
+    """`[f.evaluate_batch(xs, ys, zs, ts) for f in fields]`, the symbolic ones in one DAG walk."""
+    xs = np.asarray(xs, dtype=float)
+    symbolic = [f for f in fields if isinstance(f, SymbolicFormField)]
+    vals = iter(ex.evaluate_many([c for f in symbolic for c in f.comps], xs, ys, zs, ts))
+    out = []
+    for f in fields:
+        if isinstance(f, SymbolicFormField):
+            comps = np.stack([np.broadcast_to(np.asarray(next(vals), dtype=float), xs.shape) for _ in f.comps])
+            out.append(KForm(f.degree, _finite(comps, (xs, ys, zs, ts))))
+        else:
+            out.append(f.evaluate_batch(xs, ys, zs, ts))
+    return out
+
+
+def _finite(comps, coords):
+    """`comps` (components first), or EvaluationError at the first point where one is not finite."""
+    flat = comps.reshape(len(comps), -1)
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        first = int(np.argmax(bad.any(axis=0)))
+        value = flat[np.argmax(bad[:, first]), first]
+        point = tuple(float(np.broadcast_to(c, comps.shape[1:]).flat[first]) for c in coords)
+        raise EvaluationError(f"non-finite field value {value}", point)
+    return comps
 
 
 class NumericFormField(FormField):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Point
+from .fields import Point, evaluate_fields
 
 
 def sample_points(count, bounds=(-1.0, 1.0), seed=0, t=0.0):
@@ -26,10 +26,7 @@ def _coords(points):
 def batch_components(fields, points):
     """Stack |components| of several fields at several points: shape (n_values, n_points)."""
     xs, ys, zs, ts = _coords(points)
-    rows = []
-    for f in fields:
-        rows.append(np.atleast_2d(f.evaluate_batch(xs, ys, zs, ts).components))
-    return np.vstack(rows)
+    return np.vstack([np.atleast_2d(v.components) for v in evaluate_fields(fields, xs, ys, zs, ts)])
 
 
 def max_abs(fields, points) -> float:

@@ -221,3 +221,25 @@ def test_grid_and_tolerance_overrides(tmp_path):
     report = json.loads(report_path.read_text())
     assert report["settings"]["grid_n"] == 5
     assert report["settings"]["tolerance"] == 1e-9
+
+
+def _rho_scenario(tmp_path, rho):
+    text = (SCENARIOS / "energy_linear_rho.toml").read_text().replace('rho = "x"', f'rho = "{rho}"')
+    path = tmp_path / "rho.toml"
+    path.write_text(text)
+    return path
+
+
+def test_energy_with_a_1500_term_density(tmp_path):
+    rho = "+".join(f"{k + 1}*x*y" for k in range(1500))
+    assert run(["energy", _rho_scenario(tmp_path, rho), "--grid", "8"]) == 0
+
+
+@pytest.mark.parametrize("command", ["energy", "check", "defects"])
+def test_non_finite_values_are_bad_input_with_a_point(tmp_path, capsys, command):
+    with np.errstate(all="ignore"):
+        code = run([command, _rho_scenario(tmp_path, "exp(800*x)"), "--grid", "8"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "non-finite field value" in err and " at (" in err
+    assert "nan" not in out.lower() and "inf" not in out.lower()

@@ -1,14 +1,17 @@
 """Parser, printer, and symbolic-derivative checks for the expression language."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectgeo import expressions as ex
 from defectgeo.errors import EvaluationError, ParseError
 
-from util import random_expr
+from util import random_expr, reference_evaluate
 
 GOLDEN_CORPUS = [
     "1",
@@ -177,10 +180,11 @@ def test_abs_derivative_is_sign_with_sign_zero():
 
 
 def test_parse_print_parse_fixpoint():
-    for text in GOLDEN_CORPUS:
+    # signed zeros ride along: interned Num(0.0) and Num(-0.0) are different nodes
+    for text in GOLDEN_CORPUS + ["-0", "sin(-0)"]:
         first = ex.parse_expr(text)
         reparsed = ex.parse_expr(ex.to_text(first))
-        assert ex.structurally_equal(first, reparsed), text
+        assert first is reparsed, text
 
 
 def test_print_round_trip_values_agree():
@@ -251,3 +255,87 @@ def test_exponent_must_be_constant():
 def test_time_dependence_detection():
     assert ex.depends_on(ex.parse_expr("x*t"), "t")
     assert not ex.depends_on(ex.parse_expr("x*y"), "t")
+
+
+def test_nodes_are_interned():
+    assert ex.parse_expr("x*y") is ex.parse_expr("x*y")
+    assert ex.parse_expr("sin(x)") is ex.Fun("sin", ex.Var("x"))
+    assert ex.Num(1) is ex.Num(1.0)
+    assert ex.Num(0.0) is not ex.Num(-0.0)
+    assert ex.Pow(ex.Var("x"), 2) is ex.pow_(ex.Var("x"), 2.0)
+
+
+#: 1,500 distinct terms in one left-deep sum: far deeper than the recursion limit
+LONG_SUM = "+".join(f"{k + 1}*x*y" for k in range(1500))
+
+
+def test_deep_sum_walks_without_recursion_error():
+    e = ex.parse_expr(LONG_SUM)
+    total = 1500 * 1501 / 2
+    assert ex.evaluate(e, 2.0, 3.0, 0.0) == 6.0 * total
+    assert ex.evaluate(ex.differentiate(e, "x"), 2.0, 3.0, 0.0) == 3.0 * total
+    assert ex.evaluate(ex.substitute(e, {"y": ex.parse_expr("z+1")}), 2.0, 0.0, 2.0) == 6.0 * total
+    assert ex.depends_on(e, "y") and not ex.depends_on(e, "t")
+
+
+def test_evaluation_releases_values_after_last_use():
+    e = ex.parse_expr(LONG_SUM)
+    xs = np.linspace(-1.0, 1.0, 20_000)
+    tracemalloc.start()
+    try:
+        ex.evaluate(e, xs, xs, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * xs.nbytes
+
+
+_CONSTANTS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0, 0.25, 3.0])
+_KINDS = st.sampled_from(["+", "-", "*", "/", "neg", "pow", *ex.FUNCTIONS])
+
+
+@st.composite
+def _shared_dags(draw):
+    """Expression roots over a random DAG: every new node reuses earlier ones."""
+    nodes = [ex.Var(v) for v in ex.VARIABLES] + [ex.Num(draw(_CONSTANTS)) for _ in range(2)]
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(_KINDS)
+        a, b = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        if kind in "+-*/":
+            nodes.append(ex.Bin(kind, a, b))
+        elif kind == "neg":
+            nodes.append(ex.Neg(a))
+        elif kind == "pow":
+            nodes.append(ex.Pow(a, draw(st.sampled_from([-2.0, -1.0, 0.5, 2.0, 3.0]))))
+        else:
+            nodes.append(ex.Fun(kind, a))
+    return draw(st.lists(st.sampled_from(nodes[6:]), min_size=1, max_size=4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(roots=_shared_dags(), size=st.sampled_from([0, 1, 7]), data=st.data())
+def test_evaluate_many_matches_recursive_oracle_bit_for_bit(roots, size, data):
+    values = st.floats(-2.0, 2.0)
+    args = [
+        np.asarray(data.draw(st.lists(values, min_size=size, max_size=size))) if size else data.draw(values)
+        for _ in ex.VARIABLES
+    ]
+    env = dict(zip(ex.VARIABLES, args))
+
+    def outcome(evaluate):
+        with np.errstate(all="ignore"):
+            try:
+                return [np.asarray(v) for v in evaluate()]
+            except (EvaluationError, OverflowError) as exc:
+                return type(exc)
+
+    got = outcome(lambda: ex.evaluate_many(roots, *args))
+    want = outcome(lambda: [reference_evaluate(r, env) for r in roots])
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(w))

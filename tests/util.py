@@ -6,10 +6,14 @@ derivatives are checked against plain central differences, and transport
 derivatives against explicit flow integration.
 """
 
+import math
+import operator
 
 import numpy as np
 
+from defectgeo import expressions as ex
 from defectgeo.defects import DefectFields
+from defectgeo.errors import EvaluationError
 from defectgeo.fields import Point, symbolic
 from defectgeo.forms import BASIS, COMPONENT_COUNTS, KForm
 from defectgeo.geometry import CoFrame, TensorFormField
@@ -195,3 +199,38 @@ def random_expr(rng, depth=4):
     if kind == 6:
         return f"ln(2+({a})^2)"
     return f"sqrt(1+({a})^2)"
+
+
+def reference_evaluate(e, env):
+    """Plain recursive, unmemoised evaluation of an expression node: the oracle
+    for `expressions.evaluate_many`.
+
+    Each node applies the same floating-point primitive as the library (numpy
+    on arrays, math or numpy on scalars), so agreement is bit for bit; what is
+    checked is the walk, the sharing of nodes and the early release of
+    values.  Undefined values raise EvaluationError without a point.
+    """
+    if isinstance(e, ex.Num):
+        return e.value
+    if isinstance(e, ex.Var):
+        return env[e.name]
+    if isinstance(e, ex.Bin):
+        a, b = reference_evaluate(e.lhs, env), reference_evaluate(e.rhs, env)
+        if e.op == "/" and np.any(np.asarray(b) == 0.0):
+            raise EvaluationError("division by zero")
+        return {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[e.op](a, b)
+    a = reference_evaluate(e.base if isinstance(e, ex.Pow) else e.arg, env)
+    if isinstance(e, ex.Neg):
+        return -a
+    arr, scalar = np.asarray(a), np.ndim(a) == 0
+    if isinstance(e, ex.Pow):
+        c = e.exponent
+        if (c < 0.0 and np.any(arr == 0.0)) or (not c.is_integer() and np.any(arr < 0.0)):
+            raise EvaluationError("power outside its domain")
+        return float(a) ** c if scalar else arr**c
+    if (e.name == "ln" and np.any(arr <= 0.0)) or (e.name == "sqrt" and np.any(arr < 0.0)):
+        raise EvaluationError(f"{e.name} outside its domain")
+    if scalar and e.name in ("ln", "sqrt"):
+        return {"ln": math.log, "sqrt": math.sqrt}[e.name](a)
+    fn = np.log if e.name == "ln" else getattr(np, e.name)
+    return float(fn(a)) if scalar else fn(arr)
