@@ -24,7 +24,7 @@ from .energy import quadratic_invariants
 from .forms import FRAME_INDICES
 from .geometry import CoFrame
 from .kinematics import bianchi_consistency
-from .sampling import batch_components, sample_points
+from .sampling import batch_groups, sample_points
 
 #: second-kind trace of the reconstruction ansatz is exactly 3x the Frank covector
 EXPECTED_FRANK_SCALE = 3.0
@@ -68,8 +68,7 @@ def measure_frank_scale(e: CoFrame | None = None, points=None):
     frank = probe_defects().frank
     Q = reconstruct_nonmetricity(frank, ff.zero_field(1), e)
     P, _ = nonmetricity_second_trace(Q, e)
-    num = batch_components([P], points)
-    den = batch_components([frank], points)
+    num, den = batch_groups([[P], [frank]], points)
     keep = np.abs(den) > 1e-9
     ratios = num[keep] / den[keep]
     mean = float(np.mean(ratios))
@@ -84,8 +83,7 @@ def measure_flux_factor(e: CoFrame | None = None, points=None):
     Q = reconstruct_nonmetricity(frank, ff.zero_field(1), e)
     P, flux = nonmetricity_second_trace(Q, e)
     reference = [ff.wedge(e.e(a), P) for a in FRAME_INDICES]
-    num = batch_components(flux.entries(), points)
-    den = batch_components(reference, points)
+    num, den = batch_groups([flux.entries(), reference], points)
     keep = np.abs(den) > 1e-9
     ratios = num[keep] / den[keep]
     mean = float(np.mean(ratios))
@@ -98,22 +96,16 @@ def measure_piece1_contractions(Q, e: CoFrame | None = None, points=None):
     points = points if points is not None else sample_points(60, seed=19)
     pieces = nonmetricity_pieces(Q, e)
 
-    def tail(make):
-        fields = []
-        for b in FRAME_INDICES:
-            acc = None
-            for a in FRAME_INDICES:
-                term = make(a, b)
-                acc = term if acc is None else acc + term
-            fields.append(acc)
-        return fields
-
-    interior_fields = tail(lambda a, b: e.interior(a, pieces.piece1.entry(a, b)))
-    wedge_fields = tail(lambda a, b: ff.wedge(e.e(a), pieces.piece1.entry(a, b)))
-    scale = 1.0 + float(np.max(np.abs(batch_components(Q.entries(), points))))
-    i_norm = float(np.max(np.abs(batch_components(interior_fields, points)))) / scale
-    w_norm = float(np.max(np.abs(batch_components(wedge_fields, points)))) / scale
-    return i_norm, w_norm
+    piece1 = pieces.piece1.entry
+    interior_fields = [
+        ff.field_sum(e.interior(a, piece1(a, b)) for a in FRAME_INDICES) for b in FRAME_INDICES
+    ]
+    wedge_fields = [
+        ff.field_sum(ff.wedge(e.e(a), piece1(a, b)) for a in FRAME_INDICES) for b in FRAME_INDICES
+    ]
+    q_vals, i_vals, w_vals = batch_groups([Q.entries(), interior_fields, wedge_fields], points)
+    scale = 1.0 + float(np.max(np.abs(q_vals)))
+    return float(np.max(np.abs(i_vals))) / scale, float(np.max(np.abs(w_vals))) / scale
 
 
 def run_calibration(e: CoFrame | None = None, points=None) -> dict:

@@ -5,9 +5,11 @@
               [--tolerance X] [--fd-step H]
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 the scenario
-could not be parsed or validated.  The first failure detail goes to stderr.
-JSON reports have a fixed key order; with --deterministic the timing field
-is zeroed so byte-identical inputs give byte-identical reports.
+could not be parsed or validated, or a field or report value is not finite,
+3 an unexpected internal error.  The first failure detail goes to stderr, on
+one line.  JSON reports have a fixed key order and hold finite numbers only;
+with --deterministic the timing field is zeroed so byte-identical inputs give
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .elasticity import (
 )
 from .energy import lagrangian_form, lagrangian_vector, total_free_energy_estimate
 from .errors import DefectGeoError, ScenarioError
-from .fields import Point
+from .fields import Point, evaluate_fields
 from .forms import FRAME_INDICES
 from .geometry import (
     bianchi_residuals,
@@ -46,7 +48,7 @@ from .geometry import (
     torsion,
 )
 from .kinematics import bianchi_consistency, disclination_point_balance, dislocation_balance
-from .sampling import batch_components, normalized_residual
+from .sampling import batch_groups, grid_points, max_abs, normalized_residuals
 from .scenario import Scenario, parse_scenario_file
 
 SCHEMA = "defectgeo-report-v1"
@@ -58,19 +60,29 @@ EXACT_TOL = 1e-12
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
+    args = _build_parser().parse_args(argv)
     try:
-        scenario = parse_scenario_file(args.scenario)
-        scenario = _apply_overrides(scenario, args)
-        runner = _COMMANDS[args.command]
-        checks, calib, samples, extras = runner(scenario, args)
+        return _run(args)
     except (DefectGeoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of this program, not of the scenario
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
+def _run(args) -> int:
+    started = time.perf_counter()
+    scenario = _apply_overrides(parse_scenario_file(args.scenario), args)
+    # non-finite values are reported as errors below, so numpy's warnings are noise
+    with np.errstate(all="ignore"):
+        checks, calib, samples, extras = _COMMANDS[args.command](scenario, args)
     elapsed = 0.0 if args.deterministic else time.perf_counter() - started
     report = _assemble_report(args, scenario, checks, calib, samples, extras, elapsed)
+    bad = _first_non_finite(report)
+    if bad is not None:
+        print(f"error: report value {bad[0]} is not finite ({bad[1]}); no report written", file=sys.stderr)
+        return 2
     _emit(report, args)
     failures = [c for c in checks if not c["passed"]]
     if failures:
@@ -138,6 +150,12 @@ def _check_points(scenario: Scenario, cap=125):
     return [Point(float(axis[a]), float(axis[b]), float(axis[c])) for a, b, c in zip(i, j, k)]
 
 
+def _residual_checks(table, points):
+    """`_check` rows of (name, residual_fields, reference_fields, tolerance) entries, from one walk."""
+    values = normalized_residuals([(res, ref) for _, res, ref, _ in table], points)
+    return [_check(name, value, tol) for (name, _, _, tol), value in zip(table, values)]
+
+
 def _check(name, max_residual, tolerance):
     return {
         "name": name,
@@ -156,7 +174,6 @@ def _cmd_check(scenario: Scenario, args):
     e = scenario.coframe
     e.validate(points)
 
-    checks = []
     gamma = levi_civita_connection(e)
     from .fields import exterior_derivative, wedge
 
@@ -169,10 +186,7 @@ def _cmd_check(scenario: Scenario, args):
     antisym = [
         (gamma.entry(a, b) + gamma.entry(b, a)) * 0.5 for a in FRAME_INDICES for b in FRAME_INDICES
     ]
-    reference = [e.e(a) for a in FRAME_INDICES] + gamma.entries()
-    checks.append(
-        _check("levi-civita-contract", normalized_residual(contract + antisym, reference, points), tol)
-    )
+    frame = [e.e(a) for a in FRAME_INDICES]
 
     T, Q = reconstruct_defect_geometry(scenario.defects, e)
     L = defect_one_form(T, Q, e)
@@ -182,31 +196,23 @@ def _cmd_check(scenario: Scenario, args):
     round_trip = [T_back.entry(a) - T.entry(a) for a in FRAME_INDICES] + [
         Q_back.entry(a, b) - Q.entry(a, b) for a in FRAME_INDICES for b in FRAME_INDICES
     ]
-    checks.append(
-        _check(
-            "defect-round-trip",
-            normalized_residual(round_trip, T.entries() + Q.entries(), points),
-            tol,
-        )
-    )
 
     first, second, third = bianchi_residuals(e, omega)
-    reference = omega.entries() + [e.e(a) for a in FRAME_INDICES]
-    checks.append(_check("bianchi-curvature", normalized_residual(first.entries(), reference, points), tol))
-    checks.append(_check("bianchi-torsion", normalized_residual(second.entries(), reference, points), tol))
-    checks.append(_check("bianchi-nonmetricity", normalized_residual(third.entries(), reference, points), tol))
-
     split = curvature_split_residual(e, T, Q)
-    checks.append(_check("curvature-split", normalized_residual(split.entries(), reference, points), tol))
-
+    reference = omega.entries() + frame
+    table = [
+        ("levi-civita-contract", contract + antisym, frame + gamma.entries(), tol),
+        ("defect-round-trip", round_trip, T.entries() + Q.entries(), tol),
+        ("bianchi-curvature", first.entries(), reference, tol),
+        ("bianchi-torsion", second.entries(), reference, tol),
+        ("bianchi-nonmetricity", third.entries(), reference, tol),
+        ("curvature-split", split.entries(), reference, tol),
+    ]
     if scenario.gauge is not None:
         scenario.gauge.validate(points)
         flat = pure_gauge_connection(scenario.gauge)
-        R = curvature(flat)
-        checks.append(
-            _check("gauge-flatness", normalized_residual(R.entries(), flat.entries(), points), tol)
-        )
-    return checks, None, None, {}
+        table.append(("gauge-flatness", curvature(flat).entries(), flat.entries(), tol))
+    return _residual_checks(table, points), None, None, {}
 
 
 def _build_connection(scenario: Scenario):
@@ -228,42 +234,31 @@ def _cmd_defects(scenario: Scenario, args):
     omega = _build_connection(scenario)
     extracted = extract_defects(e, omega)
 
-    checks = []
+    table = []
     if scenario.gauge is None:
+        given = scenario.defects
         residual = [
-            extracted.burgers - scenario.defects.burgers,
-            extracted.frank - scenario.defects.frank,
-            extracted.point - scenario.defects.point,
-            extracted.scalar - scenario.defects.scalar,
+            extracted.burgers - given.burgers,
+            extracted.frank - given.frank,
+            extracted.point - given.point,
+            extracted.scalar - given.scalar,
         ]
-        reference = [
-            scenario.defects.burgers,
-            scenario.defects.frank,
-            scenario.defects.point,
-            scenario.defects.scalar,
-        ]
-        checks.append(
-            _check("extraction-round-trip", normalized_residual(residual, reference, points), tol)
-        )
-
+        reference = [given.burgers, given.frank, given.point, given.scalar]
+        table.append(("extraction-round-trip", residual, reference, tol))
     combo = extracted.burgers + extracted.frank * extracted.c1 + extracted.point * extracted.c2
-    checks.append(
-        _check(
-            "generalized-burgers-combination",
-            normalized_residual([extracted.generalized_burgers - combo], [combo], points),
-            EXACT_TOL,
-        )
-    )
+    gap = [extracted.generalized_burgers - combo]
+    table.append(("generalized-burgers-combination", gap, [combo], EXACT_TOL))
+    checks = _residual_checks(table, points)
 
-    samples = {
-        "field_max_abs": {
-            "burgers": batch_max(extracted.burgers, points),
-            "frank": batch_max(extracted.frank, points),
-            "point": batch_max(extracted.point, points),
-            "rho": batch_max(extracted.scalar, points),
-            "generalized_burgers": batch_max(extracted.generalized_burgers, points),
-        }
+    sampled = {
+        "burgers": extracted.burgers,
+        "frank": extracted.frank,
+        "point": extracted.point,
+        "rho": extracted.scalar,
+        "generalized_burgers": extracted.generalized_burgers,
     }
+    values = batch_groups([[f] for f in sampled.values()], points)
+    samples = {"field_max_abs": {name: float(np.max(np.abs(v))) for name, v in zip(sampled, values)}}
     extras = {}
     if args.csv:
         _write_defect_csv(args.csv, scenario, extracted)
@@ -272,28 +267,17 @@ def _cmd_defects(scenario: Scenario, args):
     return checks, calib, samples, extras
 
 
-def batch_max(field, points) -> float:
-    return float(np.max(np.abs(batch_components([field], points))))
-
-
 def _write_defect_csv(path, scenario: Scenario, d):
     num = scenario.numerics
-    axis = np.linspace(num.grid_min, num.grid_max, num.grid_n)
-    X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
-    xs, ys, zs = X.ravel(), Y.ravel(), Z.ravel()
-    ts = np.zeros_like(xs)
-    cols = [xs, ys, zs]
-    for field in (d.burgers, d.frank, d.point):
-        comps = field.evaluate_batch(xs, ys, zs, ts).components
-        cols.extend([np.broadcast_to(c, xs.shape) for c in comps])
-    cols.append(np.broadcast_to(d.scalar.evaluate_batch(xs, ys, zs, ts).components[0], xs.shape))
-    comps = d.generalized_burgers.evaluate_batch(xs, ys, zs, ts).components
-    cols.extend([np.broadcast_to(c, xs.shape) for c in comps])
+    xs, ys, zs, ts = grid_points((num.grid_min,) * 3, (num.grid_max,) * 3, (num.grid_n,) * 3)
+    fields = [d.burgers, d.frank, d.point, d.scalar, d.generalized_burgers]
+    values = evaluate_fields(fields, xs, ys, zs, ts)
+    table = np.column_stack([xs, ys, zs] + [np.broadcast_to(c, xs.shape) for v in values for c in v.components])
     header = "x,y,z,b1,b2,b3,O1,O2,O3,m1,m2,m3,rho,B1,B2,B3"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _cmd_kinematics(scenario: Scenario, args):
@@ -304,35 +288,20 @@ def _cmd_kinematics(scenario: Scenario, args):
     e.validate(points)
     d = scenario.defects
 
-    checks = []
     form_res, vec_res = dislocation_balance(d, e)
+    table = []
     if e.is_identity:
         iso_gap = [e.hodge(form_res.entry(a)) - vec_res.component(a) for a in FRAME_INDICES]
-        checks.append(
-            _check(
-                "dislocation-form-vector-agreement",
-                normalized_residual(iso_gap, list(vec_res.comps), points),
-                tol,
-            )
-        )
+        table.append(("dislocation-form-vector-agreement", iso_gap, list(vec_res.comps), tol))
     reference = [d.burgers, d.frank, d.point, d.scalar]
-    checks.append(
-        _check("dislocation-balance", normalized_residual(form_res.entries(), reference, points), tol)
-    )
     point_curl, beltrami, algebraic = disclination_point_balance(d)
-    checks.append(
-        _check("point-defect-curl", normalized_residual(list(point_curl.comps), reference, points), tol)
-    )
-    checks.append(
-        _check("disclination-beltrami", normalized_residual(list(beltrami.comps), reference, points), tol)
-    )
-    checks.append(
-        _check(
-            "bilinear-constraint",
-            normalized_residual([f for row in algebraic for f in row], reference, points),
-            tol,
-        )
-    )
+    table += [
+        ("dislocation-balance", form_res.entries(), reference, tol),
+        ("point-defect-curl", list(point_curl.comps), reference, tol),
+        ("disclination-beltrami", list(beltrami.comps), reference, tol),
+        ("bilinear-constraint", [f for row in algebraic for f in row], reference, tol),
+    ]
+    checks = _residual_checks(table, points)
 
     fits = bianchi_consistency(e, d, points=points)
     checks.append(
@@ -369,7 +338,6 @@ def _cmd_elastic(scenario: Scenario, args):
     pull, push = deformation_gradients(dm, e)
     from .fields import scalar_field, zero_field
 
-    checks = []
     gap = []
     for a in range(3):
         for b in range(3):
@@ -378,15 +346,6 @@ def _cmd_elastic(scenario: Scenario, args):
                 acc = acc + pull[a][c] * push[c][b]
             gap.append(acc - scalar_field(1.0 if a == b else 0.0))
     push_fields = [f for row in push for f in row]
-    checks.append(_check("gradient-inverse", normalized_residual(gap, push_fields, points), 1e-10))
-
-    checks.append(
-        _check(
-            "volume-relation",
-            normalized_residual([volume_relation_residual(dm, e)], push_fields, points),
-            max(tol, 1e-8),
-        )
-    )
 
     strain = euler_strain(dm, e)
     stress = isotropic_stress(strain, scenario.material, e)
@@ -395,14 +354,18 @@ def _cmd_elastic(scenario: Scenario, args):
         stress.entry(a, b) - stress_c.entry(a, b) for a in FRAME_INDICES for b in FRAME_INDICES
     ]
     strain_fields = [strain.entry(a, b) for a in FRAME_INDICES for b in FRAME_INDICES]
-    checks.append(
-        _check("stress-paths-agree", normalized_residual(path_gap, strain_fields, points), EXACT_TOL)
-    )
     sym_gap = [
         strain.entry(a, b) - strain.entry(b, a) for a in FRAME_INDICES for b in FRAME_INDICES if a < b
     ]
-    checks.append(
-        _check("strain-symmetric", normalized_residual(sym_gap, strain_fields, points), EXACT_TOL)
+    volume_gap = [volume_relation_residual(dm, e)]
+    checks = _residual_checks(
+        [
+            ("gradient-inverse", gap, push_fields, 1e-10),
+            ("volume-relation", volume_gap, push_fields, max(tol, 1e-8)),
+            ("stress-paths-agree", path_gap, strain_fields, EXACT_TOL),
+            ("strain-symmetric", sym_gap, strain_fields, EXACT_TOL),
+        ],
+        points,
     )
 
     center = Point(
@@ -422,9 +385,7 @@ def _cmd_elastic(scenario: Scenario, args):
         "stress": [[float(stress.entry(a, b).evaluate(center).components[0]) for b in FRAME_INDICES] for a in FRAME_INDICES],
         # stress-divergence norm for the unforced static configuration;
         # informational, a generic deformation is not in equilibrium
-        "static_momentum_residual_max": float(
-            np.max(np.abs(batch_components(static, points)))
-        ),
+        "static_momentum_residual_max": max_abs(static, points),
     }
     return checks, None, samples, {}
 
@@ -437,15 +398,9 @@ def _cmd_energy(scenario: Scenario, args):
     num = scenario.numerics
     d, k = scenario.defects, scenario.couplings
 
-    checks = []
-    gap = [lagrangian_form(d, k, e) - lagrangian_vector(d, k, e)]
-    checks.append(
-        _check(
-            "lagrangian-representations-agree",
-            normalized_residual(gap, [lagrangian_form(d, k, e)], points),
-            EXACT_TOL,
-        )
-    )
+    form = lagrangian_form(d, k, e)
+    gap = [form - lagrangian_vector(d, k, e)]
+    checks = _residual_checks([("lagrangian-representations-agree", gap, [form], EXACT_TOL)], points)
     estimate = total_free_energy_estimate(
         d,
         k,
@@ -537,11 +492,28 @@ def _assemble_report(args, scenario: Scenario, checks, calib, samples, extras, e
     return report
 
 
+def _first_non_finite(value, key="report"):
+    """(key, value) of the first non-finite number in a report, in key order, or None."""
+    if isinstance(value, dict):
+        items = ((f"{key}.{k}", v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(value))
+    elif isinstance(value, float) and not np.isfinite(value):
+        return key, value
+    else:
+        return None
+    for sub_key, sub in items:
+        found = _first_non_finite(sub, sub_key)
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(report, args):
     for c in report["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}: max_residual={c['max_residual']:.3e} tolerance={c['tolerance']:.3e}")
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, allow_nan=False)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

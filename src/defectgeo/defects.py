@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .fields import FormField, scalar_field, wedge, zero_field
+from .fields import FormField, field_sum, scalar_field, wedge, zero_field
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, ConnectionField, TensorFormField, nonmetricity, torsion
 
@@ -174,20 +174,13 @@ def nonmetricity_second_trace(Q: TensorFormField, e: CoFrame | None = None):
     flux = TensorFormField.build(
         ("d",),
         2,
-        lambda a: _sum(wedge(Qbar.entry(a, b), e.e(b)) for b in FRAME_INDICES),
+        lambda a: field_sum(wedge(Qbar.entry(a, b), e.e(b)) for b in FRAME_INDICES),
     )
     P = zero_field(1)
     for b in FRAME_INDICES:
-        coeff = _sum(e.interior(a, Qbar.entry(a, b)) for a in FRAME_INDICES)
+        coeff = field_sum(e.interior(a, Qbar.entry(a, b)) for a in FRAME_INDICES)
         P = P + wedge(coeff, e.e(b))
     return P, flux
-
-
-def _sum(items):
-    acc = None
-    for f in items:
-        acc = f if acc is None else acc + f
-    return acc
 
 
 def nonmetricity_pieces(Q: TensorFormField, e: CoFrame | None = None) -> NonmetricityPieces:

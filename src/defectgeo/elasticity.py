@@ -60,8 +60,8 @@ from .fields import (
 )
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, levi_civita_connection
+from .sampling import require_nonsingular
 
-_DET_FLOOR = 1e-8
 _NEWTON_MAX_ITER = 50
 _NEWTON_TOL = 1e-12
 _BODY_VARS = ("x", "y", "z")
@@ -269,14 +269,7 @@ def check_invertible(dm: DeformationMap, points, e: CoFrame | None = None):
     """Raise SingularDeformation when |det F^A_a| < 1e-8 at a sampled point."""
     _, push = deformation_gradients(dm, e)
     det = matrix_determinant(matrix_of_scalar_fields(push))
-    from .sampling import batch_components
-
-    vals = batch_components([det], points)[0]
-    worst = int(np.argmin(np.abs(vals)))
-    if abs(vals[worst]) < _DET_FLOOR:
-        raise SingularDeformation(
-            f"deformation-gradient determinant {vals[worst]:.3e} below {_DET_FLOOR} at {points[worst]}"
-        )
+    require_nonsingular(det, points, SingularDeformation, "deformation-gradient")
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ import numpy as np
 from .defects import DefectFields
 from .errors import InvalidMaterial
 from .elasticity import MaterialConstants
-from .fields import FormField, one_form_to_vector, wedge, zero_field
+from .fields import FormField, field_sum, one_form_to_vector, wedge, zero_field
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, TensorFormField
-from .sampling import batch_components, grid_points, sample_points
+from .sampling import batch_groups, grid_points, sample_points
 
 
 @dataclass(frozen=True)
@@ -232,54 +232,36 @@ def quadratic_invariants(
     P, _ = nonmetricity_second_trace(Q, e)
     star = e.hodge
 
-    def sum_fields(items):
-        acc = None
-        for f in items:
-            acc = f if acc is None else acc + f
-        return acc if acc is not None else zero_field(3)
-
-    relations = []
-
-    def record(name, asserted, lhs, rhs):
-        dev = batch_components([lhs - rhs], points)
-        scale = batch_components([lhs], points)
-        relations.append(
-            InvariantRelation(
-                name,
-                asserted,
-                float(np.max(np.abs(dev))),
-                float(np.max(np.abs(scale)) + 1.0),
-            )
-        )
+    sides = []  # (name, asserted, lhs, rhs) per expansion
 
     # trace-squared torsion invariant
     lhs = wedge(trace_T, star(trace_T))
-    rhs = sum_fields([wedge(T.entry(a), star(T.entry(a))) for a in FRAME_INDICES]) - sum_fields(
+    rhs = field_sum([wedge(T.entry(a), star(T.entry(a))) for a in FRAME_INDICES]) - field_sum(
         [
             wedge(wedge(T.entry(a), e.e(b)), star(wedge(T.entry(b), e.e(a))))
             for a in FRAME_INDICES
             for b in FRAME_INDICES
         ]
     )
-    record("torsion-trace", True, lhs, rhs)
+    sides.append(("torsion-trace", True, lhs, rhs))
 
     # totally antisymmetric torsion invariant
     lhs = wedge(S, star(S))
-    rhs = sum_fields(
+    rhs = field_sum(
         [
             wedge(wedge(T.entry(a), e.e(a)), star(wedge(T.entry(b), e.e(b))))
             for a in FRAME_INDICES
             for b in FRAME_INDICES
         ]
     )
-    record("torsion-scalar", True, lhs, rhs)
+    sides.append(("torsion-scalar", True, lhs, rhs))
 
     # second-kind trace squared: calibration mode (two-index coframe factor)
     lhs = wedge(P, star(P))
-    rhs = sum_fields(
+    rhs = field_sum(
         [wedge(Q.entry(a, b), star(Q.entry(a, b))) for a in FRAME_INDICES for b in FRAME_INDICES]
     )
-    rhs = rhs - sum_fields(
+    rhs = rhs - field_sum(
         [
             wedge(wedge(Q.entry(a, b), e.e(c)), star(wedge(Q.entry(a, c), e.e(b))))
             for a in FRAME_INDICES
@@ -288,29 +270,29 @@ def quadratic_invariants(
         ]
     )
     rhs = rhs - wedge(trace_Q, star(trace_Q)) * (5.0 / 9.0)
-    rhs = rhs + sum_fields(
+    rhs = rhs + field_sum(
         [
             wedge(wedge(trace_Q, e.e(b)), star(wedge(Q.entry(a, b), e.e(a))))
             for a in FRAME_INDICES
             for b in FRAME_INDICES
         ]
     ) * (2.0 / 3.0)
-    record("frank-square", False, lhs, rhs)
+    sides.append(("frank-square", False, lhs, rhs))
 
     # mixed second-kind/first-kind trace
     lhs = wedge(P, star(trace_Q))
-    rhs = wedge(trace_Q, star(trace_Q)) * (2.0 / 3.0) - sum_fields(
+    rhs = wedge(trace_Q, star(trace_Q)) * (2.0 / 3.0) - field_sum(
         [
             wedge(wedge(trace_Q, e.e(b)), star(wedge(Q.entry(a, b), e.e(a))))
             for a in FRAME_INDICES
             for b in FRAME_INDICES
         ]
     )
-    record("frank-point", True, lhs, rhs)
+    sides.append(("frank-point", True, lhs, rhs))
 
     # torsion-trace / second-kind trace: calibration mode
     lhs = wedge(trace_T, star(P))
-    rhs = -sum_fields(
+    rhs = -field_sum(
         [
             wedge(
                 wedge(Q.entry(a, b), wedge(e.e(a), e.e(c))),
@@ -321,25 +303,30 @@ def quadratic_invariants(
             for c in FRAME_INDICES
         ]
     )
-    rhs = rhs - sum_fields(
+    rhs = rhs - field_sum(
         [wedge(wedge(trace_Q, e.e(a)), star(T.entry(a))) for a in FRAME_INDICES]
     ) * (2.0 / 3.0)
-    rhs = rhs + sum_fields(
+    rhs = rhs + field_sum(
         [
             wedge(wedge(Q.entry(a, b), e.e(b)), star(T.entry(a)))
             for a in FRAME_INDICES
             for b in FRAME_INDICES
         ]
     )
-    record("burgers-frank", False, lhs, rhs)
+    sides.append(("burgers-frank", False, lhs, rhs))
 
     # torsion-trace / first-kind trace
     lhs = wedge(trace_T, star(trace_Q))
-    rhs = -sum_fields(
+    rhs = -field_sum(
         [wedge(wedge(trace_Q, e.e(a)), star(T.entry(a))) for a in FRAME_INDICES]
     )
-    record("burgers-point", True, lhs, rhs)
+    sides.append(("burgers-point", True, lhs, rhs))
 
+    values = iter(batch_groups([g for *_, lhs, rhs in sides for g in ([lhs - rhs], [lhs])], points))
+    relations = []
+    for name, asserted, _, _ in sides:
+        dev, scale = np.abs(next(values)), np.abs(next(values))
+        relations.append(InvariantRelation(name, asserted, float(np.max(dev)), float(np.max(scale) + 1.0)))
     return InvariantReport(tuple(relations))
 
 

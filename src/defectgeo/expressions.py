@@ -19,7 +19,9 @@ structurally equal expressions are the same object and `is` is structural
 equality.  Numbers are keyed by value and by the sign of zero, children by
 identity.  Evaluation, differentiation, substitution and `depends_on` loop
 over one iterative post-order of the reachable nodes, so their depth is not
-limited by Python's recursion limit (printing still recurses).  Evaluation
+limited by Python's recursion limit; nor is printing.  The parser recurses,
+so it accepts at most MAX_NESTING nested parentheses, calls, unary minuses
+and '^' levels, and raises ParseError past that.  Evaluation
 drops each node's value once the last node that reads it has run, so only
 the live frontier of arrays is held at once.  The node table and the
 per-variable derivative memo live for the whole process.
@@ -40,6 +42,10 @@ from .errors import EvaluationError, ParseError
 VARIABLES = ("x", "y", "z", "t")
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "sign")
 CONSTANTS = {"pi": math.pi, "euler": math.e}
+
+#: deepest nesting the parser accepts; a level costs it at most six Python
+#: frames, which keeps it well inside the default recursion limit
+MAX_NESTING = 100
 
 #: every node built so far, keyed by class and fields; it keeps each node's
 #: children alive, so keying them by id is safe
@@ -426,38 +432,46 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def to_text(e: Expr) -> str:
-    """Render with the minimal parentheses needed to re-parse identically."""
+    """Render with the minimal parentheses needed to re-parse identically.
 
-    def render(node, ctx):
-        if isinstance(node, Num):
-            v = abs(node.value)
-            text = repr(int(v)) if v.is_integer() and v < 1e16 else repr(v)
-            if math.copysign(1.0, node.value) < 0.0:  # -0 too, so it re-parses to Num(-0.0)
-                text = f"-{text}"
-                return f"({text})" if ctx > _PREC["neg"] - 0.5 else text
-            return text
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Neg):
-            inner = render(node.arg, _PREC["neg"])
-            text = f"-{inner}"
-            return f"({text})" if ctx > _PREC["neg"] else text
-        if isinstance(node, Bin):
-            p = _PREC[node.op]
-            lhs = render(node.lhs, p)
-            rhs = render(node.rhs, p + 0.5)  # left associative: parenthesise equal-prec rhs
-            text = f"{lhs} {node.op} {rhs}"
-            return f"({text})" if ctx > p else text
-        if isinstance(node, Pow):
-            base = render(node.base, _PREC["^"] + 0.5)
-            expo = render(Num(node.exponent), _PREC["^"] + 0.5)
-            text = f"{base}^{expo}"
-            return f"({text})" if ctx > _PREC["^"] else text
-        if isinstance(node, Fun):
-            return f"{node.name}({render(node.arg, 0)})"
-        raise TypeError(f"not an Expr node: {node!r}")  # pragma: no cover
+    Iterative: a stack of pending (node, context precedence) pairs and
+    literal strings, so an expression of any depth prints.
+    """
+    out, stack = [], [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, ctx = item
+        parts, prec = _pieces(node)
+        if ctx > prec:
+            parts = ["(", *parts, ")"]
+        stack.extend(reversed(parts))
+    return "".join(out)
 
-    return render(e, 0)
+
+def _pieces(node):
+    """(pieces of the rendering, precedence above which it needs parentheses)."""
+    if isinstance(node, Num):
+        v = abs(node.value)
+        text = repr(int(v)) if v.is_integer() and v < 1e16 else repr(v)
+        if math.copysign(1.0, node.value) < 0.0:  # -0 too, so it re-parses to Num(-0.0)
+            return [f"-{text}"], _PREC["neg"] - 0.5
+        return [text], math.inf
+    if isinstance(node, Var):
+        return [node.name], math.inf
+    if isinstance(node, Neg):
+        return ["-", (node.arg, _PREC["neg"])], _PREC["neg"]
+    if isinstance(node, Bin):
+        p = _PREC[node.op]
+        # left associative: parenthesise an equal-precedence rhs
+        return [(node.lhs, p), f" {node.op} ", (node.rhs, p + 0.5)], p
+    if isinstance(node, Pow):
+        return [(node.base, _PREC["^"] + 0.5), "^", (Num(node.exponent), _PREC["^"] + 0.5)], _PREC["^"]
+    if isinstance(node, Fun):
+        return [f"{node.name}(", (node.arg, 0), ")"], math.inf
+    raise TypeError(f"not an Expr node: {node!r}")  # pragma: no cover
 
 
 # ---- parser -----------------------------------------------------------------
@@ -467,6 +481,7 @@ class _Tokenizer:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -540,11 +555,21 @@ def _parse_term(tz):
             return e
 
 
+def _nested(tz, parse, pos):
+    """`parse(tz)` one nesting level deeper; ParseError at `pos` past MAX_NESTING."""
+    if tz.depth >= MAX_NESTING:
+        raise ParseError(pos, f"at most {MAX_NESTING} levels of nesting")
+    tz.depth += 1
+    e = parse(tz)
+    tz.depth -= 1
+    return e
+
+
 def _parse_factor(tz):
-    kind, _, _ = tz.peek()
+    kind, _, pos = tz.peek()
     if kind == "-":
         tz.take()
-        return neg(_parse_factor(tz))
+        return neg(_nested(tz, _parse_factor, pos))
     return _parse_power(tz)
 
 
@@ -555,7 +580,7 @@ def _parse_power(tz):
         return base
     tz.take()
     expo_pos = tz.peek()[2]
-    expo = _parse_factor(tz)
+    expo = _nested(tz, _parse_factor, pos)
     folded = _fold_constant(expo)
     if folded is None:
         raise ParseError(expo_pos, "a constant exponent")
@@ -588,7 +613,7 @@ def _parse_atom(tz):
             if k2 != "(":
                 raise ParseError(p2, f"'(' after function {lexeme!r}")
             tz.take()
-            arg = _parse_sum(tz)
+            arg = _nested(tz, _parse_sum, pos)
             k3, l3, p3 = tz.peek()
             if k3 != ")":
                 raise ParseError(p3, "')'", l3)
@@ -597,7 +622,7 @@ def _parse_atom(tz):
         raise ParseError(pos, "a variable, constant or function name", lexeme)
     if kind == "(":
         tz.take()
-        e = _parse_sum(tz)
+        e = _nested(tz, _parse_sum, pos)
         k2, l2, p2 = tz.peek()
         if k2 != ")":
             raise ParseError(p2, "')'", l2)

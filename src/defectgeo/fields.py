@@ -297,6 +297,18 @@ def symbolic(degree: int, *comps) -> SymbolicFormField:
     return SymbolicFormField(degree, comps)
 
 
+def field_sum(items):
+    """items[0] + items[1] + ... in order, or None when there are none.
+
+    The sum starts from the first item, not from a zero field: adding a zero
+    first can flip the sign of a zero through constant folding.
+    """
+    acc = None
+    for f in items:
+        acc = f if acc is None else acc + f
+    return acc
+
+
 def scalar_field(value) -> SymbolicFormField:
     return SymbolicFormField(0, [value])
 

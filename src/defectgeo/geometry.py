@@ -47,8 +47,7 @@ from .fields import (
     zero_field,
 )
 from .forms import FRAME_INDICES, KForm
-
-_DET_FLOOR = 1e-8
+from .sampling import require_nonsingular
 
 
 def _is_identity_matrix(m):
@@ -89,15 +88,8 @@ class _MatrixField:
         return self._det
 
     def _check_invertible(self, points, error_cls, what):
-        if self.is_identity or not points:
-            return
-        from .sampling import batch_components
-
-        dets = batch_components([self.determinant], points)[0]
-        worst = float(np.min(np.abs(dets)))
-        if worst < _DET_FLOOR:
-            i = int(np.argmin(np.abs(dets)))
-            raise error_cls(f"{what} determinant {dets[i]:.3e} below {_DET_FLOOR} at {points[i]}")
+        if not self.is_identity:
+            require_nonsingular(self.determinant, points, error_cls, what)
 
 
 class CoFrame(_MatrixField):

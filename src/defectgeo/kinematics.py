@@ -33,6 +33,7 @@ from .fields import (
     VectorField,
     curl,
     exterior_derivative,
+    field_sum,
     grad,
     hodge,
     one_form_to_vector,
@@ -48,7 +49,7 @@ from .geometry import (
     defect_one_form,
     levi_civita_connection,
 )
-from .sampling import batch_components, sample_points
+from .sampling import batch_groups, sample_points
 
 
 def _eps(i, j, k):
@@ -224,29 +225,15 @@ def bianchi_consistency(
 
     A_fields, _ = dislocation_balance(d, e)
     B_fields = TensorFormField.build(
-        ("u",), 3, lambda a: _sum(wedge(R.entry(a, b), e.e(b)) for b in FRAME_INDICES)
+        ("u",), 3, lambda a: field_sum(wedge(R.entry(a, b), e.e(b)) for b in FRAME_INDICES)
     )
-    fit_b = fit_scale(
-        batch_components(A_fields.entries(), points),
-        batch_components(B_fields.entries(), points),
-    )
-
-    R_sym = batch_components(
-        [(R.entry(a, b) + R.entry(b, a)) * 0.5 for a in FRAME_INDICES for b in FRAME_INDICES],
-        points,
-    )
+    R_sym = [(R.entry(a, b) + R.entry(b, a)) * 0.5 for a in FRAME_INDICES for b in FRAME_INDICES]
     exact = _disclination_combination(d, e, T, Q, omega=omega)
     literal = _disclination_combination(d, e, T, Q, omega=None)
-    fit_o = fit_scale(batch_components(exact, points), R_sym)
-    fit_lit = fit_scale(batch_components(literal, points), R_sym)
-    return ConsistencyReport(fit_b, fit_o, fit_lit)
-
-
-def _sum(items):
-    acc = None
-    for f in items:
-        acc = f if acc is None else acc + f
-    return acc
+    A, B, R_sym, exact, literal = batch_groups(
+        [A_fields.entries(), B_fields.entries(), R_sym, exact, literal], points
+    )
+    return ConsistencyReport(fit_scale(A, B), fit_scale(exact, R_sym), fit_scale(literal, R_sym))
 
 
 def _disclination_combination(d, e: CoFrame, T: TensorFormField, Q: TensorFormField, omega=None):

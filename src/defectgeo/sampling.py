@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Point, evaluate_fields
+from .forms import COMPONENT_COUNTS
 
 
 def sample_points(count, bounds=(-1.0, 1.0), seed=0, t=0.0):
@@ -29,19 +30,48 @@ def batch_components(fields, points):
     return np.vstack([np.atleast_2d(v.components) for v in evaluate_fields(fields, xs, ys, zs, ts)])
 
 
+def batch_groups(groups, points):
+    """`[batch_components(g, points) for g in groups]`, from one walk over all the fields."""
+    groups = [list(g) for g in groups]
+    fields = [f for g in groups for f in g]
+    stacked = batch_components(fields, points) if fields else np.empty((0, len(points)))
+    bounds = np.cumsum([0] + [sum(COMPONENT_COUNTS[f.degree] for f in g) for g in groups])
+    return [stacked[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def max_abs(fields, points) -> float:
     return float(np.max(np.abs(batch_components(fields, points)), initial=0.0))
 
 
+def normalized_residuals(pairs, points) -> list[float]:
+    """`normalized_residual` of each (residual_fields, reference_fields) pair, from one walk."""
+    pairs = [(list(res), list(ref)) for res, ref in pairs]
+    blocks = iter(batch_groups([g for pair in pairs for g in pair], points))
+    out = []
+    for _, ref in pairs:
+        res_vals, ref_vals = np.abs(next(blocks)), np.abs(next(blocks))
+        scale = 1.0 + ref_vals.max(axis=0) if ref else 1.0
+        out.append(float(np.max(res_vals.max(axis=0) / scale)))
+    return out
+
+
 def normalized_residual(residual_fields, reference_fields, points) -> float:
     """max_p max|residual(p)| / (1 + max|reference(p)|), the standard residual scale."""
-    res = np.abs(batch_components(residual_fields, points))
-    if reference_fields:
-        ref = np.abs(batch_components(reference_fields, points))
-        scale = 1.0 + ref.max(axis=0)
-    else:
-        scale = 1.0
-    return float(np.max(res.max(axis=0) / scale))
+    return normalized_residuals([(residual_fields, reference_fields)], points)[0]
+
+
+#: smallest |determinant| accepted for a coframe, gauge or deformation gradient
+DET_FLOOR = 1e-8
+
+
+def require_nonsingular(det, points, error, what):
+    """Raise `error` at the point of smallest |det| when that falls below DET_FLOOR."""
+    if not points:
+        return
+    vals = batch_components([det], points)[0]
+    worst = int(np.argmin(np.abs(vals)))
+    if abs(vals[worst]) < DET_FLOOR:
+        raise error(f"{what} determinant {vals[worst]:.3e} below {DET_FLOOR} at {points[worst]}")
 
 
 def grid_points(bounds_min, bounds_max, counts, t=0.0, midpoints=False):

@@ -243,3 +243,44 @@ def test_non_finite_values_are_bad_input_with_a_point(tmp_path, capsys, command)
     assert code == 2
     assert "non-finite field value" in err and " at (" in err
     assert "nan" not in out.lower() and "inf" not in out.lower()
+
+
+def test_deeply_nested_density_is_a_parse_error(tmp_path, capsys):
+    rho = "(" * 300 + "x" + ")" * 300
+    assert run(["energy", _rho_scenario(tmp_path, rho), "--grid", "4"]) == 2
+    assert "parse error at offset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["kinematics", "energy"])
+def test_non_finite_report_values_are_not_written(tmp_path, capsys, command):
+    # the fields are finite, but the fit sums and the quadrature overflow
+    report_path = tmp_path / "r.json"
+    code = run([command, _rho_scenario(tmp_path, "1e154*x"), "--json", report_path])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and not report_path.exists()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: report value report.") and "is not finite" in err
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    from defectgeo import cli
+
+    def broken(scenario, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "check", broken)
+    assert run(["check", SCENARIOS / "default.toml"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_check_evaluates_all_its_residuals_in_one_walk(monkeypatch):
+    from defectgeo import sampling
+
+    calls = []
+    original = sampling.batch_components
+    monkeypatch.setattr(sampling, "batch_components", lambda *a: calls.append(a) or original(*a))
+    assert run(["check", SCENARIOS / "default.toml"]) == 0
+    assert len(calls) == 1

@@ -278,6 +278,25 @@ def test_deep_sum_walks_without_recursion_error():
     assert ex.depends_on(e, "y") and not ex.depends_on(e, "t")
 
 
+def test_deep_sum_prints_and_reparses_to_the_same_node():
+    e = ex.parse_expr(LONG_SUM)
+    assert ex.parse_expr(ex.to_text(e)) is e
+
+
+@pytest.mark.parametrize(
+    "opening,middle,closing,token",
+    [("(", "x", ")", 0), ("sin(", "x", ")", 0), ("-", "x", "", 0), ("1^", "1", "", 1)],
+)
+def test_parser_nesting_is_bounded(opening, middle, closing, token):
+    n = ex.MAX_NESTING
+    assert ex.to_text(ex.parse_expr(opening * n + middle + closing * n))
+    with pytest.raises(ParseError) as err:
+        ex.parse_expr(opening * 300 + middle + closing * 300)
+    # offset of the token that opens the first level past the bound
+    assert err.value.offset == n * len(opening) + token
+    assert "levels of nesting" in str(err.value)
+
+
 def test_evaluation_releases_values_after_last_use():
     e = ex.parse_expr(LONG_SUM)
     xs = np.linspace(-1.0, 1.0, 20_000)

@@ -234,3 +234,14 @@ def reference_evaluate(e, env):
         return {"ln": math.log, "sqrt": math.sqrt}[e.name](a)
     fn = np.log if e.name == "ln" else getattr(np, e.name)
     return float(fn(a)) if scalar else fn(arr)
+
+
+def two_walk_normalized_residual(residual_fields, reference_fields, points):
+    """The residual scale max_p max|residual(p)| / (1 + max|reference(p)|), with
+    residual and reference fields evaluated in separate walks: the oracle for
+    `sampling.normalized_residuals`, which evaluates every pair in one walk."""
+    from defectgeo.sampling import batch_components
+
+    res = np.abs(batch_components(residual_fields, points))
+    scale = 1.0 + np.abs(batch_components(reference_fields, points)).max(axis=0) if reference_fields else 1.0
+    return float(np.max(res.max(axis=0) / scale))
