@@ -25,6 +25,7 @@ import numpy as np
 from . import calibration
 from .defects import extract_defects, reconstruct_defect_geometry
 from .elasticity import (
+    cauchy_motion_residual,
     check_invertible,
     deformation_gradients,
     euler_strain,
@@ -34,7 +35,7 @@ from .elasticity import (
 )
 from .energy import lagrangian_form, lagrangian_vector, total_free_energy_estimate
 from .errors import DefectGeoError, ScenarioError
-from .fields import Point, evaluate_fields
+from .fields import Point, VectorField, evaluate_fields, matrix_multiply, scalar_field
 from .forms import FRAME_INDICES
 from .geometry import (
     bianchi_residuals,
@@ -175,17 +176,8 @@ def _cmd_check(scenario: Scenario, args):
     e.validate(points)
 
     gamma = levi_civita_connection(e)
-    from .fields import exterior_derivative, wedge
-
-    contract = []
-    for a in FRAME_INDICES:
-        acc = exterior_derivative(e.e(a))
-        for b in FRAME_INDICES:
-            acc = acc + wedge(gamma.entry(a, b), e.e(b))
-        contract.append(acc)
-    antisym = [
-        (gamma.entry(a, b) + gamma.entry(b, a)) * 0.5 for a in FRAME_INDICES for b in FRAME_INDICES
-    ]
+    # the Levi-Civita connection is torsion- and nonmetricity-free
+    contract = torsion(e, gamma).entries() + nonmetricity(gamma).entries()
     frame = [e.e(a) for a in FRAME_INDICES]
 
     T, Q = reconstruct_defect_geometry(scenario.defects, e)
@@ -201,7 +193,7 @@ def _cmd_check(scenario: Scenario, args):
     split = curvature_split_residual(e, T, Q)
     reference = omega.entries() + frame
     table = [
-        ("levi-civita-contract", contract + antisym, frame + gamma.entries(), tol),
+        ("levi-civita-contract", contract, frame + gamma.entries(), tol),
         ("defect-round-trip", round_trip, T.entries() + Q.entries(), tol),
         ("bianchi-curvature", first.entries(), reference, tol),
         ("bianchi-torsion", second.entries(), reference, tol),
@@ -336,15 +328,8 @@ def _cmd_elastic(scenario: Scenario, args):
     check_invertible(dm, points, e)
 
     pull, push = deformation_gradients(dm, e)
-    from .fields import scalar_field, zero_field
-
-    gap = []
-    for a in range(3):
-        for b in range(3):
-            acc = zero_field(0)
-            for c in range(3):
-                acc = acc + pull[a][c] * push[c][b]
-            gap.append(acc - scalar_field(1.0 if a == b else 0.0))
+    product = matrix_multiply(pull, push)
+    gap = [product[a][b] - scalar_field(1.0 if a == b else 0.0) for a in range(3) for b in range(3)]
     push_fields = [f for row in push for f in row]
 
     strain = euler_strain(dm, e)
@@ -368,21 +353,17 @@ def _cmd_elastic(scenario: Scenario, args):
         points,
     )
 
-    center = Point(
-        0.5 * (scenario.numerics.grid_min + scenario.numerics.grid_max),
-        0.5 * (scenario.numerics.grid_min + scenario.numerics.grid_max),
-        0.5 * (scenario.numerics.grid_min + scenario.numerics.grid_max),
-    )
-    from .elasticity import cauchy_motion_residual
-    from .fields import VectorField
-
+    center = 0.5 * (scenario.numerics.grid_min + scenario.numerics.grid_max)
     static = cauchy_motion_residual(
         scalar_field(1.0), VectorField.zero(), VectorField.zero(), stress, e
     )
+    stress_fields = [stress.entry(a, b) for a in FRAME_INDICES for b in FRAME_INDICES]
+    at = np.full(1, center)
+    values = [float(v.components[0, 0]) for v in evaluate_fields(strain_fields + stress_fields, at, at, at)]
     samples = {
-        "at": [center.x, center.y, center.z],
-        "strain": [[float(strain.entry(a, b).evaluate(center).components[0]) for b in FRAME_INDICES] for a in FRAME_INDICES],
-        "stress": [[float(stress.entry(a, b).evaluate(center).components[0]) for b in FRAME_INDICES] for a in FRAME_INDICES],
+        "at": [center, center, center],
+        "strain": [values[3 * a: 3 * a + 3] for a in range(3)],
+        "stress": [values[9 + 3 * a: 12 + 3 * a] for a in range(3)],
         # stress-divergence norm for the unforced static configuration;
         # informational, a generic deformation is not in equilibrium
         "static_momentum_residual_max": max_abs(static, points),

@@ -227,7 +227,7 @@ class DeformationMap:
         maps = tuple(m if isinstance(m, FormField) else scalar_field(m) for m in self.maps)
         object.__setattr__(self, "maps", maps)
         if self.kind == "forward":
-            if not all(isinstance(m, SymbolicFormField) and m.degree == 0 for m in maps):
+            if not all(type(m) is SymbolicFormField and m.degree == 0 for m in maps):
                 raise ValueError("forward-map components must be symbolic scalar fields")
             object.__setattr__(self, "_chart", _ForwardChart(tuple(m.comps[0] for m in maps)))
 

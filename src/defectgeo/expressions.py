@@ -29,6 +29,16 @@ per-variable derivative memo live for the whole process.
 Evaluation accepts floats or numpy arrays and raises EvaluationError
 (carrying the offending point) on division by zero, ln/sqrt outside their
 domain, or 0 raised to a negative power.
+
+A `Sample` leaf is slot `slot` of a `Sampler`'s values at the coordinates
+its four kids evaluate to: at first x, y, z, t, which substitution rewrites
+like any other kids.  A Sampler wraps a vectorised `values(xs, ys, zs, ts)`
+and keeps its last call, so the slots of one source cost one call per walk.
+A Sample differentiates by the chain rule through its kids; along a kid the
+derivative is the Sample of a central-difference Sampler one level deeper,
+which shifts the coordinate arrays by `step`.  Differences nest at most
+MAX_FD_DEPTH deep and raise DerivativeDepthExceeded past that.  A Sample
+prints as an opaque label.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import math
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError
+from .errors import DerivativeDepthExceeded, EvaluationError, ParseError
 
 VARIABLES = ("x", "y", "z", "t")
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs", "sign")
@@ -46,6 +56,9 @@ CONSTANTS = {"pi": math.pi, "euler": math.e}
 #: deepest nesting the parser accepts; a level costs it at most six Python
 #: frames, which keeps it well inside the default recursion limit
 MAX_NESTING = 100
+
+#: nesting cap for finite-difference derivatives (cost grows like 6^depth)
+MAX_FD_DEPTH = 3
 
 #: every node built so far, keyed by class and fields; it keeps each node's
 #: children alive, so keying them by id is safe
@@ -126,6 +139,59 @@ class Fun(Expr):
 
     def __new__(cls, name, arg):
         return _intern(cls, (cls, name, id(arg)), (arg,), name, arg)
+
+
+class Sample(Expr):
+    """Slot `slot` of `source`'s values at the coordinates given by `kids`."""
+
+    __slots__ = ("source", "slot")
+
+    def __new__(cls, source, slot, args):
+        args = tuple(args)
+        return _intern(cls, (cls, id(source), slot, *map(id, args)), args, source, slot)
+
+
+class Sampler:
+    """Source of Sample leaves: `values(xs, ys, zs, ts)` on equally shaped
+    coordinate arrays, returning shape (slots,) + their shape.
+
+    Calls go through `__call__`, which keeps the last call and its result.
+    `step` is the central-difference step of derivatives, `depth` how many
+    differences deep this source already is.
+    """
+
+    def __init__(self, values, step, depth=0, name="sample"):
+        self.values, self.step, self.depth, self.name = values, step, depth, name
+        self._last = None
+        self._differences = {}
+
+    def __call__(self, xs, ys, zs, ts):
+        coords = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (xs, ys, zs, ts)))
+        key = (coords[0].shape, b"".join(c.tobytes() for c in coords))
+        if self._last is None or self._last[0] != key:
+            values = np.asarray(self.values(*coords), dtype=float)
+            values.flags.writeable = False  # callers get views of the kept result
+            self._last = (key, values)
+        return self._last[1]
+
+    def difference(self, axis):
+        """Central difference along coordinate `axis` (0..3 for x, y, z, t), one level deeper."""
+        diff = self._differences.get(axis)
+        if diff is None:
+            if self.depth >= MAX_FD_DEPTH:
+                raise DerivativeDepthExceeded(
+                    f"finite-difference derivatives nest at most {MAX_FD_DEPTH} deep"
+                )
+            h = self.step
+
+            def values(*coords):
+                plus = [c + h if i == axis else c for i, c in enumerate(coords)]
+                minus = [c - h if i == axis else c for i, c in enumerate(coords)]
+                return (self(*plus) - self(*minus)) * (0.5 / h)
+
+            name = f"d{VARIABLES[axis]}({self.name})"
+            diff = self._differences[axis] = Sampler(values, h, self.depth + 1, name)
+        return diff
 
 
 ZERO = Num(0.0)
@@ -290,6 +356,8 @@ def _value(node, vals, env):
         return node.value
     if kind is Var:
         return env[node.name]
+    if kind is Sample:
+        return node.source(*(vals[kid] for kid in node.kids))[node.slot]
     a = vals[node.kids[0]]
     if kind is Neg:
         return -a
@@ -378,13 +446,21 @@ def _derivative(node, var, d):
     if isinstance(node, Pow):
         c = node.exponent
         return mul(mul(Num(c), pow_(node.base, c - 1.0)), d[node.base])
+    if isinstance(node, Sample):
+        acc = ZERO
+        for axis, kid in enumerate(node.kids):
+            if not _is_num(d[kid], 0.0):
+                diff = Sample(node.source.difference(axis), node.slot, node.kids)
+                acc = add(acc, mul(diff, d[kid]))
+        return acc
     return mul(_CHAIN[node.name](node.arg), d[node.arg])
 
 
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact partial derivative with constant folding.
 
-    d/du abs(u) is taken to be sign(u) with sign(0) = 0.
+    d/du abs(u) is taken to be sign(u) with sign(0) = 0; a Sample is
+    differentiated by central differences (see the module docstring).
     """
     if var not in VARIABLES:
         raise ValueError(f"variable must be one of {VARIABLES}, got {var!r}")
@@ -416,9 +492,16 @@ def substitute(e: Expr, mapping) -> Expr:
             new[node] = _BIN_OPS[node.op](*args)
         elif isinstance(node, Pow):
             new[node] = pow_(*args, node.exponent)
+        elif isinstance(node, Sample):
+            new[node] = Sample(node.source, node.slot, args)
         else:
             new[node] = fun(node.name, *args)
     return new[e]
+
+
+def samples(exprs):
+    """The Sample leaves reachable from `exprs`, each once."""
+    return [node for node in _postorder(exprs) if isinstance(node, Sample)]
 
 
 def depends_on(e: Expr, var: str) -> bool:
@@ -471,6 +554,8 @@ def _pieces(node):
         return [(node.base, _PREC["^"] + 0.5), "^", (Num(node.exponent), _PREC["^"] + 0.5)], _PREC["^"]
     if isinstance(node, Fun):
         return [f"{node.name}(", (node.arg, 0), ")"], math.inf
+    if isinstance(node, Sample):
+        return [f"<{node.source.name}[{node.slot}]>"], math.inf
     raise TypeError(f"not an Expr node: {node!r}")  # pragma: no cover
 
 

@@ -1,29 +1,31 @@
 """Fields of forms over R^3 (optionally time dependent).
 
-A FormField evaluates to a KForm of fixed degree at every Point.  Three
-concrete kinds exist:
+A FormField evaluates to a KForm of fixed degree at every Point.  Its
+components are expressions of the interned DAG (see expressions), so all
+algebra - wedge, Hodge, interior product, Lie derivative, the vector
+calculus isomorphisms - builds expressions, and one walk evaluates any set
+of fields:
 
-* SymbolicFormField - components are expression ASTs; exterior and time
-  derivatives differentiate the ASTs exactly, so identities such as
-  d(d(alpha)) = 0 hold to rounding error at any nesting depth.
-* BodyFormField - components are expression ASTs in the body coordinates X
-  of a forward map x(X, t) (the chart); the value at a spatial point is
-  their value at the solved X(x, t).  Derivatives follow the chain rule
-  through the chart's exact inverse Jacobian.
-* NumericFormField - components come from an opaque callable; derivatives
-  either use a caller-supplied exact derivative field or second-order
-  central differences with step `fd_step`.  Finite differencing nests at a
-  geometric cost per level and is capped at depth 3.
+* SymbolicFormField - components in the spatial coordinates x, y, z, t.
+  Exterior and time derivatives differentiate them exactly, so identities
+  such as d(d(alpha)) = 0 hold to rounding error at any nesting depth.
+* NumericFormField - a SymbolicFormField whose components hold sampled
+  leaves (expressions.Sample) of an opaque callable, which a walk calls
+  once per point for all components.  Derivatives are exact on the
+  symbolic part and central differences with step `fd_step` at the
+  leaves, nested at most expressions.MAX_FD_DEPTH deep, unless the caller
+  supplies exact derivative fields.  A spatial result with a numeric
+  operand is numeric.
+* BodyFormField - components in the body coordinates X of a forward map
+  x(X, t) (the chart); the value at a spatial point is their value at the
+  solved X(x, t).  Derivatives follow the chain rule through the chart's
+  exact inverse Jacobian.  Spatial operands join a chart by substituting
+  x = x(X); body fields of another chart join it as sampled leaves.
 
 Components are stored against the fixed Cartesian coordinate coframe
 dx^1, dx^2, dx^3, which doubles as the global orthonormal basis of the
 ambient Euclidean space.  Position-dependent orthonormal coframes are
 handled by the geometry module on top of this one.
-
-All algebra (wedge, Hodge, interior product, Lie derivative, the vector
-calculus isomorphisms) stays symbolic whenever every operand is symbolic in
-one chart - spatial symbolic operands join a body chart by substituting
-x = x(X) - and otherwise falls back to pointwise closures.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .errors import DerivativeDepthExceeded, EvaluationError
+from .errors import EvaluationError
 from .forms import (
     BASIS,
     COMPONENT_COUNTS,
@@ -43,15 +45,10 @@ from .forms import (
     WEDGE_TERMS,
     KForm,
 )
-from .forms import hodge as kform_hodge
-from .forms import interior as kform_interior
 from .forms import wedge as kform_wedge
 
 #: default finite-difference step: balances h^2 truncation against eps/h round-off
 DEFAULT_FD_STEP = 1e-4
-
-#: nesting cap for finite-difference derivatives (cost grows like 6^depth)
-MAX_FD_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,6 @@ class Point:
     def __post_init__(self):
         if not all(np.isfinite(v) for v in (self.x, self.y, self.z, self.t)):
             raise ValueError(f"point coordinates must be finite, got {self!r}")
-
-    def shifted(self, dx=0.0, dy=0.0, dz=0.0, dt=0.0):
-        return Point(self.x + dx, self.y + dy, self.z + dz, self.t + dt)
 
 
 ORIGIN = Point(0.0, 0.0, 0.0)
@@ -96,29 +90,20 @@ class FormField:
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError(f"cannot add degree {self.degree} and degree {other.degree} fields")
-        exprs = _in_common_chart(self, other)
-        if exprs is not None:
-            (lhs, rhs), build = exprs
-            return build(self.degree, [ex.add(a, b) for a, b in zip(lhs, rhs)])
-        return _combine(self.degree, (self, other), lambda a, b: a + b)
+        (lhs, rhs), build = _in_common_chart(self, other)
+        return build(self.degree, [ex.add(a, b) for a, b in zip(lhs, rhs)])
 
     def __sub__(self, other):
         if not isinstance(other, FormField):
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError(f"cannot subtract degree {other.degree} from degree {self.degree} fields")
-        exprs = _in_common_chart(self, other)
-        if exprs is not None:
-            (lhs, rhs), build = exprs
-            return build(self.degree, [ex.sub(a, b) for a, b in zip(lhs, rhs)])
-        return _combine(self.degree, (self, other), lambda a, b: a - b)
+        (lhs, rhs), build = _in_common_chart(self, other)
+        return build(self.degree, [ex.sub(a, b) for a, b in zip(lhs, rhs)])
 
     def __neg__(self):
-        exprs = _in_common_chart(self)
-        if exprs is not None:
-            (comps,), build = exprs
-            return build(self.degree, [ex.neg(a) for a in comps])
-        return _combine(self.degree, (self,), lambda a: -a)
+        (comps,), build = _in_common_chart(self)
+        return build(self.degree, [ex.neg(a) for a in comps])
 
     def __mul__(self, factor):
         """Multiply by a number, an expression, or a 0-form field."""
@@ -130,7 +115,8 @@ class FormField:
             raise ValueError("one factor must be a scalar (degree-0) field; use wedge")
         f = _as_expr(factor)
         if isinstance(self, SymbolicFormField):
-            return SymbolicFormField(self.degree, [ex.mul(f, a) for a in self.comps])
+            (comps,), build = _in_common_chart(self)
+            return build(self.degree, [ex.mul(f, a) for a in comps])
         return wedge(SymbolicFormField(0, [f]), self)
 
     __rmul__ = __mul__
@@ -138,7 +124,8 @@ class FormField:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, point: Point) -> KForm:
-        raise NotImplementedError
+        value = self.evaluate_batch([point.x], [point.y], [point.z], [point.t])
+        return KForm(self.degree, value.components[:, 0])
 
     def evaluate_batch(self, xs, ys, zs, ts=0.0) -> KForm:
         """Evaluate on aligned coordinate arrays; returns a KForm with array components."""
@@ -167,7 +154,7 @@ class SymbolicFormField(FormField):
         return evaluate_fields([self], xs, ys, zs, ts)[0]
 
     def __repr__(self):
-        return f"SymbolicFormField({self.degree}, [{', '.join(map(str, self.comps))}])"
+        return f"{type(self).__name__}({self.degree}, [{', '.join(map(str, self.comps))}])"
 
 
 def evaluate_fields(fields, xs, ys, zs, ts=0.0):
@@ -197,39 +184,64 @@ def _finite(comps, coords):
     return comps
 
 
-class NumericFormField(FormField):
+class NumericFormField(SymbolicFormField):
+    """Components sampled from `func(Point) -> KForm`, one call per point for all of them.
+
+    `d_field` and `dt_field` are exact derivatives supplied by the caller;
+    without them derivatives difference the samples with step `fd_step`,
+    starting `fd_depth` levels deep.  Results of algebra on numeric fields
+    are built by `of` from components that hold sampled leaves.
+    """
+
+    d_field = None
+    dt_field = None
+
     def __init__(self, degree, func, fd_step=DEFAULT_FD_STEP, fd_depth=0, d_field=None, dt_field=None):
         if fd_step <= 0.0:
             raise ValueError("finite-difference step must be positive")
-        self.degree = degree
+        super().__init__(degree, _sampled(degree, _pointwise(degree, func), fd_step, fd_depth))
         self.func = func
-        self.fd_step = fd_step
-        self.fd_depth = fd_depth
-        #: exact exterior derivative supplied by the caller, if any
         self.d_field = d_field
-        #: exact time derivative supplied by the caller, if any
         self.dt_field = dt_field
 
-    def evaluate(self, point):
-        value = self.func(point)
-        if not isinstance(value, KForm):
-            raise TypeError(f"evaluator returned {type(value).__name__}, expected KForm")
-        if value.degree != self.degree:
-            raise ValueError(f"evaluator returned degree {value.degree}, declared {self.degree}")
-        return value
+    @classmethod
+    def of(cls, degree, comps):
+        field = cls.__new__(cls)
+        SymbolicFormField.__init__(field, degree, comps)
+        return field
 
-    def evaluate_batch(self, xs, ys, zs, ts=0.0):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        zs = np.asarray(zs, dtype=float)
-        ts = np.broadcast_to(np.asarray(ts, dtype=float), xs.shape)
-        points = [
-            Point(float(x), float(y), float(z), float(t))
-            for x, y, z, t in zip(xs.ravel(), ys.ravel(), zs.ravel(), ts.ravel())
-        ]
-        flat = [self.evaluate(p).components for p in points]
-        stacked = np.stack(flat, axis=-1).reshape((COMPONENT_COUNTS[self.degree],) + xs.shape)
-        return KForm(self.degree, stacked)
+    @property
+    def fd_depth(self):
+        """The deepest finite difference among the sampled leaves."""
+        return max((s.source.depth for s in ex.samples(self.comps)), default=0)
+
+    @property
+    def fd_step(self):
+        return min((s.source.step for s in ex.samples(self.comps)), default=DEFAULT_FD_STEP)
+
+
+def _pointwise(degree, func):
+    """Vectorised values of `func(Point) -> KForm` on coordinate arrays, one call per point."""
+
+    def values(xs, ys, zs, ts):
+        out = np.empty((COMPONENT_COUNTS[degree],) + xs.shape)
+        for i in np.ndindex(xs.shape):
+            value = func(Point(float(xs[i]), float(ys[i]), float(zs[i]), float(ts[i])))
+            if not isinstance(value, KForm):
+                raise TypeError(f"evaluator returned {type(value).__name__}, expected KForm")
+            if value.degree != degree:
+                raise ValueError(f"evaluator returned degree {value.degree}, declared {degree}")
+            out[(slice(None), *i)] = value.components
+        return out
+
+    return values
+
+
+def _sampled(degree, values, step=DEFAULT_FD_STEP, depth=0):
+    """Components of degree `degree`: the slots of one Sampler of `values` at (x, y, z, t)."""
+    source = ex.Sampler(values, step, depth)
+    coords = [ex.Var(v) for v in ex.VARIABLES]
+    return [ex.Sample(source, slot, coords) for slot in range(COMPONENT_COUNTS[degree])]
 
 
 class BodyFormField(FormField):
@@ -254,33 +266,30 @@ class BodyFormField(FormField):
         X = self.chart.solve(xs, ys, zs, ts)
         return self.body.evaluate_batch(X[0], X[1], X[2], ts)
 
-    def evaluate(self, point):
-        value = self.evaluate_batch([point.x], [point.y], [point.z], [point.t])
-        return KForm(self.degree, value.components[:, 0])
+    def sampled_comps(self):
+        """Spatial components sampling this field: how it joins another chart."""
+        return _sampled(self.degree, lambda *coords: self.evaluate_batch(*coords).components)
 
 
 def _in_common_chart(*fields):
     """Component expressions of `fields` in one chart, with a builder for results.
 
-    Returns (comps per field, build(degree, comps)) when every operand is
-    symbolic: all spatial, or body fields of one chart plus spatial fields,
-    which are lifted into it.  Returns None when an operand is numeric or
-    two body charts differ.
+    Returns (comps per field, build(degree, comps)).  The chart is that of
+    the first body field: spatial operands are lifted into it and body
+    fields of another chart join it as sampled leaves.  Without a body
+    field the result is spatial, and numeric when an operand is.
     """
-    chart = None
-    for f in fields:
-        if isinstance(f, BodyFormField):
-            if chart is not None and f.chart is not chart:
-                return None
-            chart = f.chart
-        elif not isinstance(f, SymbolicFormField):
-            return None
+    chart = next((f.chart for f in fields if isinstance(f, BodyFormField)), None)
     if chart is None:
-        return [f.comps for f in fields], SymbolicFormField
-    comps = [
-        f.comps if isinstance(f, BodyFormField) else tuple(chart.lift(c) for c in f.comps)
-        for f in fields
-    ]
+        numeric = any(isinstance(f, NumericFormField) for f in fields)
+        return [f.comps for f in fields], NumericFormField.of if numeric else SymbolicFormField
+    comps = []
+    for f in fields:
+        if isinstance(f, BodyFormField) and f.chart is chart:
+            comps.append(f.comps)
+        else:
+            spatial = f.sampled_comps() if isinstance(f, BodyFormField) else f.comps
+            comps.append(tuple(chart.lift(c) for c in spatial))
     return comps, lambda degree, cs: BodyFormField(degree, cs, chart)
 
 
@@ -313,31 +322,6 @@ def scalar_field(value) -> SymbolicFormField:
     return SymbolicFormField(0, [value])
 
 
-def coordinate_coframe():
-    """The constant identity coframe dx^1, dx^2, dx^3."""
-    return tuple(constant_field(KForm.basis(a)) for a in FRAME_INDICES)
-
-
-def _numeric_operands(fields):
-    return [f for f in fields if isinstance(f, NumericFormField)]
-
-
-def _combined_meta(fields):
-    numeric = _numeric_operands(fields)
-    depth = max((f.fd_depth for f in numeric), default=0)
-    step = min((f.fd_step for f in numeric), default=DEFAULT_FD_STEP)
-    return depth, step
-
-
-def _combine(degree, fields, op):
-    depth, step = _combined_meta(fields)
-
-    def func(point):
-        return op(*(f.evaluate(point) for f in fields))
-
-    return NumericFormField(degree, func, fd_step=step, fd_depth=depth)
-
-
 # ---- exterior algebra on fields ---------------------------------------------
 
 
@@ -346,30 +330,24 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
     if p + q > 3:
         # fail fast with the pointwise error message
         kform_wedge(KForm.zero(p), KForm.zero(q))
-    exprs = _in_common_chart(alpha, beta)
-    if exprs is not None:
-        (a, b), build = exprs
-        out = [ex.ZERO] * COMPONENT_COUNTS[p + q]
-        for i, j, k, sign in WEDGE_TERMS[(p, q)]:
-            term = ex.mul(a[i], b[j])
-            if sign < 0:
-                term = ex.neg(term)
-            out[k] = ex.add(out[k], term)
-        return build(p + q, out)
-    return _combine(p + q, (alpha, beta), kform_wedge)
+    (a, b), build = _in_common_chart(alpha, beta)
+    out = [ex.ZERO] * COMPONENT_COUNTS[p + q]
+    for i, j, k, sign in WEDGE_TERMS[(p, q)]:
+        term = ex.mul(a[i], b[j])
+        if sign < 0:
+            term = ex.neg(term)
+        out[k] = ex.add(out[k], term)
+    return build(p + q, out)
 
 
 def hodge(alpha: FormField) -> FormField:
     """Hodge dual against the fixed Cartesian orthonormal background."""
     p = alpha.degree
-    exprs = _in_common_chart(alpha)
-    if exprs is not None:
-        (a,), build = exprs
-        out = [ex.ZERO] * COMPONENT_COUNTS[3 - p]
-        for i, k, sign in HODGE_TERMS[p]:
-            out[k] = ex.neg(a[i]) if sign < 0 else a[i]
-        return build(3 - p, out)
-    return _combine(3 - p, (alpha,), kform_hodge)
+    (a,), build = _in_common_chart(alpha)
+    out = [ex.ZERO] * COMPONENT_COUNTS[3 - p]
+    for i, k, sign in HODGE_TERMS[p]:
+        out[k] = ex.neg(a[i]) if sign < 0 else a[i]
+    return build(3 - p, out)
 
 
 def interior(index: int, alpha: FormField) -> FormField:
@@ -379,15 +357,12 @@ def interior(index: int, alpha: FormField) -> FormField:
     p = alpha.degree
     if p == 0:
         return zero_field(0)
-    exprs = _in_common_chart(alpha)
-    if exprs is not None:
-        (a,), build = exprs
-        out = [ex.ZERO] * COMPONENT_COUNTS[p - 1]
-        for i, k, sign in INTERIOR_TERMS[index][p]:
-            term = ex.neg(a[i]) if sign < 0 else a[i]
-            out[k] = ex.add(out[k], term)
-        return build(p - 1, out)
-    return _combine(p - 1, (alpha,), lambda a: kform_interior(index, a))
+    (a,), build = _in_common_chart(alpha)
+    out = [ex.ZERO] * COMPONENT_COUNTS[p - 1]
+    for i, k, sign in INTERIOR_TERMS[index][p]:
+        term = ex.neg(a[i]) if sign < 0 else a[i]
+        out[k] = ex.add(out[k], term)
+    return build(p - 1, out)
 
 
 # ---- derivatives -------------------------------------------------------------
@@ -402,61 +377,29 @@ def exterior_derivative(alpha: FormField) -> FormField:
     p = alpha.degree
     if p == 3:
         return zero_field(3)
-    exprs = _in_common_chart(alpha)
-    if exprs is not None:
-        (comps,), build = exprs
-        partial = _partial_derivative(alpha)
-        out = [ex.ZERO] * COMPONENT_COUNTS[p + 1]
-        for a, var in zip(FRAME_INDICES, ("x", "y", "z")):
-            for i, j, k, sign in WEDGE_TERMS[(1, p)]:
-                if i != a - 1:
-                    continue
-                term = partial(comps[j], var)
-                if sign < 0:
-                    term = ex.neg(term)
-                out[k] = ex.add(out[k], term)
-        return build(p + 1, out)
-    if alpha.d_field is not None:
+    if isinstance(alpha, NumericFormField) and alpha.d_field is not None:
         return alpha.d_field
-    if alpha.fd_depth >= MAX_FD_DEPTH:
-        raise DerivativeDepthExceeded(
-            f"finite-difference derivatives nest at most {MAX_FD_DEPTH} deep"
-        )
-    h = alpha.fd_step
-
-    def func(point):
-        acc = KForm.zero(p + 1)
-        for a, axis in zip(FRAME_INDICES, ("dx", "dy", "dz")):
-            plus = alpha.evaluate(point.shifted(**{axis: +h}))
-            minus = alpha.evaluate(point.shifted(**{axis: -h}))
-            partial = (plus - minus) * (0.5 / h)
-            acc = acc + kform_wedge(KForm.basis(a), partial)
-        return acc
-
-    return NumericFormField(p + 1, func, fd_step=h, fd_depth=alpha.fd_depth + 1)
+    (comps,), build = _in_common_chart(alpha)
+    partial = _partial_derivative(alpha)
+    out = [ex.ZERO] * COMPONENT_COUNTS[p + 1]
+    for a, var in zip(FRAME_INDICES, ("x", "y", "z")):
+        for i, j, k, sign in WEDGE_TERMS[(1, p)]:
+            if i != a - 1:
+                continue
+            term = partial(comps[j], var)
+            if sign < 0:
+                term = ex.neg(term)
+            out[k] = ex.add(out[k], term)
+    return build(p + 1, out)
 
 
 def time_derivative(alpha: FormField) -> FormField:
     """Componentwise d/dt; structurally time-independent symbolic fields give exact zero."""
-    exprs = _in_common_chart(alpha)
-    if exprs is not None:
-        (comps,), build = exprs
-        partial = _partial_derivative(alpha)
-        return build(alpha.degree, [partial(c, "t") for c in comps])
-    if alpha.dt_field is not None:
+    if isinstance(alpha, NumericFormField) and alpha.dt_field is not None:
         return alpha.dt_field
-    if alpha.fd_depth >= MAX_FD_DEPTH:
-        raise DerivativeDepthExceeded(
-            f"finite-difference derivatives nest at most {MAX_FD_DEPTH} deep"
-        )
-    h = alpha.fd_step
-
-    def func(point):
-        plus = alpha.evaluate(point.shifted(dt=+h))
-        minus = alpha.evaluate(point.shifted(dt=-h))
-        return (plus - minus) * (0.5 / h)
-
-    return NumericFormField(alpha.degree, func, fd_step=h, fd_depth=alpha.fd_depth + 1)
+    (comps,), build = _in_common_chart(alpha)
+    partial = _partial_derivative(alpha)
+    return build(alpha.degree, [partial(c, "t") for c in comps])
 
 
 def _partial_derivative(alpha):
@@ -496,13 +439,8 @@ class VectorField:
 
     def as_one_form(self) -> FormField:
         """The 1-form with the same orthonormal components."""
-        exprs = _in_common_chart(*self.comps)
-        if exprs is not None:
-            comps, build = exprs
-            return build(1, [c[0] for c in comps])
-        return _combine(1, tuple(self.comps), lambda a, b, c: KForm(
-            1, np.stack([a.components[0], b.components[0], c.components[0]])
-        ))
+        comps, build = _in_common_chart(*self.comps)
+        return build(1, [c[0] for c in comps])
 
     def __add__(self, other):
         return VectorField(tuple(a + b for a, b in zip(self.comps, other.comps)))
@@ -538,11 +476,8 @@ def one_form_to_vector(alpha: FormField) -> VectorField:
 
 
 def _component_field(alpha: FormField, slot: int) -> FormField:
-    exprs = _in_common_chart(alpha)
-    if exprs is not None:
-        (comps,), build = exprs
-        return build(0, [comps[slot]])
-    return _combine(0, (alpha,), lambda a: KForm(0, a.components[slot: slot + 1]))
+    (comps,), build = _in_common_chart(alpha)
+    return build(0, [comps[slot]])
 
 
 def component_field(alpha: FormField, *indices) -> FormField:
@@ -614,45 +549,29 @@ def matrix_inverse(matrix):
     """Pointwise inverse of a 3x3 of 0-form fields (adjugate over determinant)."""
     m = matrix
     det = matrix_determinant(m)
-    exprs = _in_common_chart(det, *(c for row in m for c in row))
-    if exprs is not None:
-        ((det_expr,), *cells), build = exprs
-        e = [[cells[3 * r + c][0] for c in range(3)] for r in range(3)]
-        out = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                # adjugate: cofactor of (j, i)
-                r = [k for k in range(3) if k != j]
-                c = [k for k in range(3) if k != i]
-                minor = ex.sub(
-                    ex.mul(e[r[0]][c[0]], e[r[1]][c[1]]),
-                    ex.mul(e[r[0]][c[1]], e[r[1]][c[0]]),
-                )
-                cof = minor if (i + j) % 2 == 0 else ex.neg(minor)
-                row.append(build(0, [ex.div(cof, det_expr)]))
-            out.append(row)
-        return out
-
-    depth, step = _combined_meta([c for row in m for c in row])
-
-    def entry(i, j):
-        def func(point):
-            vals = np.array([[m[r][c].evaluate(point).components[0] for c in range(3)] for r in range(3)])
-            return KForm(0, np.asarray([np.linalg.inv(vals)[i][j]]))
-
-        return NumericFormField(0, func, fd_step=step, fd_depth=depth)
-
-    return [[entry(i, j) for j in range(3)] for i in range(3)]
+    ((det_expr,), *cells), build = _in_common_chart(det, *(c for row in m for c in row))
+    e = [[cells[3 * r + c][0] for c in range(3)] for r in range(3)]
+    out = []
+    for i in range(3):
+        row = []
+        for j in range(3):
+            # adjugate: cofactor of (j, i)
+            r = [k for k in range(3) if k != j]
+            c = [k for k in range(3) if k != i]
+            minor = ex.sub(
+                ex.mul(e[r[0]][c[0]], e[r[1]][c[1]]),
+                ex.mul(e[r[0]][c[1]], e[r[1]][c[0]]),
+            )
+            cof = minor if (i + j) % 2 == 0 else ex.neg(minor)
+            row.append(build(0, [ex.div(cof, det_expr)]))
+        out.append(row)
+    return out
 
 
 def quotient(numerator: FormField, denominator: FormField) -> FormField:
     """Pointwise ratio of two scalar (0-form) fields."""
-    exprs = _in_common_chart(numerator, denominator)
-    if exprs is not None:
-        ((n,), (d,)), build = exprs
-        return build(0, [ex.div(n, d)])
-    return _combine(0, (numerator, denominator), lambda n, d: KForm(0, n.components / d.components))
+    ((n,), (d,)), build = _in_common_chart(numerator, denominator)
+    return build(0, [ex.div(n, d)])
 
 
 def matrix_multiply(a, b):
@@ -661,12 +580,6 @@ def matrix_multiply(a, b):
         [a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3)]
         for i in range(3)
     ]
-
-
-def identity_matrix_fields():
-    one = scalar_field(1.0)
-    zero = zero_field(0)
-    return [[one if i == j else zero for j in range(3)] for i in range(3)]
 
 
 def substitute_basis(alpha: FormField, matrix) -> FormField:
@@ -682,35 +595,24 @@ def substitute_basis(alpha: FormField, matrix) -> FormField:
     m = matrix
     if p == 3:
         return matrix_determinant(matrix_of_scalar_fields(m)) * alpha
-    exprs = _in_common_chart(alpha, *(cell for row in m for cell in row))
-    if exprs is not None:
-        (c, *cells), build = exprs
-        a_expr = [[cells[3 * i + j][0] for j in range(3)] for i in range(3)]
-        if p == 1:
-            out = []
-            for col in range(3):
-                acc = ex.ZERO
-                for j in range(3):
-                    acc = ex.add(acc, ex.mul(c[j], a_expr[j][col]))
-                out.append(acc)
-            return build(1, out)
-        if p == 2:
-            out = []
-            for (a, b) in BASIS[2]:
-                acc = ex.ZERO
-                for i, (j, k) in enumerate(BASIS[2]):
-                    minor = ex.sub(
-                        ex.mul(a_expr[j - 1][a - 1], a_expr[k - 1][b - 1]),
-                        ex.mul(a_expr[j - 1][b - 1], a_expr[k - 1][a - 1]),
-                    )
-                    acc = ex.add(acc, ex.mul(c[i], minor))
-                out.append(acc)
-            return build(2, out)
-
-    depth, step = _combined_meta([alpha] + [cell for row in m for cell in row])
-
-    def func(point):
-        vals = [[m[i][j].evaluate(point).components[0] for j in range(3)] for i in range(3)]
-        return alpha.evaluate(point).substitute(vals)
-
-    return NumericFormField(p, func, fd_step=step, fd_depth=depth)
+    (c, *cells), build = _in_common_chart(alpha, *(cell for row in m for cell in row))
+    a_expr = [[cells[3 * i + j][0] for j in range(3)] for i in range(3)]
+    if p == 1:
+        out = []
+        for col in range(3):
+            acc = ex.ZERO
+            for j in range(3):
+                acc = ex.add(acc, ex.mul(c[j], a_expr[j][col]))
+            out.append(acc)
+        return build(1, out)
+    out = []
+    for (a, b) in BASIS[2]:
+        acc = ex.ZERO
+        for i, (j, k) in enumerate(BASIS[2]):
+            minor = ex.sub(
+                ex.mul(a_expr[j - 1][a - 1], a_expr[k - 1][b - 1]),
+                ex.mul(a_expr[j - 1][b - 1], a_expr[k - 1][a - 1]),
+            )
+            acc = ex.add(acc, ex.mul(c[i], minor))
+        out.append(acc)
+    return build(2, out)

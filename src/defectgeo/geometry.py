@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
-from . import fields as ff
 from .errors import SingularGauge, SingularTriad
 from .fields import (
     FormField,
     SymbolicFormField,
+    VectorField,
     exterior_derivative,
     hodge,
     interior,
@@ -46,7 +44,7 @@ from .fields import (
     wedge,
     zero_field,
 )
-from .forms import FRAME_INDICES, KForm
+from .forms import FRAME_INDICES
 from .sampling import require_nonsingular
 
 
@@ -97,16 +95,7 @@ class CoFrame(_MatrixField):
 
     def __init__(self, triad):
         super().__init__(triad)
-        self._coframe = tuple(
-            SymbolicFormField(1, [self.matrix[a][b].comps[0] for b in range(3)])
-            if all(isinstance(self.matrix[a][b], SymbolicFormField) for b in range(3))
-            else ff._combine(
-                1,
-                tuple(self.matrix[a]),
-                lambda u, v, w: KForm(1, np.stack([u.components[0], v.components[0], w.components[0]])),
-            )
-            for a in range(3)
-        )
+        self._coframe = tuple(VectorField(tuple(row)).as_one_form() for row in self.matrix)
 
     @classmethod
     def identity(cls):

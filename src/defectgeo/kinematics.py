@@ -169,9 +169,6 @@ class ScaleFit:
     relative_residual: float
     pointwise_std: float  # std of per-point coefficients relative to |coefficient|
 
-    def stable(self, residual_tol=1e-4, std_tol=1e-3) -> bool:
-        return self.relative_residual <= residual_tol and self.pointwise_std <= std_tol
-
 
 def fit_scale(A, B) -> ScaleFit:
     """Fit A ~ c*B for stacked value arrays of shape (rows, points)."""

@@ -310,17 +310,36 @@ def test_evaluation_releases_values_after_last_use():
 
 
 _CONSTANTS = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0, 0.25, 3.0])
-_KINDS = st.sampled_from(["+", "-", "*", "/", "neg", "pow", *ex.FUNCTIONS])
+_OPS = ["+", "-", "*", "/", "neg", "pow", *ex.FUNCTIONS]
+_KINDS = st.sampled_from(_OPS)
+
+
+#: (source, number of slots) of the sampled leaves in random DAGs
+_SAMPLERS = (
+    (ex.Sampler(lambda x, y, z, t: np.stack([x * y - t, np.sin(z)]), 1e-4), 2),
+    (ex.Sampler(lambda x, y, z, t: np.stack([x + y + z]), 1e-4), 1),
+)
 
 
 @st.composite
-def _shared_dags(draw):
-    """Expression roots over a random DAG: every new node reuses earlier ones."""
+def _shared_dags(draw, samplers=()):
+    """Expression roots over a random DAG: every new node reuses earlier ones.
+
+    With `samplers`, Sample leaves over earlier nodes join the DAG, and at
+    least one root reaches one.
+    """
     nodes = [ex.Var(v) for v in ex.VARIABLES] + [ex.Num(draw(_CONSTANTS)) for _ in range(2)]
+    kinds = st.sampled_from(["sample", *_OPS]) if samplers else _KINDS
+    sampled = []
     for _ in range(draw(st.integers(1, 14))):
-        kind = draw(_KINDS)
+        kind = draw(kinds)
         a, b = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
-        if kind in "+-*/":
+        if kind == "sample" or (samplers and not sampled):
+            source, slots = draw(st.sampled_from(samplers))
+            kids = [a, b] + draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2))
+            sampled.append(ex.Sample(source, draw(st.integers(0, slots - 1)), kids))
+            nodes.append(sampled[-1])
+        elif kind in "+-*/":
             nodes.append(ex.Bin(kind, a, b))
         elif kind == "neg":
             nodes.append(ex.Neg(a))
@@ -328,7 +347,8 @@ def _shared_dags(draw):
             nodes.append(ex.Pow(a, draw(st.sampled_from([-2.0, -1.0, 0.5, 2.0, 3.0]))))
         else:
             nodes.append(ex.Fun(kind, a))
-    return draw(st.lists(st.sampled_from(nodes[6:]), min_size=1, max_size=4))
+    roots = draw(st.lists(st.sampled_from(nodes[6:]), min_size=1, max_size=4))
+    return roots if not samplers or ex.samples(roots) else roots + sampled[:1]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -358,3 +378,11 @@ def test_evaluate_many_matches_recursive_oracle_bit_for_bit(roots, size, data):
         assert g.shape == w.shape
         assert np.array_equal(g, w, equal_nan=True)
         assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(roots=_shared_dags(samplers=_SAMPLERS), size=st.sampled_from([0, 1, 7]), data=st.data())
+def test_evaluate_many_with_shared_sampled_leaves_matches_oracle(roots, size, data):
+    # the oracle calls each source's values directly, so this also checks
+    # that the last-call cache never returns another call's values
+    test_evaluate_many_matches_recursive_oracle_bit_for_bit.hypothesis.inner_test(roots, size, data)

@@ -244,3 +244,67 @@ def test_zero_field_and_constant_field():
     assert z.evaluate(Point(1, 2, 3)).max_abs() == 0.0
     c = ff.constant_field(KForm.basis(1, 3) * 4.0)
     assert c.evaluate(Point(9, 9, 9)).allclose(4.0 * KForm.basis(1, 3))
+
+
+def counting(field):
+    """`field.evaluate` as an opaque callable, with a count of its calls."""
+    calls = []
+
+    def func(point):
+        calls.append(point)
+        return field.evaluate(point)
+
+    return func, calls
+
+
+def test_numeric_callable_runs_once_per_point_for_all_components():
+    func, calls = counting(symbolic(1, "x*y", "sin(z)", "x^2"))
+    field = NumericFormField(1, func)
+    xs = np.linspace(-1.0, 1.0, 7)
+    field.evaluate_batch(xs, 0.5 * xs, 0.25 * xs)
+    assert len(calls) == 7
+    calls.clear()
+    exterior_derivative(field).evaluate_batch(xs, 0.5 * xs, 0.25 * xs)
+    # one central difference along each of x, y, z, shared by the components
+    assert len(calls) == 6 * 7
+
+
+def test_derivative_of_mixed_field_is_exact_on_the_symbolic_part():
+    zero = NumericFormField(0, lambda p: KForm.scalar(0.0))
+    d = exterior_derivative(symbolic(0, "x^3") + zero)
+    for p in random_points(rng, 10):
+        assert np.array_equal(d.evaluate(p).components, [3.0 * p.x**2, 0.0, 0.0])
+
+
+def test_numeric_field_errors():
+    with pytest.raises(ValueError, match="step must be positive"):
+        NumericFormField(0, lambda p: KForm.scalar(1.0), fd_step=0.0)
+    with pytest.raises(TypeError, match="expected KForm"):
+        NumericFormField(0, lambda p: 1.0).evaluate(Point(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="declared 0"):
+        NumericFormField(0, lambda p: KForm.basis(1)).evaluate(Point(0.0, 0.0, 0.0))
+
+
+def test_spatial_numeric_field_joins_a_forward_chart():
+    from defectgeo.elasticity import DeformationMap
+
+    body = DeformationMap(("x+0.1*x^3", "y", "z"), kind="forward").inverse_fields()[0]
+    numeric = numeric_from(symbolic(0, "x*y+z"))
+    total = numeric + body
+    for p in random_points(rng, 5):
+        want = numeric.evaluate(p).components + body.evaluate(p).components
+        assert np.allclose(total.evaluate(p).components, want, rtol=0.0, atol=1e-12)
+
+
+def test_body_fields_of_two_forward_maps_add():
+    from defectgeo.elasticity import DeformationMap
+
+    X = DeformationMap(("x+0.1*x^3", "y", "z"), kind="forward").inverse_fields()[0]
+    Y = DeformationMap(("x", "y+0.1*y^3", "z"), kind="forward").inverse_fields()[1]
+    total = X + Y
+    d = exterior_derivative(total)
+    for p in random_points(rng, 5):
+        bx, by = X.evaluate(p).components[0], Y.evaluate(p).components[0]
+        assert np.isclose(total.evaluate(p).components[0], bx + by, rtol=0.0, atol=1e-12)
+        exact = [1.0 / (1.0 + 0.3 * bx**2), 1.0 / (1.0 + 0.3 * by**2), 0.0]
+        assert np.max(np.abs(d.evaluate(p).components - exact)) <= 1e-6

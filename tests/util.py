@@ -208,7 +208,8 @@ def reference_evaluate(e, env):
     Each node applies the same floating-point primitive as the library (numpy
     on arrays, math or numpy on scalars), so agreement is bit for bit; what is
     checked is the walk, the sharing of nodes and the early release of
-    values.  Undefined values raise EvaluationError without a point.
+    values.  Undefined values raise EvaluationError without a point.  A
+    Sample calls its source's `values` directly, past the last-call cache.
     """
     if isinstance(e, ex.Num):
         return e.value
@@ -219,6 +220,9 @@ def reference_evaluate(e, env):
         if e.op == "/" and np.any(np.asarray(b) == 0.0):
             raise EvaluationError("division by zero")
         return {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[e.op](a, b)
+    if isinstance(e, ex.Sample):
+        coords = [np.asarray(reference_evaluate(kid, env), dtype=float) for kid in e.kids]
+        return e.source.values(*np.broadcast_arrays(*coords))[e.slot]
     a = reference_evaluate(e.base if isinstance(e, ex.Pow) else e.arg, env)
     if isinstance(e, ex.Neg):
         return -a
