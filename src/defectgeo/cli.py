@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import os
 import sys
 import time
 
@@ -49,8 +51,8 @@ from .geometry import (
     torsion,
 )
 from .kinematics import bianchi_consistency, disclination_point_balance, dislocation_balance
-from .sampling import batch_groups, grid_points, max_abs, normalized_residuals
-from .scenario import Scenario, parse_scenario_file
+from .sampling import batch_groups, grid_blocks, max_abs, normalized_residuals
+from .scenario import MAX_GRID_N, Scenario, parse_scenario_file
 
 SCHEMA = "defectgeo-report-v1"
 
@@ -130,13 +132,16 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     from dataclasses import replace
 
     num = scenario.numerics
+    for flag, value in (("--tolerance", args.tolerance), ("--fd-step", args.fd_step)):
+        if value is not None and not math.isfinite(value):
+            raise ScenarioError(f"{flag} must be a finite number, got {value}")
     if args.tolerance is not None:
         num = replace(num, tolerance=args.tolerance)
     if args.fd_step is not None:
         num = replace(num, fd_step=args.fd_step)
     if args.grid is not None:
-        if args.grid < 2:
-            raise ScenarioError("--grid must be at least 2")
+        if not 2 <= args.grid <= MAX_GRID_N:
+            raise ScenarioError(f"--grid must be between 2 and {MAX_GRID_N}")
         num = replace(num, grid_n=args.grid)
     return replace(scenario, numerics=num)
 
@@ -260,16 +265,21 @@ def _cmd_defects(scenario: Scenario, args):
 
 
 def _write_defect_csv(path, scenario: Scenario, d):
+    """The five defect fields on the scenario grid, one row per node, block by block."""
     num = scenario.numerics
-    xs, ys, zs, ts = grid_points((num.grid_min,) * 3, (num.grid_max,) * 3, (num.grid_n,) * 3)
     fields = [d.burgers, d.frank, d.point, d.scalar, d.generalized_burgers]
-    values = evaluate_fields(fields, xs, ys, zs, ts)
-    table = np.column_stack([xs, ys, zs] + [np.broadcast_to(c, xs.shape) for v in values for c in v.components])
     header = "x,y,z,b1,b2,b3,O1,O2,O3,m1,m2,m3,rho,B1,B2,B3"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in table:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            for xs, ys, zs, ts in grid_blocks((num.grid_min,) * 3, (num.grid_max,) * 3, (num.grid_n,) * 3):
+                values = evaluate_fields(fields, xs, ys, zs, ts)
+                table = np.column_stack([xs, ys, zs] + [c for v in values for c in v.components])
+                for row in table:
+                    fh.write(",".join(map(repr, row.tolist())) + "\n")
+    except DefectGeoError:
+        os.remove(path)  # a value of a later block was bad: leave no partial grid
+        raise
 
 
 def _cmd_kinematics(scenario: Scenario, args):
@@ -293,18 +303,13 @@ def _cmd_kinematics(scenario: Scenario, args):
         ("disclination-beltrami", list(beltrami.comps), reference, tol),
         ("bilinear-constraint", [f for row in algebraic for f in row], reference, tol),
     ]
-    checks = _residual_checks(table, points)
-
-    fits = bianchi_consistency(e, d, points=points)
-    checks.append(
-        _check("dislocation-curvature-fit", fits.dislocation.relative_residual, FIT_RESIDUAL_TOL)
-    )
-    checks.append(
-        _check("dislocation-fit-stability", fits.dislocation.pointwise_std, FIT_STABILITY_TOL)
-    )
-    checks.append(
-        _check("disclination-curvature-fit", fits.disclination.relative_residual, FIT_RESIDUAL_TOL)
-    )
+    fits = bianchi_consistency(e, d, points=points, pairs=[(res, ref) for _, res, ref, _ in table])
+    rows = [(name, value, tol) for (name, _, _, tol), value in zip(table, fits.residuals)] + [
+        ("dislocation-curvature-fit", fits.dislocation.relative_residual, FIT_RESIDUAL_TOL),
+        ("dislocation-fit-stability", fits.dislocation.pointwise_std, FIT_STABILITY_TOL),
+        ("disclination-curvature-fit", fits.disclination.relative_residual, FIT_RESIDUAL_TOL),
+    ]
+    checks = [_check(*row) for row in rows]
     calib = {
         "dislocation_factor": fits.dislocation.coefficient,
         "dislocation_fit_residual": fits.dislocation.relative_residual,

@@ -30,6 +30,7 @@ handled by the geometry module on top of this one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,10 @@ from .forms import wedge as kform_wedge
 
 #: default finite-difference step: balances h^2 truncation against eps/h round-off
 DEFAULT_FD_STEP = 1e-4
+
+#: points per DAG walk in evaluate_fields: bounds every node's array, so a
+#: walk's memory does not grow with the number of points
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -158,17 +163,40 @@ class SymbolicFormField(FormField):
 
 
 def evaluate_fields(fields, xs, ys, zs, ts=0.0):
-    """`[f.evaluate_batch(xs, ys, zs, ts) for f in fields]`, the symbolic ones in one DAG walk."""
-    xs = np.asarray(xs, dtype=float)
+    """`[f.evaluate_batch(xs, ys, zs, ts) for f in fields]`, the symbolic ones in one DAG walk
+    per block of at most BLOCK points.
+
+    Blocks are walked in input order and their values concatenated, so the
+    result does not depend on BLOCK, and an error names the first bad point
+    of the first block that has one.
+    """
+    coords = [np.asarray(c, dtype=float) for c in (xs, ys, zs, ts)]
+    shape = np.broadcast_shapes(*(c.shape for c in coords))
+    # a 0-d coordinate stays a scalar in every block, so the walk keeps its scalar arithmetic
+    flat = [c if c.ndim == 0 else np.broadcast_to(c, shape).reshape(-1) for c in coords]
+    blocks = [
+        _evaluate_block(fields, *(c if c.ndim == 0 else c[lo:lo + BLOCK] for c in flat))
+        for lo in range(0, max(math.prod(shape), 1), BLOCK)
+    ]
+    out = []
+    for i, f in enumerate(fields):
+        comps = np.concatenate([b[i] for b in blocks], axis=-1)
+        out.append(KForm(f.degree, comps.reshape((len(comps),) + shape)))
+    return out
+
+
+def _evaluate_block(fields, xs, ys, zs, ts):
+    """Components of each field, shape (components,) + the block's shape, on one block."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in (xs, ys, zs, ts)))
     symbolic = [f for f in fields if isinstance(f, SymbolicFormField)]
     vals = iter(ex.evaluate_many([c for f in symbolic for c in f.comps], xs, ys, zs, ts))
     out = []
     for f in fields:
         if isinstance(f, SymbolicFormField):
-            comps = np.stack([np.broadcast_to(np.asarray(next(vals), dtype=float), xs.shape) for _ in f.comps])
-            out.append(KForm(f.degree, _finite(comps, (xs, ys, zs, ts))))
+            comps = np.stack([np.broadcast_to(np.asarray(next(vals), dtype=float), shape) for _ in f.comps])
+            out.append(_finite(comps, (xs, ys, zs, ts)))
         else:
-            out.append(f.evaluate_batch(xs, ys, zs, ts))
+            out.append(f.evaluate_batch(xs, ys, zs, ts).components)
     return out
 
 

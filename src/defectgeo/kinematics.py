@@ -49,7 +49,7 @@ from .geometry import (
     defect_one_form,
     levi_civita_connection,
 )
-from .sampling import batch_groups, sample_points
+from .sampling import normalized_residuals, sample_points
 
 
 def _eps(i, j, k):
@@ -192,10 +192,11 @@ class ConsistencyReport:
     dislocation: ScaleFit
     disclination: ScaleFit
     disclination_literal: ScaleFit
+    residuals: tuple = ()
 
 
 def bianchi_consistency(
-    e: CoFrame, d: DefectFields, points=None, seed=0, count=40
+    e: CoFrame, d: DefectFields, points=None, seed=0, count=40, pairs=()
 ) -> ConsistencyReport:
     """Fit the balance combinations against their curvature counterparts.
 
@@ -212,6 +213,9 @@ def bianchi_consistency(
     variant replaces D O_a by the flat-configuration shortcut
     (1/2) O_b i_a T^b - (1/2) i_a dO, which closes only when the curvature
     vanishes; its fit is reported purely as calibration data.
+
+    The report's `residuals` are the `normalized_residuals` of the
+    (residual_fields, reference_fields) `pairs`, evaluated in the same walk.
     """
     points = points if points is not None else sample_points(count, seed=seed)
     T, Q = reconstruct_defect_geometry(d, e)
@@ -227,10 +231,10 @@ def bianchi_consistency(
     R_sym = [(R.entry(a, b) + R.entry(b, a)) * 0.5 for a in FRAME_INDICES for b in FRAME_INDICES]
     exact = _disclination_combination(d, e, T, Q, omega=omega)
     literal = _disclination_combination(d, e, T, Q, omega=None)
-    A, B, R_sym, exact, literal = batch_groups(
-        [A_fields.entries(), B_fields.entries(), R_sym, exact, literal], points
+    *residuals, A, B, R_sym, exact, literal = normalized_residuals(
+        pairs, points, [A_fields.entries(), B_fields.entries(), R_sym, exact, literal]
     )
-    return ConsistencyReport(fit_scale(A, B), fit_scale(exact, R_sym), fit_scale(literal, R_sym))
+    return ConsistencyReport(fit_scale(A, B), fit_scale(exact, R_sym), fit_scale(literal, R_sym), tuple(residuals))
 
 
 def _disclination_combination(d, e: CoFrame, T: TensorFormField, Q: TensorFormField, omega=None):

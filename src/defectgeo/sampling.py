@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Point, evaluate_fields
+from .fields import BLOCK, Point, evaluate_fields
 from .forms import COMPONENT_COUNTS
 
 
@@ -43,16 +43,17 @@ def max_abs(fields, points) -> float:
     return float(np.max(np.abs(batch_components(fields, points)), initial=0.0))
 
 
-def normalized_residuals(pairs, points) -> list[float]:
-    """`normalized_residual` of each (residual_fields, reference_fields) pair, from one walk."""
+def normalized_residuals(pairs, points, groups=()) -> list:
+    """`normalized_residual` of each (residual_fields, reference_fields) pair, then the
+    `batch_groups` values of each field group in `groups`, all from one walk."""
     pairs = [(list(res), list(ref)) for res, ref in pairs]
-    blocks = iter(batch_groups([g for pair in pairs for g in pair], points))
+    blocks = iter(batch_groups([g for pair in pairs for g in pair] + list(groups), points))
     out = []
     for _, ref in pairs:
         res_vals, ref_vals = np.abs(next(blocks)), np.abs(next(blocks))
         scale = 1.0 + ref_vals.max(axis=0) if ref else 1.0
         out.append(float(np.max(res_vals.max(axis=0) / scale)))
-    return out
+    return out + list(blocks)
 
 
 def normalized_residual(residual_fields, reference_fields, points) -> float:
@@ -74,8 +75,13 @@ def require_nonsingular(det, points, error, what):
         raise error(f"{what} determinant {vals[worst]:.3e} below {DET_FLOOR} at {points[worst]}")
 
 
-def grid_points(bounds_min, bounds_max, counts, t=0.0, midpoints=False):
-    """Axis-aligned grid; `midpoints=True` gives cell centres (midpoint quadrature)."""
+def grid_blocks(bounds_min, bounds_max, counts, t=0.0, midpoints=False):
+    """Axis-aligned grid in `ij` order, as (xs, ys, zs, ts) blocks of at most BLOCK points.
+
+    `midpoints=True` gives cell centres (midpoint quadrature).  Each block's
+    coordinates are read from the axes by flat index, so no array of the
+    whole grid is built.
+    """
     axes = []
     for lo, hi, n in zip(bounds_min, bounds_max, counts):
         if midpoints:
@@ -83,6 +89,9 @@ def grid_points(bounds_min, bounds_max, counts, t=0.0, midpoints=False):
             axes.append(0.5 * (edges[:-1] + edges[1:]))
         else:
             axes.append(np.linspace(lo, hi, n))
-    X, Y, Z = np.meshgrid(*axes, indexing="ij")
-    return X.ravel(), Y.ravel(), Z.ravel(), np.full(X.size, t)
+    total = int(np.prod(counts))
+    for lo in range(0, total, BLOCK):
+        index = np.unravel_index(np.arange(lo, min(lo + BLOCK, total)), counts)
+        xs, ys, zs = (axis[i] for axis, i in zip(axes, index))
+        yield xs, ys, zs, np.full(xs.size, t)
 

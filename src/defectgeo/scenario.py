@@ -10,14 +10,16 @@ Sections (all optional unless a CLI command needs them):
     [material]     lambda, mu, kappa, G, nu, R_outer, r_core   numbers
     [couplings]    kappa1..kappa7   numbers
     [numerics]     fd_step, tolerance, grid_min, grid_max   numbers; grid_n integer
+                   in 2..MAX_GRID_N
 
-Expressions are always double-quoted; numbers and the kind word are bare.
+Expressions are always double-quoted; numbers (finite) and the kind word are bare.
 Lines starting with '#' are comments.  Duplicated sections or keys and
 unknown names raise ScenarioError carrying the offending line number(s).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -67,6 +69,8 @@ _SCHEMA = {
 DEFAULT_FD_STEP = 1e-4
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_GRID = (-1.0, 1.0, 9)
+#: largest grid_n: energy integrates at 2 * grid_n, (2 * 512)^3 ~ 1.1e9 points
+MAX_GRID_N = 512
 
 
 @dataclass(frozen=True)
@@ -117,11 +121,14 @@ def _parse_value(section, key, raw, line_no):
             ) from exc
     if kind == "number":
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
             raise ScenarioError(
-                f"key {key!r} in [{section}] must be a number, got {raw!r}", [line_no]
-            ) from None
+                f"key {key!r} in [{section}] must be a finite number, got {raw!r}", [line_no]
+            )
+        return value
     if raw.startswith('"') or any(ch.isspace() for ch in raw):
         raise ScenarioError(f"key {key!r} in [{section}] must be a bare word", [line_no])
     return raw
@@ -249,8 +256,10 @@ def _assemble(sections, key_lines) -> Scenario:
     )
     if numerics.fd_step <= 0:
         raise ScenarioError("fd_step must be positive")
-    if numerics.grid_n < 2:
-        raise ScenarioError("grid_n must be at least 2")
+    if not 2 <= numerics.grid_n <= MAX_GRID_N:
+        raise ScenarioError(
+            f"grid_n must be between 2 and {MAX_GRID_N}", [key_lines[("numerics", "grid_n")]]
+        )
     if not numerics.grid_min < numerics.grid_max:
         raise ScenarioError("grid_min must be below grid_max")
 

@@ -284,3 +284,144 @@ def test_check_evaluates_all_its_residuals_in_one_walk(monkeypatch):
     monkeypatch.setattr(sampling, "batch_components", lambda *a: calls.append(a) or original(*a))
     assert run(["check", SCENARIOS / "default.toml"]) == 0
     assert len(calls) == 1
+
+
+def test_kinematics_evaluates_its_checks_and_fits_in_one_walk(monkeypatch):
+    from defectgeo import sampling
+
+    calls = []
+    original = sampling.batch_components
+    monkeypatch.setattr(sampling, "batch_components", lambda *a: calls.append(a) or original(*a))
+    assert run(["kinematics", SCENARIOS / "mixed_defects.toml"]) == 1
+    assert len(calls) == 1
+
+
+#: a full linear triad with quadratic defects and every coupling: a DAG large
+#: enough that one grid-sized array per live node would take ~100 MB at --grid 32
+FULL_TRIAD = """\
+[coframe]
+h11 = "1 - 0.04*x - 0.044*y - 0.024*z"
+h12 = "-0.042*x - 0.075*y + 0.022*z"
+h13 = "-0.045*x + 0.025*y - 0.024*z"
+h21 = "-0.077*x + 0.055*y - 0.023*z"
+h22 = "1 - 0.023*x - 0.037*y + 0.052*z"
+h23 = "-0.054*x - 0.026*y - 0.042*z"
+h31 = "-0.054*x + 0.05*y + 0.067*z"
+h32 = "0.055*x - 0.042*y - 0.068*z"
+h33 = "1 + 0.025*x + 0.052*y + 0.064*z"
+[defects]
+b1 = "-0.66 + 0.29*x + 0.32*y + 0.31*z - 0.52*x*x + 0.77*x*y + 0.46*x*z + 0.65*y*y - 0.25*y*z + 0.91*z*z"
+b2 = "0.41 - 0.83*x + 0.27*y - 0.58*z + 0.36*x*x - 0.44*x*y + 0.72*x*z - 0.31*y*y + 0.88*y*z - 0.23*z*z"
+b3 = "-0.35 + 0.61*x - 0.47*y + 0.52*z + 0.28*x*x + 0.39*x*y - 0.66*x*z + 0.74*y*y + 0.21*y*z - 0.57*z*z"
+omega1 = "0.72 - 0.26*x + 0.84*y - 0.33*z + 0.49*x*x - 0.62*x*y + 0.31*x*z - 0.45*y*y + 0.56*y*z + 0.38*z*z"
+omega2 = "-0.48 + 0.37*x - 0.69*y + 0.24*z - 0.81*x*x + 0.53*x*y - 0.22*x*z + 0.67*y*y - 0.34*y*z + 0.46*z*z"
+omega3 = "0.29 - 0.54*x + 0.43*y + 0.78*z + 0.33*x*x - 0.27*x*y + 0.59*x*z - 0.41*y*y - 0.73*y*z + 0.25*z*z"
+m1 = "-0.57 + 0.64*x + 0.21*y - 0.39*z + 0.42*x*x + 0.58*x*y - 0.35*x*z + 0.26*y*y + 0.63*y*z - 0.48*z*z"
+m2 = "0.34 - 0.28*x - 0.76*y + 0.45*z - 0.23*x*x + 0.69*x*y + 0.52*x*z - 0.37*y*y + 0.44*y*z + 0.71*z*z"
+m3 = "-0.26 + 0.47*x + 0.58*y - 0.62*z + 0.55*x*x - 0.32*x*y + 0.27*x*z + 0.48*y*y - 0.59*y*z - 0.36*z*z"
+rho = "0.53 - 0.35*x + 0.28*y + 0.66*z - 0.44*x*x + 0.25*x*y - 0.71*x*z + 0.39*y*y + 0.32*y*z - 0.27*z*z"
+[couplings]
+kappa1 = 0.8
+kappa2 = 1.1
+kappa3 = 0.6
+kappa4 = 1.3
+kappa5 = 0.4
+kappa6 = 0.9
+kappa7 = 0.7
+"""
+
+
+def test_energy_memory_does_not_grow_with_the_dag_times_the_grid(tmp_path):
+    import tracemalloc
+
+    scenario = tmp_path / "full.toml"
+    scenario.write_text(FULL_TRIAD)
+    tracemalloc.start()
+    try:
+        code = run(["energy", scenario, "--grid", "32", "--json", tmp_path / "r.json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # one 64^3 array (the fine integrand) is 2 MB
+    assert peak < 20e6
+
+
+DEFECT_GRID = """\
+[coframe]
+h11 = "1 + 0.1*x"
+h22 = "1 - 0.05*y*z"
+[defects]
+b1 = "sin(2*z) + x*y"
+omega2 = "cos(x - y)"
+m3 = "exp(0.3*y)"
+rho = "x - z^2"
+"""
+
+
+def test_defect_csv_is_written_block_by_block_with_the_same_bytes(tmp_path):
+    from util import unblocked_defect_csv
+
+    scenario = tmp_path / "grid.toml"
+    scenario.write_text(DEFECT_GRID)
+    assert run(["defects", scenario, "--grid", "21", "--csv", tmp_path / "got.csv"]) == 0
+    unblocked_defect_csv(scenario, tmp_path / "want.csv", 21)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got.count(b"\n") == 1 + 21**3
+    assert got == (tmp_path / "want.csv").read_bytes()
+
+
+def test_a_bad_value_in_a_later_csv_block_leaves_no_csv(tmp_path, capsys):
+    # infinite at one grid node only, in the second block and off the check points
+    x = float(np.linspace(-1.0, 1.0, 21)[19])
+    spike = f"exp(800 - 800*(abs(sign(x - {x!r})) + abs(sign(y - 0.5)) + abs(sign(z - 0.5))))"
+    scenario = tmp_path / "spike.toml"
+    scenario.write_text(f'[defects]\nrho = "{spike}"\n')
+    csv_path = tmp_path / "grid.csv"
+    with np.errstate(all="ignore"):
+        code = run(["defects", scenario, "--grid", "21", "--csv", csv_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite field value ") and err.endswith(f" at ({x!r}, 0.5, 0.5, 0.0)\n")
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("numerics", ["grid_n = 513", "grid_n = 100000"])
+def test_grid_above_the_bound_is_bad_input_with_its_line(tmp_path, capsys, numerics):
+    scenario = tmp_path / "big.toml"
+    scenario.write_text(f"[defects]\nrho = \"x\"\n[couplings]\nkappa2 = 1.0\n[numerics]\n{numerics}\n")
+    assert run(["energy", scenario]) == 2
+    assert capsys.readouterr().err == "error: grid_n must be between 2 and 512 (line 6)\n"
+
+
+def test_grid_override_above_the_bound_is_bad_input(capsys):
+    assert run(["energy", SCENARIOS / "energy_linear_rho.toml", "--grid", "513"]) == 2
+    assert capsys.readouterr().err == "error: --grid must be between 2 and 512\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,where",
+    [
+        ("check", "[couplings]\nkappa1 = inf\n", "'kappa1' in [couplings]"),
+        ("energy", '[defects]\nrho = "x"\n[couplings]\nkappa1 = nan\n', "'kappa1' in [couplings]"),
+        ("check", "[numerics]\ngrid_min = 0.0\ngrid_max = inf\n", "'grid_max' in [numerics]"),
+        ("check", "[numerics]\ntolerance = nan\n", "'tolerance' in [numerics]"),
+        ("elastic", '[deformation]\nX1 = "x"\nX2 = "y"\nX3 = "z"\n[material]\nmu = nan\n', "'mu' in [material]"),
+    ],
+    ids=["kappa1-inf", "kappa1-nan", "grid_max-inf", "tolerance-nan", "mu-nan"],
+)
+def test_non_finite_scenario_numbers_are_bad_input_with_their_line(tmp_path, capsys, command, text, where):
+    scenario = tmp_path / "s.toml"
+    scenario.write_text(text)
+    assert run([command, scenario]) == 2
+    out, err = capsys.readouterr()
+    line = len(text.splitlines())
+    raw = text.splitlines()[-1].split(" = ")[1]
+    assert out == ""
+    assert err == f"error: key {where} must be a finite number, got {raw!r} (line {line})\n"
+
+
+@pytest.mark.parametrize("flag,value", [("--tolerance", "nan"), ("--fd-step", "inf")])
+def test_non_finite_overrides_are_bad_input(capsys, flag, value):
+    assert run(["check", SCENARIOS / "default.toml", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be a finite number, got {value}\n"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from defectgeo import expressions as ex
 from defectgeo.errors import EvaluationError, ParseError
+from defectgeo.fields import BLOCK, SymbolicFormField, evaluate_fields
 
 from util import random_expr, reference_evaluate
 
@@ -351,14 +352,28 @@ def _shared_dags(draw, samplers=()):
     return roots if not samplers or ex.samples(roots) else roots + sampled[:1]
 
 
+#: point counts: a scalar, small arrays, and counts around the block size of evaluate_fields
+_SIZES = [0, 1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(roots=_shared_dags(), size=st.sampled_from([0, 1, 7]), data=st.data())
+@given(roots=_shared_dags(), size=st.sampled_from(_SIZES), data=st.data())
 def test_evaluate_many_matches_recursive_oracle_bit_for_bit(roots, size, data):
     values = st.floats(-2.0, 2.0)
-    args = [
-        np.asarray(data.draw(st.lists(values, min_size=size, max_size=size))) if size else data.draw(values)
-        for _ in ex.VARIABLES
-    ]
+    if size > 7:
+        # too many points to draw one by one: a seeded pick from a drawn palette,
+        # so the edge values the strategy finds (0, -0, ...) occur in every block
+        palette = np.asarray(data.draw(st.lists(values, min_size=1, max_size=8)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        args = [rng.choice(palette, size) for _ in ex.VARIABLES]
+        # at most one far value (exp overflows at 800), at a point in any block
+        if data.draw(st.booleans()):
+            args[data.draw(st.integers(0, 3))][rng.integers(size)] = 800.0
+    else:
+        args = [
+            np.asarray(data.draw(st.lists(values, min_size=size, max_size=size))) if size else data.draw(values)
+            for _ in ex.VARIABLES
+        ]
     env = dict(zip(ex.VARIABLES, args))
 
     def outcome(evaluate):
@@ -366,18 +381,36 @@ def test_evaluate_many_matches_recursive_oracle_bit_for_bit(roots, size, data):
             try:
                 return [np.asarray(v) for v in evaluate()]
             except (EvaluationError, OverflowError) as exc:
-                return type(exc)
+                return exc
 
     got = outcome(lambda: ex.evaluate_many(roots, *args))
     want = outcome(lambda: [reference_evaluate(r, env) for r in roots])
-    if isinstance(want, type):
-        assert got is want
+    fields = [SymbolicFormField(0, [r]) for r in roots]
+    blocked = outcome(lambda: [v.components[0] for v in evaluate_fields(fields, *args)])
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and type(blocked) is type(want)
         return
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.array_equal(g, w, equal_nan=True)
         assert np.array_equal(np.signbit(g), np.signbit(w))
+
+    # blocked walks give the same bits, or reject the first non-finite value:
+    # the first block that has one, its first field that has one, that field's first point
+    shape = np.shape(args[0])
+    bad = np.stack([~np.isfinite(np.broadcast_to(w, shape)).ravel() for w in want])
+    if not bad.any():
+        for b, w in zip(blocked, want):
+            w = np.broadcast_to(w, shape)
+            assert np.array_equal(b, w)
+            assert np.array_equal(np.signbit(b), np.signbit(w))
+        return
+    assert isinstance(blocked, EvaluationError)
+    lo = np.flatnonzero(bad.any(axis=0))[0] // BLOCK * BLOCK
+    in_block = bad[:, lo:lo + BLOCK]
+    first = lo + np.flatnonzero(in_block[np.flatnonzero(in_block.any(axis=1))[0]])[0]
+    assert blocked.point == tuple(float(np.ravel(a)[first]) for a in args)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from defectgeo import fields as ff
-from defectgeo.errors import DerivativeDepthExceeded
+from defectgeo.errors import DerivativeDepthExceeded, EvaluationError
 from defectgeo.fields import (
     NumericFormField,
     Point,
@@ -308,3 +308,20 @@ def test_body_fields_of_two_forward_maps_add():
         assert np.isclose(total.evaluate(p).components[0], bx + by, rtol=0.0, atol=1e-12)
         exact = [1.0 / (1.0 + 0.3 * bx**2), 1.0 / (1.0 + 0.3 * by**2), 0.0]
         assert np.max(np.abs(d.evaluate(p).components - exact)) <= 1e-6
+
+
+def test_non_finite_value_in_a_later_block_names_its_point():
+    xs = np.linspace(0.0, 1.0, 2 * ff.BLOCK + 3)
+    ys = xs[::-1]
+
+    def spike(i):
+        """A 0-form that is infinite at the grid point i only."""
+        return symbolic(0, f"exp(800 - 800*abs(sign(x - {float(xs[i])!r})))")
+
+    second, third = ff.BLOCK + 5, 2 * ff.BLOCK + 1
+    for fields in ([spike(second)], [spike(third), spike(second)]):
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError) as err:
+            ff.evaluate_fields(fields, xs, ys, 0.0)
+        # the fault of the earliest block is reported, whatever the order of the fields
+        assert err.value.point == (xs[second], ys[second], 0.0, 0.0)
+        assert str(err.value).startswith("non-finite field value inf at (")

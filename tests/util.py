@@ -249,3 +249,27 @@ def two_walk_normalized_residual(residual_fields, reference_fields, points):
     res = np.abs(batch_components(residual_fields, points))
     scale = 1.0 + np.abs(batch_components(reference_fields, points)).max(axis=0) if reference_fields else 1.0
     return float(np.max(res.max(axis=0) / scale))
+
+
+def unblocked_defect_csv(scenario_path, csv_path, grid_n):
+    """`defectgeo defects --grid grid_n --csv csv_path` written from one walk over
+    every grid node at once, the grid built by meshgrid: the oracle for the
+    bytes of the blocked writer."""
+    from dataclasses import replace
+
+    from defectgeo.cli import _build_connection
+    from defectgeo.defects import extract_defects
+    from defectgeo.scenario import parse_scenario_file
+
+    scenario = parse_scenario_file(scenario_path)
+    num = replace(scenario.numerics, grid_n=grid_n)
+    d = extract_defects(scenario.coframe, _build_connection(scenario))
+    axis = np.linspace(num.grid_min, num.grid_max, num.grid_n)
+    xs, ys, zs = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
+    fields = [d.burgers, d.frank, d.point, d.scalar, d.generalized_burgers]
+    values = ex.evaluate_many([c for f in fields for c in f.comps], xs, ys, zs, np.zeros(xs.size))
+    table = np.column_stack([xs, ys, zs] + [np.broadcast_to(v, xs.shape) for v in values])
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write("x,y,z,b1,b2,b3,O1,O2,O3,m1,m2,m3,rho,B1,B2,B3\n")
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
