@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -52,7 +51,7 @@ from .geometry import (
 )
 from .kinematics import bianchi_consistency, disclination_point_balance, dislocation_balance
 from .sampling import batch_groups, grid_blocks, max_abs, normalized_residuals
-from .scenario import MAX_GRID_N, Scenario, parse_scenario_file
+from .scenario import Scenario, parse_scenario_file, validate_numerics
 
 SCHEMA = "defectgeo-report-v1"
 
@@ -131,18 +130,11 @@ def _build_parser():
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     from dataclasses import replace
 
-    num = scenario.numerics
-    for flag, value in (("--tolerance", args.tolerance), ("--fd-step", args.fd_step)):
-        if value is not None and not math.isfinite(value):
-            raise ScenarioError(f"{flag} must be a finite number, got {value}")
-    if args.tolerance is not None:
-        num = replace(num, tolerance=args.tolerance)
-    if args.fd_step is not None:
-        num = replace(num, fd_step=args.fd_step)
-    if args.grid is not None:
-        if not 2 <= args.grid <= MAX_GRID_N:
-            raise ScenarioError(f"--grid must be between 2 and {MAX_GRID_N}")
-        num = replace(num, grid_n=args.grid)
+    flags = {"tolerance": "--tolerance", "fd_step": "--fd-step", "grid_n": "--grid"}
+    values = (args.tolerance, args.fd_step, args.grid)
+    given = {key: value for key, value in zip(flags, values) if value is not None}
+    num = replace(scenario.numerics, **given)
+    validate_numerics(num, names={key: flags[key] for key in given})
     return replace(scenario, numerics=num)
 
 

@@ -4,8 +4,11 @@ stress, and the balance-law residuals.
 The description is Eulerian: scenarios supply the inverse map X^A(x) whose
 direct derivative is the push-forward F^A_a, or the forward map x^a(X).  For
 a forward map the implicit function theorem gives the push-forward exactly,
-F = (dx/dX)^-1 at X(x); fields are kept symbolic in body coordinates and
-evaluated at X(x), found by one damped Newton solve per point array.
+F = (dx/dX)^-1 at X(x).  The body coordinates X^B(x, t) are sampled leaves
+(expressions.Sample) of the map's chart: their values come from one damped
+Newton solve per point array, their derivatives substitute the leaves into
+the symbolic inverse Jacobian, so a forward map's fields stay exact and
+spatial, and are walked with every other field.
 
 The body manifold is taken in Cartesian orthonormal coordinates (its triad
 is the identity), so with an identity spatial coframe the coordinate and
@@ -40,7 +43,6 @@ from .errors import (
     SingularDeformation,
 )
 from .fields import (
-    BodyFormField,
     FormField,
     Point,
     SymbolicFormField,
@@ -96,44 +98,35 @@ class MaterialConstants:
                 )
 
 
-class _ForwardChart:
-    """Body coordinates of a forward map x^a(X, t): the chart of its BodyFormFields.
+class _ForwardChart(ex.Sampler):
+    """Body coordinates X^B(x, t) of a forward map x^a(X, t), as the source of Sample leaves.
 
+    Values invert the map on whole coordinate arrays by damped Newton; the
+    Sampler keeps the last solve, so the three slots cost one per walk.
     The Jacobian J^a_B = dx^a/dX^B, its symbolic inverse and the body-point
-    velocity dX^B/dt at fixed x = -(J^-1 dx/dt)^B are built once.  `solve`
-    inverts the map on whole coordinate arrays by damped Newton and keeps the
-    last solution, since one pipeline evaluates many fields at the same points.
+    velocity dX^B/dt at fixed x = -(J^-1 dx/dt)^B are built once, and
+    `partial` reads the derivatives of the leaves off them exactly.
     """
 
     def __init__(self, exprs):
+        super().__init__(self._solve, None, name="X")
         self.exprs = exprs
         self.jac = [ex.differentiate(xa, v) for xa in exprs for v in _BODY_VARS]
         inv = matrix_inverse(matrix_of_scalar_fields([self.jac[3 * a: 3 * a + 3] for a in range(3)]))
         self.inv_jac = [[inv[B][a].comps[0] for a in range(3)] for B in range(3)]
         rate = [ex.differentiate(xa, "t") for xa in exprs]
         self.body_rate = [ex.neg(_dot(self.inv_jac[B], rate)) for B in range(3)]
-        self._solved = None
 
-    def lift(self, expr):
-        return ex.substitute(expr, dict(zip(_BODY_VARS, self.exprs)))
+    def partial(self, slot, axis, args):
+        """dX^slot/dx^axis (dX^slot/dt for axis 3) at the spatial point `args`, exact."""
+        body = {v: ex.Sample(self, B, args) for B, v in enumerate(_BODY_VARS)}
+        rate = self.body_rate[slot] if axis == 3 else self.inv_jac[slot][axis]
+        return ex.substitute(rate, {**body, "t": args[3]})
 
-    def partial(self, expr, var):
-        """d/d var of expr(X(x, t), t) for var in x, y, z, t (chain rule, exact)."""
-        grad = [ex.differentiate(expr, v) for v in _BODY_VARS]
-        if var == "t":
-            return ex.add(ex.differentiate(expr, "t"), _dot(grad, self.body_rate))
-        a = _BODY_VARS.index(var)
-        return _dot(grad, [self.inv_jac[B][a] for B in range(3)])
-
-    def solve(self, xs, ys, zs, ts):
-        """Body coordinates X(x, t), shape (3,) + the broadcast shape of the inputs."""
-        target = np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (xs, ys, zs, ts))))
-        key = (target.shape, target.tobytes())
-        if self._solved is None or self._solved[0] != key:
-            flat = target.reshape(4, -1)
-            X = self._newton(flat[:3], flat[3])
-            self._solved = (key, X.reshape((3,) + target.shape[1:]))
-        return self._solved[1]
+    def _solve(self, xs, ys, zs, ts):
+        """Body coordinates X(x, t), shape (3,) + the common shape of the inputs."""
+        X = self._newton(np.stack([xs, ys, zs]).reshape(3, -1), ts.reshape(-1))
+        return X.reshape((3,) + xs.shape)
 
     def _residual(self, X, target, ts):
         vals = ex.evaluate_many(self.exprs, X[0], X[1], X[2], ts)
@@ -211,9 +204,10 @@ class DeformationMap:
 
     `maps` holds three scalar fields; with kind="inverse" they are X^A as
     functions of the spatial point, with kind="forward" they are symbolic
-    x^a as functions of the body point (read x, y, z as X^1, X^2, X^3).  A
-    forward map's derived fields are BodyFormFields: exact in body
-    coordinates and evaluated at X(x) solved by vectorised Newton.
+    x^a as functions of the body point (read x, y, z as X^1, X^2, X^3),
+    without sampled leaves, whose Jacobian the chart could not build.  A
+    forward map's X^A are the leaves of its chart, exact under
+    differentiation and solved by vectorised Newton.
     """
 
     maps: tuple
@@ -227,8 +221,8 @@ class DeformationMap:
         maps = tuple(m if isinstance(m, FormField) else scalar_field(m) for m in self.maps)
         object.__setattr__(self, "maps", maps)
         if self.kind == "forward":
-            if not all(type(m) is SymbolicFormField and m.degree == 0 for m in maps):
-                raise ValueError("forward-map components must be symbolic scalar fields")
+            if not all(m.degree == 0 and not ex.samples(m.comps) for m in maps):
+                raise ValueError("forward-map components must be symbolic scalar fields without sampled leaves")
             object.__setattr__(self, "_chart", _ForwardChart(tuple(m.comps[0] for m in maps)))
 
     @classmethod
@@ -239,7 +233,8 @@ class DeformationMap:
         """The three scalar fields X^A(x, y, z, t)."""
         if self.kind == "inverse":
             return list(self.maps)
-        return [BodyFormField(0, [ex.Var(v)], self._chart) for v in _BODY_VARS]
+        coords = [ex.Var(v) for v in ex.VARIABLES]
+        return [SymbolicFormField(0, [ex.Sample(self._chart, B, coords)]) for B in range(3)]
 
 
 def _partial(f: FormField, axis: int) -> FormField:

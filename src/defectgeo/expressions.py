@@ -35,10 +35,13 @@ its four kids evaluate to: at first x, y, z, t, which substitution rewrites
 like any other kids.  A Sampler wraps a vectorised `values(xs, ys, zs, ts)`
 and keeps its last call, so the slots of one source cost one call per walk.
 A Sample differentiates by the chain rule through its kids; along a kid the
-derivative is the Sample of a central-difference Sampler one level deeper,
-which shifts the coordinate arrays by `step`.  Differences nest at most
-MAX_FD_DEPTH deep and raise DerivativeDepthExceeded past that.  A Sample
-prints as an opaque label.
+derivative is what its source's `partial` returns.  A Sampler's partial is
+the Sample of a central-difference Sampler one level deeper, which shifts
+the coordinate arrays by `step`; differences nest at most MAX_FD_DEPTH deep
+and raise DerivativeDepthExceeded past that.  A source that knows its
+derivatives (the body coordinates of a forward map, see elasticity)
+overrides `partial` with exact expressions.  A Sample prints as an opaque
+label.
 """
 
 from __future__ import annotations
@@ -156,8 +159,9 @@ class Sampler:
     coordinate arrays, returning shape (slots,) + their shape.
 
     Calls go through `__call__`, which keeps the last call and its result.
-    `step` is the central-difference step of derivatives, `depth` how many
-    differences deep this source already is.
+    `step` is the central-difference step of derivatives (None for a source
+    whose `partial` is exact), `depth` how many differences deep this source
+    already is.
     """
 
     def __init__(self, values, step, depth=0, name="sample"):
@@ -174,8 +178,9 @@ class Sampler:
             self._last = (key, values)
         return self._last[1]
 
-    def difference(self, axis):
-        """Central difference along coordinate `axis` (0..3 for x, y, z, t), one level deeper."""
+    def partial(self, slot, axis, args):
+        """d(slot)/d(argument `axis`) at `args` (axis 0..3 for x, y, z, t): a Sample of the
+        central difference along `axis`, a Sampler one level deeper."""
         diff = self._differences.get(axis)
         if diff is None:
             if self.depth >= MAX_FD_DEPTH:
@@ -191,7 +196,7 @@ class Sampler:
 
             name = f"d{VARIABLES[axis]}({self.name})"
             diff = self._differences[axis] = Sampler(values, h, self.depth + 1, name)
-        return diff
+        return Sample(diff, slot, args)
 
 
 ZERO = Num(0.0)
@@ -450,8 +455,7 @@ def _derivative(node, var, d):
         acc = ZERO
         for axis, kid in enumerate(node.kids):
             if not _is_num(d[kid], 0.0):
-                diff = Sample(node.source.difference(axis), node.slot, node.kids)
-                acc = add(acc, mul(diff, d[kid]))
+                acc = add(acc, mul(node.source.partial(node.slot, axis, node.kids), d[kid]))
         return acc
     return mul(_CHAIN[node.name](node.arg), d[node.arg])
 
@@ -460,7 +464,7 @@ def differentiate(e: Expr, var: str) -> Expr:
     """Exact partial derivative with constant folding.
 
     d/du abs(u) is taken to be sign(u) with sign(0) = 0; a Sample is
-    differentiated by central differences (see the module docstring).
+    differentiated through its source's `partial` (see the module docstring).
     """
     if var not in VARIABLES:
         raise ValueError(f"variable must be one of {VARIABLES}, got {var!r}")

@@ -1,26 +1,23 @@
 """Fields of forms over R^3 (optionally time dependent).
 
 A FormField evaluates to a KForm of fixed degree at every Point.  Its
-components are expressions of the interned DAG (see expressions), so all
-algebra - wedge, Hodge, interior product, Lie derivative, the vector
-calculus isomorphisms - builds expressions, and one walk evaluates any set
-of fields:
+components are expressions of the interned DAG (see expressions) in the
+spatial coordinates x, y, z, t, so all algebra - wedge, Hodge, interior
+product, Lie derivative, the vector calculus isomorphisms - builds
+expressions, and one walk evaluates any set of fields.  Exterior and time
+derivatives differentiate the components, exactly on symbolic parts, so
+identities such as d(d(alpha)) = 0 hold to rounding error at any nesting
+depth.  Components may hold sampled leaves (expressions.Sample), which
+differentiate through their source:
 
-* SymbolicFormField - components in the spatial coordinates x, y, z, t.
-  Exterior and time derivatives differentiate them exactly, so identities
-  such as d(d(alpha)) = 0 hold to rounding error at any nesting depth.
-* NumericFormField - a SymbolicFormField whose components hold sampled
-  leaves (expressions.Sample) of an opaque callable, which a walk calls
-  once per point for all components.  Derivatives are exact on the
-  symbolic part and central differences with step `fd_step` at the
-  leaves, nested at most expressions.MAX_FD_DEPTH deep, unless the caller
-  supplies exact derivative fields.  A spatial result with a numeric
+* the body coordinates X(x, t) of a forward map (see elasticity) are
+  leaves with exact derivatives, so its fields are SymbolicFormFields;
+* NumericFormField - a SymbolicFormField whose components hold leaves of
+  an opaque callable, which a walk calls once per point for all
+  components.  Their derivatives are central differences with step
+  `fd_step`, nested at most expressions.MAX_FD_DEPTH deep, unless the
+  caller supplies exact derivative fields.  A result with a numeric
   operand is numeric.
-* BodyFormField - components in the body coordinates X of a forward map
-  x(X, t) (the chart); the value at a spatial point is their value at the
-  solved X(x, t).  Derivatives follow the chain rule through the chart's
-  exact inverse Jacobian.  Spatial operands join a chart by substituting
-  x = x(X); body fields of another chart join it as sampled leaves.
 
 Components are stored against the fixed Cartesian coordinate coframe
 dx^1, dx^2, dx^3, which doubles as the global orthonormal basis of the
@@ -84,7 +81,7 @@ def _as_expr(value):
 
 
 class FormField:
-    """Base class; see SymbolicFormField, BodyFormField and NumericFormField."""
+    """Base class: the algebra of SymbolicFormField and NumericFormField."""
 
     degree: int
 
@@ -95,20 +92,17 @@ class FormField:
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError(f"cannot add degree {self.degree} and degree {other.degree} fields")
-        (lhs, rhs), build = _in_common_chart(self, other)
-        return build(self.degree, [ex.add(a, b) for a, b in zip(lhs, rhs)])
+        return _result(self, other)(self.degree, [ex.add(a, b) for a, b in zip(self.comps, other.comps)])
 
     def __sub__(self, other):
         if not isinstance(other, FormField):
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError(f"cannot subtract degree {other.degree} from degree {self.degree} fields")
-        (lhs, rhs), build = _in_common_chart(self, other)
-        return build(self.degree, [ex.sub(a, b) for a, b in zip(lhs, rhs)])
+        return _result(self, other)(self.degree, [ex.sub(a, b) for a, b in zip(self.comps, other.comps)])
 
     def __neg__(self):
-        (comps,), build = _in_common_chart(self)
-        return build(self.degree, [ex.neg(a) for a in comps])
+        return _result(self)(self.degree, [ex.neg(a) for a in self.comps])
 
     def __mul__(self, factor):
         """Multiply by a number, an expression, or a 0-form field."""
@@ -119,22 +113,9 @@ class FormField:
                 return wedge(self, factor)
             raise ValueError("one factor must be a scalar (degree-0) field; use wedge")
         f = _as_expr(factor)
-        if isinstance(self, SymbolicFormField):
-            (comps,), build = _in_common_chart(self)
-            return build(self.degree, [ex.mul(f, a) for a in comps])
-        return wedge(SymbolicFormField(0, [f]), self)
+        return _result(self)(self.degree, [ex.mul(f, a) for a in self.comps])
 
     __rmul__ = __mul__
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, point: Point) -> KForm:
-        value = self.evaluate_batch([point.x], [point.y], [point.z], [point.t])
-        return KForm(self.degree, value.components[:, 0])
-
-    def evaluate_batch(self, xs, ys, zs, ts=0.0) -> KForm:
-        """Evaluate on aligned coordinate arrays; returns a KForm with array components."""
-        raise NotImplementedError
 
     def __call__(self, point: Point) -> KForm:
         return self.evaluate(point)
@@ -150,12 +131,13 @@ class SymbolicFormField(FormField):
         self.degree = degree
         self.comps = comps
 
-    def evaluate(self, point):
+    def evaluate(self, point: Point) -> KForm:
         coords = (point.x, point.y, point.z, point.t)
         vals = np.asarray(ex.evaluate_many(self.comps, *coords), dtype=float)
         return KForm(self.degree, _finite(vals, coords))
 
-    def evaluate_batch(self, xs, ys, zs, ts=0.0):
+    def evaluate_batch(self, xs, ys, zs, ts=0.0) -> KForm:
+        """Evaluate on aligned coordinate arrays; returns a KForm with array components."""
         return evaluate_fields([self], xs, ys, zs, ts)[0]
 
     def __repr__(self):
@@ -163,8 +145,8 @@ class SymbolicFormField(FormField):
 
 
 def evaluate_fields(fields, xs, ys, zs, ts=0.0):
-    """`[f.evaluate_batch(xs, ys, zs, ts) for f in fields]`, the symbolic ones in one DAG walk
-    per block of at most BLOCK points.
+    """`[f.evaluate_batch(xs, ys, zs, ts) for f in fields]`, in one DAG walk per block of at
+    most BLOCK points.
 
     Blocks are walked in input order and their values concatenated, so the
     result does not depend on BLOCK, and an error names the first bad point
@@ -188,15 +170,11 @@ def evaluate_fields(fields, xs, ys, zs, ts=0.0):
 def _evaluate_block(fields, xs, ys, zs, ts):
     """Components of each field, shape (components,) + the block's shape, on one block."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in (xs, ys, zs, ts)))
-    symbolic = [f for f in fields if isinstance(f, SymbolicFormField)]
-    vals = iter(ex.evaluate_many([c for f in symbolic for c in f.comps], xs, ys, zs, ts))
+    vals = iter(ex.evaluate_many([c for f in fields for c in f.comps], xs, ys, zs, ts))
     out = []
     for f in fields:
-        if isinstance(f, SymbolicFormField):
-            comps = np.stack([np.broadcast_to(np.asarray(next(vals), dtype=float), shape) for _ in f.comps])
-            out.append(_finite(comps, (xs, ys, zs, ts)))
-        else:
-            out.append(f.evaluate_batch(xs, ys, zs, ts).components)
+        comps = np.stack([np.broadcast_to(np.asarray(next(vals), dtype=float), shape) for _ in f.comps])
+        out.append(_finite(comps, (xs, ys, zs, ts)))
     return out
 
 
@@ -227,7 +205,9 @@ class NumericFormField(SymbolicFormField):
     def __init__(self, degree, func, fd_step=DEFAULT_FD_STEP, fd_depth=0, d_field=None, dt_field=None):
         if fd_step <= 0.0:
             raise ValueError("finite-difference step must be positive")
-        super().__init__(degree, _sampled(degree, _pointwise(degree, func), fd_step, fd_depth))
+        source = ex.Sampler(_pointwise(degree, func), fd_step, fd_depth)
+        coords = [ex.Var(v) for v in ex.VARIABLES]
+        super().__init__(degree, [ex.Sample(source, slot, coords) for slot in range(COMPONENT_COUNTS[degree])])
         self.func = func
         self.d_field = d_field
         self.dt_field = dt_field
@@ -241,11 +221,15 @@ class NumericFormField(SymbolicFormField):
     @property
     def fd_depth(self):
         """The deepest finite difference among the sampled leaves."""
-        return max((s.source.depth for s in ex.samples(self.comps)), default=0)
+        return max((s.depth for s in self._differenced()), default=0)
 
     @property
     def fd_step(self):
-        return min((s.source.step for s in ex.samples(self.comps)), default=DEFAULT_FD_STEP)
+        return min((s.step for s in self._differenced()), default=DEFAULT_FD_STEP)
+
+    def _differenced(self):
+        """Sources of the sampled leaves that differentiate by finite differences."""
+        return [s.source for s in ex.samples(self.comps) if s.source.step is not None]
 
 
 def _pointwise(degree, func):
@@ -265,60 +249,9 @@ def _pointwise(degree, func):
     return values
 
 
-def _sampled(degree, values, step=DEFAULT_FD_STEP, depth=0):
-    """Components of degree `degree`: the slots of one Sampler of `values` at (x, y, z, t)."""
-    source = ex.Sampler(values, step, depth)
-    coords = [ex.Var(v) for v in ex.VARIABLES]
-    return [ex.Sample(source, slot, coords) for slot in range(COMPONENT_COUNTS[degree])]
-
-
-class BodyFormField(FormField):
-    """A field whose components are expressions in the body coordinates of a chart.
-
-    The variables x, y, z of `comps` stand for X^1, X^2, X^3.  The chart
-    provides `solve(xs, ys, zs, ts)` (the body coordinates X(x, t) of
-    spatial coordinate arrays), `partial(expr, var)` (the spatial or time
-    derivative of expr(X(x, t), t), again in body coordinates) and
-    `lift(expr)` (a spatial expression rewritten in body coordinates).
-    """
-
-    def __init__(self, degree, comps, chart):
-        self.body = SymbolicFormField(degree, comps)
-        self.degree = degree
-        self.comps = self.body.comps
-        self.chart = chart
-
-    def evaluate_batch(self, xs, ys, zs, ts=0.0):
-        xs = np.asarray(xs, dtype=float)
-        ts = np.broadcast_to(np.asarray(ts, dtype=float), xs.shape)
-        X = self.chart.solve(xs, ys, zs, ts)
-        return self.body.evaluate_batch(X[0], X[1], X[2], ts)
-
-    def sampled_comps(self):
-        """Spatial components sampling this field: how it joins another chart."""
-        return _sampled(self.degree, lambda *coords: self.evaluate_batch(*coords).components)
-
-
-def _in_common_chart(*fields):
-    """Component expressions of `fields` in one chart, with a builder for results.
-
-    Returns (comps per field, build(degree, comps)).  The chart is that of
-    the first body field: spatial operands are lifted into it and body
-    fields of another chart join it as sampled leaves.  Without a body
-    field the result is spatial, and numeric when an operand is.
-    """
-    chart = next((f.chart for f in fields if isinstance(f, BodyFormField)), None)
-    if chart is None:
-        numeric = any(isinstance(f, NumericFormField) for f in fields)
-        return [f.comps for f in fields], NumericFormField.of if numeric else SymbolicFormField
-    comps = []
-    for f in fields:
-        if isinstance(f, BodyFormField) and f.chart is chart:
-            comps.append(f.comps)
-        else:
-            spatial = f.sampled_comps() if isinstance(f, BodyFormField) else f.comps
-            comps.append(tuple(chart.lift(c) for c in spatial))
-    return comps, lambda degree, cs: BodyFormField(degree, cs, chart)
+def _result(*fields):
+    """Constructor of a result built from `fields`: numeric when an operand is."""
+    return NumericFormField.of if any(isinstance(f, NumericFormField) for f in fields) else SymbolicFormField
 
 
 def constant_field(kform: KForm) -> SymbolicFormField:
@@ -358,24 +291,24 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
     if p + q > 3:
         # fail fast with the pointwise error message
         kform_wedge(KForm.zero(p), KForm.zero(q))
-    (a, b), build = _in_common_chart(alpha, beta)
+    a, b = alpha.comps, beta.comps
     out = [ex.ZERO] * COMPONENT_COUNTS[p + q]
     for i, j, k, sign in WEDGE_TERMS[(p, q)]:
         term = ex.mul(a[i], b[j])
         if sign < 0:
             term = ex.neg(term)
         out[k] = ex.add(out[k], term)
-    return build(p + q, out)
+    return _result(alpha, beta)(p + q, out)
 
 
 def hodge(alpha: FormField) -> FormField:
     """Hodge dual against the fixed Cartesian orthonormal background."""
     p = alpha.degree
-    (a,), build = _in_common_chart(alpha)
+    a = alpha.comps
     out = [ex.ZERO] * COMPONENT_COUNTS[3 - p]
     for i, k, sign in HODGE_TERMS[p]:
         out[k] = ex.neg(a[i]) if sign < 0 else a[i]
-    return build(3 - p, out)
+    return _result(alpha)(3 - p, out)
 
 
 def interior(index: int, alpha: FormField) -> FormField:
@@ -385,12 +318,12 @@ def interior(index: int, alpha: FormField) -> FormField:
     p = alpha.degree
     if p == 0:
         return zero_field(0)
-    (a,), build = _in_common_chart(alpha)
+    a = alpha.comps
     out = [ex.ZERO] * COMPONENT_COUNTS[p - 1]
     for i, k, sign in INTERIOR_TERMS[index][p]:
         term = ex.neg(a[i]) if sign < 0 else a[i]
         out[k] = ex.add(out[k], term)
-    return build(p - 1, out)
+    return _result(alpha)(p - 1, out)
 
 
 # ---- derivatives -------------------------------------------------------------
@@ -407,32 +340,23 @@ def exterior_derivative(alpha: FormField) -> FormField:
         return zero_field(3)
     if isinstance(alpha, NumericFormField) and alpha.d_field is not None:
         return alpha.d_field
-    (comps,), build = _in_common_chart(alpha)
-    partial = _partial_derivative(alpha)
     out = [ex.ZERO] * COMPONENT_COUNTS[p + 1]
     for a, var in zip(FRAME_INDICES, ("x", "y", "z")):
         for i, j, k, sign in WEDGE_TERMS[(1, p)]:
             if i != a - 1:
                 continue
-            term = partial(comps[j], var)
+            term = ex.differentiate(alpha.comps[j], var)
             if sign < 0:
                 term = ex.neg(term)
             out[k] = ex.add(out[k], term)
-    return build(p + 1, out)
+    return _result(alpha)(p + 1, out)
 
 
 def time_derivative(alpha: FormField) -> FormField:
     """Componentwise d/dt; structurally time-independent symbolic fields give exact zero."""
     if isinstance(alpha, NumericFormField) and alpha.dt_field is not None:
         return alpha.dt_field
-    (comps,), build = _in_common_chart(alpha)
-    partial = _partial_derivative(alpha)
-    return build(alpha.degree, [partial(c, "t") for c in comps])
-
-
-def _partial_derivative(alpha):
-    """(expr, var) -> d expr / d var at fixed other spatial coordinates, in alpha's chart."""
-    return alpha.chart.partial if isinstance(alpha, BodyFormField) else ex.differentiate
+    return _result(alpha)(alpha.degree, [ex.differentiate(c, "t") for c in alpha.comps])
 
 
 # ---- vector fields and the vector-calculus isomorphisms ----------------------
@@ -467,8 +391,7 @@ class VectorField:
 
     def as_one_form(self) -> FormField:
         """The 1-form with the same orthonormal components."""
-        comps, build = _in_common_chart(*self.comps)
-        return build(1, [c[0] for c in comps])
+        return _result(*self.comps)(1, [c.comps[0] for c in self.comps])
 
     def __add__(self, other):
         return VectorField(tuple(a + b for a, b in zip(self.comps, other.comps)))
@@ -504,8 +427,7 @@ def one_form_to_vector(alpha: FormField) -> VectorField:
 
 
 def _component_field(alpha: FormField, slot: int) -> FormField:
-    (comps,), build = _in_common_chart(alpha)
-    return build(0, [comps[slot]])
+    return _result(alpha)(0, [alpha.comps[slot]])
 
 
 def component_field(alpha: FormField, *indices) -> FormField:
@@ -576,9 +498,9 @@ def matrix_determinant(matrix):
 def matrix_inverse(matrix):
     """Pointwise inverse of a 3x3 of 0-form fields (adjugate over determinant)."""
     m = matrix
-    det = matrix_determinant(m)
-    ((det_expr,), *cells), build = _in_common_chart(det, *(c for row in m for c in row))
-    e = [[cells[3 * r + c][0] for c in range(3)] for r in range(3)]
+    det = matrix_determinant(m).comps[0]
+    e = [[cell.comps[0] for cell in row] for row in m]
+    build = _result(*(cell for row in m for cell in row))
     out = []
     for i in range(3):
         row = []
@@ -591,15 +513,14 @@ def matrix_inverse(matrix):
                 ex.mul(e[r[0]][c[1]], e[r[1]][c[0]]),
             )
             cof = minor if (i + j) % 2 == 0 else ex.neg(minor)
-            row.append(build(0, [ex.div(cof, det_expr)]))
+            row.append(build(0, [ex.div(cof, det)]))
         out.append(row)
     return out
 
 
 def quotient(numerator: FormField, denominator: FormField) -> FormField:
     """Pointwise ratio of two scalar (0-form) fields."""
-    ((n,), (d,)), build = _in_common_chart(numerator, denominator)
-    return build(0, [ex.div(n, d)])
+    return _result(numerator, denominator)(0, [ex.div(numerator.comps[0], denominator.comps[0])])
 
 
 def matrix_multiply(a, b):
@@ -623,8 +544,9 @@ def substitute_basis(alpha: FormField, matrix) -> FormField:
     m = matrix
     if p == 3:
         return matrix_determinant(matrix_of_scalar_fields(m)) * alpha
-    (c, *cells), build = _in_common_chart(alpha, *(cell for row in m for cell in row))
-    a_expr = [[cells[3 * i + j][0] for j in range(3)] for i in range(3)]
+    c = alpha.comps
+    a_expr = [[cell.comps[0] for cell in row] for row in m]
+    build = _result(alpha, *(cell for row in m for cell in row))
     if p == 1:
         out = []
         for col in range(3):

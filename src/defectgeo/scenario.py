@@ -9,8 +9,8 @@ Sections (all optional unless a CLI command needs them):
     [deformation]  kind = inverse|forward (default inverse), X1..X3 quoted expressions
     [material]     lambda, mu, kappa, G, nu, R_outer, r_core   numbers
     [couplings]    kappa1..kappa7   numbers
-    [numerics]     fd_step, tolerance, grid_min, grid_max   numbers; grid_n integer
-                   in 2..MAX_GRID_N
+    [numerics]     fd_step > 0, tolerance >= 0, grid_min < grid_max   numbers;
+                   grid_n integer in 2..MAX_GRID_N
 
 Expressions are always double-quoted; numbers (finite) and the kind word are bare.
 Lines starting with '#' are comments.  Duplicated sections or keys and
@@ -254,14 +254,7 @@ def _assemble(sections, key_lines) -> Scenario:
         grid_max=num.get("grid_max", DEFAULT_GRID[1]),
         grid_n=int(num.get("grid_n", DEFAULT_GRID[2])),
     )
-    if numerics.fd_step <= 0:
-        raise ScenarioError("fd_step must be positive")
-    if not 2 <= numerics.grid_n <= MAX_GRID_N:
-        raise ScenarioError(
-            f"grid_n must be between 2 and {MAX_GRID_N}", [key_lines[("numerics", "grid_n")]]
-        )
-    if not numerics.grid_min < numerics.grid_max:
-        raise ScenarioError("grid_min must be below grid_max")
+    validate_numerics(numerics, lines={k: line for (s, k), line in key_lines.items() if s == "numerics"})
 
     return Scenario(
         coframe=coframe,
@@ -273,6 +266,33 @@ def _assemble(sections, key_lines) -> Scenario:
         numerics=numerics,
         sections=frozenset(sections),
     )
+
+
+def validate_numerics(num: Numerics, names=None, lines=None):
+    """Raise ScenarioError unless `num` is usable: every number finite, tolerance >= 0,
+    fd_step > 0, grid_n in 2..MAX_GRID_N and grid_min < grid_max.
+
+    A message calls a setting by `names[key]` (its command-line flag), else
+    by its key, and names the file lines in `lines[key]`, where given.
+    """
+    names, lines = names or {}, lines or {}
+
+    def fail(message, *keys):
+        raise ScenarioError(message, [lines[k] for k in keys if k in lines])
+
+    for key in ("tolerance", "fd_step", "grid_min", "grid_max"):
+        value = getattr(num, key)
+        if not math.isfinite(value):
+            fail(f"{names.get(key, key)} must be a finite number, got {value}", key)
+    for key, ok, what in (
+        ("tolerance", num.tolerance >= 0.0, "non-negative"),
+        ("fd_step", num.fd_step > 0.0, "positive"),
+        ("grid_n", 2 <= num.grid_n <= MAX_GRID_N, f"between 2 and {MAX_GRID_N}"),
+    ):
+        if not ok:
+            fail(f"{names.get(key, key)} must be {what}", key)
+    if not num.grid_min < num.grid_max:
+        fail("grid_min must be below grid_max", "grid_min", "grid_max")
 
 
 def _covector(section: dict, stem: str, coframe: CoFrame) -> FormField:

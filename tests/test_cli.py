@@ -425,3 +425,91 @@ def test_non_finite_scenario_numbers_are_bad_input_with_their_line(tmp_path, cap
 def test_non_finite_overrides_are_bad_input(capsys, flag, value):
     assert run(["check", SCENARIOS / "default.toml", flag, value]) == 2
     assert capsys.readouterr().err == f"error: {flag} must be a finite number, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--tolerance", "-1", "--fd-step", "-1"], "--tolerance must be non-negative"),
+        (["--fd-step", "-1"], "--fd-step must be positive"),
+        (["--fd-step", "0"], "--fd-step must be positive"),
+        (["--grid", "1"], "--grid must be between 2 and 512"),
+    ],
+)
+def test_out_of_range_overrides_are_bad_input(capsys, flags, message):
+    assert run(["check", SCENARIOS / "default.toml", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_negative_tolerance_in_the_file_is_bad_input(tmp_path, capsys):
+    scenario = tmp_path / "s.toml"
+    scenario.write_text("[numerics]\ntolerance = -1\n")
+    assert run(["check", scenario]) == 2
+    assert capsys.readouterr().err == "error: tolerance must be non-negative (line 2)\n"
+
+
+# ---- forward maps in the one walk --------------------------------------------------
+
+
+def _deformation_scenario(path, kind, maps):
+    lines = ["[deformation]", f"kind = {kind}"]
+    lines += [f'X{i} = "{m}"' for i, m in enumerate(maps, start=1)]
+    lines += ["[material]", "lambda = 1.0", "mu = 1.0", "kappa = 0.0"]
+    # an off-centre grid, so the sampled centre is not the origin
+    lines += ["[numerics]", "grid_min = -0.5", "grid_max = 1.0"]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _elastic_report(scenario, tmp_path):
+    report_path = tmp_path / f"{scenario.stem}.json"
+    assert run(["elastic", scenario, "--json", report_path, "--deterministic"]) == 0
+    return json.loads(report_path.read_text())
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of `owner.name`."""
+    calls = []
+    orig = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or orig(*args))
+    return calls
+
+
+def test_linear_forward_map_matches_its_inverse_file_without_newton(tmp_path, monkeypatch):
+    from defectgeo.elasticity import _ForwardChart
+
+    newton = _counting(monkeypatch, _ForwardChart, "_newton")
+    text = (SCENARIOS / "dilation.toml").read_text().replace("kind = inverse", "kind = forward")
+    for v in "xyz":
+        text = text.replace(f'"{v}/2"', f'"2*{v}"')
+    forward = tmp_path / "forward.toml"
+    forward.write_text(text)
+    got, want = _elastic_report(forward, tmp_path), _elastic_report(SCENARIOS / "dilation.toml", tmp_path)
+    # its push-forward is constant, so no value needs the body point X(x)
+    assert newton == []
+    assert got["checks"] == want["checks"]
+    assert got["samples"] == want["samples"]
+
+
+#: x1 = X1 + 0.1 X2^2, whose inverse is X1 = x1 - 0.1 x2^2
+TRIANGULAR = {"forward": ("x+0.1*y^2", "y", "z"), "inverse": ("x-0.1*y^2", "y", "z")}
+
+
+def test_triangular_forward_map_agrees_with_its_inverse_in_as_many_walks(tmp_path, monkeypatch):
+    from defectgeo import fields
+
+    blocks = _counting(monkeypatch, fields, "_evaluate_block")
+    reports, walks = {}, {}
+    for kind, maps in TRIANGULAR.items():
+        blocks.clear()
+        reports[kind] = _elastic_report(_deformation_scenario(tmp_path / f"{kind}.toml", kind, maps), tmp_path)
+        walks[kind] = len(blocks)
+    assert walks["forward"] == walks["inverse"]
+    fwd, inv = reports["forward"], reports["inverse"]
+    assert [c["name"] for c in fwd["checks"]] == [c["name"] for c in inv["checks"]]
+    for a, b in zip(fwd["checks"], inv["checks"]):
+        assert a["passed"] and abs(a["max_residual"] - b["max_residual"]) <= 1e-12
+    assert fwd["samples"]["at"] == inv["samples"]["at"]
+    for key in ("strain", "stress", "static_momentum_residual_max"):
+        assert np.max(np.abs(np.subtract(fwd["samples"][key], inv["samples"][key]))) <= 1e-12
+    assert np.max(np.abs(fwd["samples"]["strain"])) > 1e-3

@@ -24,7 +24,6 @@ from defectgeo.errors import (
     SingularDeformation,
 )
 from defectgeo.fields import (
-    BodyFormField,
     NumericFormField,
     Point,
     VectorField,
@@ -142,6 +141,18 @@ def test_forward_map_needs_symbolic_components():
         DeformationMap((numeric, "y", "z"), kind="forward")
 
 
+def test_forward_map_rejects_sampled_leaves():
+    # the chart differentiates its components symbolically, and a sampled leaf
+    # (another map's X, a numeric field) would drop out of that Jacobian
+    X1 = DeformationMap(("x+0.1*x^3", "y", "z"), kind="forward").inverse_fields()[0]
+    numeric = NumericFormField(0, symbolic(0, "2*x").evaluate)
+    for component in (X1, X1 * 2.0 + scalar_field("y"), symbolic(0, "x") + numeric):
+        with pytest.raises(ValueError, match="sampled leaves"):
+            DeformationMap((component, "y", "z"), kind="forward")
+    # an inverse map may hold them
+    assert DeformationMap((X1, "y", "z")).inverse_fields()[0] is X1
+
+
 def test_cubic_forward_map_push_forward_closed_form():
     # x = X + 0.1 X^3 componentwise: F^A_a = delta / (1 + 0.3 X^2) exactly, and
     # d/dx^a F^A_a = -0.6 X / (1 + 0.3 X^2)^3 checks the chain rule to second order
@@ -209,7 +220,6 @@ def test_spatial_operands_join_the_body_chart():
     dm = DeformationMap(("2*x", "2*y", "2*z"), kind="forward")
     X1 = dm.inverse_fields()[0]
     gap = X1 - scalar_field("x") * 0.5 + scalar_field(1.0)
-    assert isinstance(gap, BodyFormField)
     assert gap.evaluate(Point(0.8, -0.4, 0.2)).components[0] == pytest.approx(1.0, abs=1e-15)
 
 

@@ -307,7 +307,21 @@ def test_body_fields_of_two_forward_maps_add():
         bx, by = X.evaluate(p).components[0], Y.evaluate(p).components[0]
         assert np.isclose(total.evaluate(p).components[0], bx + by, rtol=0.0, atol=1e-12)
         exact = [1.0 / (1.0 + 0.3 * bx**2), 1.0 / (1.0 + 0.3 * by**2), 0.0]
-        assert np.max(np.abs(d.evaluate(p).components - exact)) <= 1e-6
+        assert np.max(np.abs(d.evaluate(p).components - exact)) <= 1e-12
+
+
+def test_forward_map_leaves_are_exact_at_any_depth_and_not_finite_differences():
+    from defectgeo.elasticity import DeformationMap
+
+    X = DeformationMap(("x+0.1*x^3", "y", "z"), kind="forward").inverse_fields()[0]
+    d4 = exterior_derivative(hodge(exterior_derivative(hodge(exterior_derivative(X)))))
+    d4 = exterior_derivative(hodge(d4))  # past the finite-difference depth cap
+    assert not isinstance(d4, NumericFormField)
+    mixed = exterior_derivative(numeric_from(symbolic(0, "x*y"), fd_step=1e-3) + X)
+    assert (mixed.fd_step, mixed.fd_depth) == (1e-3, 1)
+    chart_only = numeric_from(symbolic(0, "x")) * 0.0 + X
+    assert isinstance(chart_only, NumericFormField)
+    assert (chart_only.fd_step, chart_only.fd_depth) == (ff.DEFAULT_FD_STEP, 0)
 
 
 def test_non_finite_value_in_a_later_block_names_its_point():

@@ -163,6 +163,25 @@ def test_numerics_validation():
         parse_scenario("[numerics]\ngrid_min = 2.0\ngrid_max = 1.0\n")
 
 
+@pytest.mark.parametrize(
+    "numerics,message",
+    [
+        ("tolerance = -1e-9", "tolerance must be non-negative (line 3)"),
+        ("fd_step = 0", "fd_step must be positive (line 3)"),
+        ("grid_n = 1", "grid_n must be between 2 and 512 (line 3)"),
+        ("grid_min = 1.0\ngrid_max = 1.0", "grid_min must be below grid_max (lines 3, 4)"),
+    ],
+)
+def test_numerics_out_of_range_name_their_lines(numerics, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(f"[numerics]\n# ranges\n{numerics}\n")
+    assert str(err.value) == message
+
+
+def test_zero_tolerance_is_accepted():
+    assert parse_scenario("[numerics]\ntolerance = 0\n").numerics.tolerance == 0.0
+
+
 def test_comments_and_blank_lines():
     s = parse_scenario(
         """
