@@ -36,7 +36,7 @@ from .elasticity import (
 )
 from .energy import lagrangian_form, lagrangian_vector, total_free_energy_estimate
 from .errors import DefectGeoError, ScenarioError
-from .fields import Point, VectorField, evaluate_fields, matrix_multiply, scalar_field
+from .fields import VectorField, evaluate_fields, matrix_multiply, scalar_field
 from .forms import FRAME_INDICES
 from .geometry import (
     bianchi_residuals,
@@ -50,7 +50,7 @@ from .geometry import (
     torsion,
 )
 from .kinematics import bianchi_consistency, disclination_point_balance, dislocation_balance
-from .sampling import batch_groups, grid_blocks, max_abs, normalized_residuals
+from .sampling import batch_groups, check_points, grid_blocks, max_abs, normalized_residuals
 from .scenario import Scenario, parse_scenario_file, validate_numerics
 
 SCHEMA = "defectgeo-report-v1"
@@ -138,14 +138,12 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, numerics=num)
 
 
-def _check_points(scenario: Scenario, cap=125):
-    """Deterministic sample points: grid nodes, strided down to at most `cap`."""
+def _validated_points(scenario: Scenario):
+    """The scenario's check points, once its coframe is found nonsingular on them."""
     num = scenario.numerics
-    axis = np.linspace(num.grid_min, num.grid_max, num.grid_n)
-    total = num.grid_n ** 3
-    flat = np.arange(0, total, max(1, total // cap))[:cap]
-    i, j, k = np.unravel_index(flat, (num.grid_n,) * 3)
-    return [Point(float(axis[a]), float(axis[b]), float(axis[c])) for a, b, c in zip(i, j, k)]
+    points = check_points(num.grid_min, num.grid_max, num.grid_n)
+    scenario.coframe.validate(points)
+    return points
 
 
 def _residual_checks(table, points):
@@ -168,9 +166,8 @@ def _check(name, max_residual, tolerance):
 
 def _cmd_check(scenario: Scenario, args):
     tol = scenario.numerics.tolerance
-    points = _check_points(scenario)
+    points = _validated_points(scenario)
     e = scenario.coframe
-    e.validate(points)
 
     gamma = levi_civita_connection(e)
     # the Levi-Civita connection is torsion- and nonmetricity-free
@@ -217,9 +214,8 @@ def _cmd_defects(scenario: Scenario, args):
     if not (scenario.has("defects") or (scenario.has("coframe") and scenario.has("gauge"))):
         raise ScenarioError("the defects command needs [defects] or [coframe]+[gauge]")
     tol = scenario.numerics.tolerance
-    points = _check_points(scenario)
+    points = _validated_points(scenario)
     e = scenario.coframe
-    e.validate(points)
     omega = _build_connection(scenario)
     extracted = extract_defects(e, omega)
 
@@ -264,9 +260,9 @@ def _write_defect_csv(path, scenario: Scenario, d):
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
-            for xs, ys, zs, ts in grid_blocks((num.grid_min,) * 3, (num.grid_max,) * 3, (num.grid_n,) * 3):
-                values = evaluate_fields(fields, xs, ys, zs, ts)
-                table = np.column_stack([xs, ys, zs] + [c for v in values for c in v.components])
+            for block in grid_blocks((num.grid_min,) * 3, (num.grid_max,) * 3, (num.grid_n,) * 3):
+                values = evaluate_fields(fields, *block.T)
+                table = np.column_stack([block[:, :3]] + [c for v in values for c in v.components])
                 for row in table:
                     fh.write(",".join(map(repr, row.tolist())) + "\n")
     except DefectGeoError:
@@ -277,9 +273,8 @@ def _write_defect_csv(path, scenario: Scenario, d):
 def _cmd_kinematics(scenario: Scenario, args):
     scenario.require("defects")
     tol = scenario.numerics.tolerance
-    points = _check_points(scenario)
+    points = _validated_points(scenario)
     e = scenario.coframe
-    e.validate(points)
     d = scenario.defects
 
     form_res, vec_res = dislocation_balance(d, e)
@@ -318,9 +313,8 @@ def _cmd_kinematics(scenario: Scenario, args):
 def _cmd_elastic(scenario: Scenario, args):
     scenario.require("deformation", "material")
     tol = scenario.numerics.tolerance
-    points = _check_points(scenario)
+    points = _validated_points(scenario)
     e = scenario.coframe
-    e.validate(points)
     dm = scenario.deformation
     check_invertible(dm, points, e)
 
@@ -370,9 +364,8 @@ def _cmd_elastic(scenario: Scenario, args):
 
 def _cmd_energy(scenario: Scenario, args):
     scenario.require("defects", "couplings")
-    points = _check_points(scenario)
+    points = _validated_points(scenario)
     e = scenario.coframe
-    e.validate(points)
     num = scenario.numerics
     d, k = scenario.defects, scenario.couplings
 
@@ -400,10 +393,8 @@ def _cmd_energy(scenario: Scenario, args):
 
 
 def _cmd_calibrate(scenario: Scenario, args):
-    points = _check_points(scenario)
-    e = scenario.coframe
-    e.validate(points)
-    calib = calibration.run_calibration(e, points)
+    points = _validated_points(scenario)
+    calib = calibration.run_calibration(scenario.coframe, points)
     checks = [
         _check(
             "frank-scale-regression",

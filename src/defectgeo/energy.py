@@ -165,7 +165,7 @@ def total_free_energy(
     cell = np.prod([(hi - lo) / n for lo, hi, n in zip(bounds_min, bounds_max, counts)])
     blocks = grid_blocks(bounds_min, bounds_max, counts, t=t, midpoints=True)
     # one sum over the whole grid: the same summation order as an unblocked walk
-    vals = np.concatenate([density.evaluate_batch(*block).components[0] for block in blocks])
+    vals = np.concatenate([density.evaluate_batch(*block.T).components[0] for block in blocks])
     return float(np.sum(vals) * cell)
 
 

@@ -67,8 +67,6 @@ class Point:
             raise ValueError(f"point coordinates must be finite, got {self!r}")
 
 
-ORIGIN = Point(0.0, 0.0, 0.0)
-
 
 def _as_expr(value):
     if isinstance(value, ex.Expr):

@@ -32,6 +32,7 @@ from .fields import (
     FormField,
     VectorField,
     curl,
+    evaluate_fields,
     exterior_derivative,
     field_sum,
     grad,
@@ -49,7 +50,7 @@ from .geometry import (
     defect_one_form,
     levi_civita_connection,
 )
-from .sampling import normalized_residuals, sample_points
+from .sampling import grid_blocks, normalized_residuals, sample_points
 
 
 def _eps(i, j, k):
@@ -195,9 +196,7 @@ class ConsistencyReport:
     residuals: tuple = ()
 
 
-def bianchi_consistency(
-    e: CoFrame, d: DefectFields, points=None, seed=0, count=40, pairs=()
-) -> ConsistencyReport:
+def bianchi_consistency(e: CoFrame, d: DefectFields, points=None, pairs=()) -> ConsistencyReport:
     """Fit the balance combinations against their curvature counterparts.
 
     Builds omega = gamma + L from the restricted (T, Q) carrying `d`, then
@@ -217,7 +216,7 @@ def bianchi_consistency(
     The report's `residuals` are the `normalized_residuals` of the
     (residual_fields, reference_fields) `pairs`, evaluated in the same walk.
     """
-    points = points if points is not None else sample_points(count, seed=seed)
+    points = points if points is not None else sample_points(40, seed=0)
     T, Q = reconstruct_defect_geometry(d, e)
     L = defect_one_form(T, Q, e)
     gamma = levi_civita_connection(e)
@@ -326,29 +325,22 @@ def extra_matter(
 
     cx, cy, cz = center
     n = int(volume_resolution)
-    axes = [np.linspace(c - radius, c + radius, n + 1) for c in (cx, cy, cz)]
-    mids = [0.5 * (a[:-1] + a[1:]) for a in axes]
-    X, Y, Z = np.meshgrid(*mids, indexing="ij")
     cell = (2.0 * radius / n) ** 3
-    inside = (X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2 <= radius**2
-    vals = density.evaluate_batch(X.ravel(), Y.ravel(), Z.ravel(), t).components[0]
-    volume_total = float(np.sum(np.where(inside.ravel(), vals, 0.0)) * cell)
+    vals = []
+    for block in grid_blocks([c - radius for c in center], [c + radius for c in center], (n,) * 3, t=t, midpoints=True):
+        x, y, z, _ = block.T
+        inside = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2 <= radius**2
+        vals.append(np.where(inside, density.evaluate_batch(*block.T).components[0], 0.0))
+    volume_total = float(np.sum(np.concatenate(vals)) * cell)
 
     n_theta, n_phi = sphere_resolution
     thetas = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
     phis = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
     TH, PH = np.meshgrid(thetas, phis, indexing="ij")
-    nx = np.sin(TH) * np.cos(PH)
-    ny = np.sin(TH) * np.sin(PH)
-    nz = np.cos(TH)
-    xs = cx + radius * nx
-    ys = cy + radius * ny
-    zs = cz + radius * nz
-    g = grad(phi)
-    gx = g.comps[0].evaluate_batch(xs.ravel(), ys.ravel(), zs.ravel(), t).components[0]
-    gy = g.comps[1].evaluate_batch(xs.ravel(), ys.ravel(), zs.ravel(), t).components[0]
-    gz = g.comps[2].evaluate_batch(xs.ravel(), ys.ravel(), zs.ravel(), t).components[0]
-    radial = gx * nx.ravel() + gy * ny.ravel() + gz * nz.ravel()
+    normal = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)]).reshape(3, -1)
+    on_sphere = np.reshape(center, (3, 1)) + radius * normal
+    grads = evaluate_fields(grad(phi).comps, *on_sphere, t)
+    radial = sum(g.components[0] * nk for g, nk in zip(grads, normal))
     area_weight = radius**2 * np.sin(TH).ravel() * (np.pi / n_theta) * (2.0 * np.pi / n_phi)
     flux_total = float(np.sum(radial * area_weight))
     return ExtraMatterReport(density, volume_total, flux_total)

@@ -1,4 +1,11 @@
-"""Point sampling, residual norms, and quadrature grids."""
+"""Point sets, residual norms, and quadrature grids.
+
+A point set is one float array of shape (n, 4) with rows (x, y, z, t), so
+`len(points)` counts its points.  Only this module builds them: seeded
+random points (`sample_points`), strided grid nodes (`check_points`) and
+whole grids in blocks of at most BLOCK rows (`grid_blocks`).  Every `points`
+argument takes one; `fields.Point` is for evaluating a field at one point.
+"""
 
 from __future__ import annotations
 
@@ -8,26 +15,26 @@ from .fields import BLOCK, Point, evaluate_fields
 from .forms import COMPONENT_COUNTS
 
 
-def sample_points(count, bounds=(-1.0, 1.0), seed=0, t=0.0):
-    """Uniform random points in bounds^3 at fixed time."""
-    rng = np.random.default_rng(seed)
-    lo, hi = bounds
-    pts = rng.uniform(lo, hi, size=(count, 3))
-    return [Point(float(p[0]), float(p[1]), float(p[2]), t) for p in pts]
+def _point_set(xs, ys, zs, t=0.0):
+    """Rows (x, y, z, t), stored column by column so that `points.T` hands the walk contiguous axes."""
+    return np.stack((xs, ys, zs, np.full(len(xs), t))).T
 
 
-def _coords(points):
-    xs = np.asarray([p.x for p in points])
-    ys = np.asarray([p.y for p in points])
-    zs = np.asarray([p.z for p in points])
-    ts = np.asarray([p.t for p in points])
-    return xs, ys, zs, ts
+def sample_points(count, seed):
+    """`count` uniform random points in [-1, 1]^3 at t = 0."""
+    return _point_set(*np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, 3)).T)
+
+
+def check_points(lo, hi, n, cap=125):
+    """Deterministic check points: nodes of the n^3 grid on [lo, hi]^3, strided down to at most `cap`."""
+    axis = np.linspace(lo, hi, n)
+    flat = np.arange(0, n**3, max(1, n**3 // cap))[:cap]
+    return _point_set(*(axis[i] for i in np.unravel_index(flat, (n,) * 3)))
 
 
 def batch_components(fields, points):
     """Stack |components| of several fields at several points: shape (n_values, n_points)."""
-    xs, ys, zs, ts = _coords(points)
-    return np.vstack([np.atleast_2d(v.components) for v in evaluate_fields(fields, xs, ys, zs, ts)])
+    return np.vstack([np.atleast_2d(v.components) for v in evaluate_fields(fields, *points.T)])
 
 
 def batch_groups(groups, points):
@@ -67,16 +74,16 @@ DET_FLOOR = 1e-8
 
 def require_nonsingular(det, points, error, what):
     """Raise `error` at the point of smallest |det| when that falls below DET_FLOOR."""
-    if not points:
+    if len(points) == 0:
         return
     vals = batch_components([det], points)[0]
     worst = int(np.argmin(np.abs(vals)))
     if abs(vals[worst]) < DET_FLOOR:
-        raise error(f"{what} determinant {vals[worst]:.3e} below {DET_FLOOR} at {points[worst]}")
+        raise error(f"{what} determinant {vals[worst]:.3e} below {DET_FLOOR} at {Point(*map(float, points[worst]))}")
 
 
 def grid_blocks(bounds_min, bounds_max, counts, t=0.0, midpoints=False):
-    """Axis-aligned grid in `ij` order, as (xs, ys, zs, ts) blocks of at most BLOCK points.
+    """Axis-aligned grid in `ij` order, as point sets of at most BLOCK rows.
 
     `midpoints=True` gives cell centres (midpoint quadrature).  Each block's
     coordinates are read from the axes by flat index, so no array of the
@@ -92,6 +99,5 @@ def grid_blocks(bounds_min, bounds_max, counts, t=0.0, midpoints=False):
     total = int(np.prod(counts))
     for lo in range(0, total, BLOCK):
         index = np.unravel_index(np.arange(lo, min(lo + BLOCK, total)), counts)
-        xs, ys, zs = (axis[i] for axis, i in zip(axes, index))
-        yield xs, ys, zs, np.full(xs.size, t)
+        yield _point_set(*(axis[i] for axis, i in zip(axes, index)), t)
 

@@ -62,7 +62,7 @@ _SCHEMA = {
         "tolerance": "number",
         "grid_min": "number",
         "grid_max": "number",
-        "grid_n": "number",
+        "grid_n": "integer",
     },
 }
 
@@ -119,7 +119,7 @@ def _parse_value(section, key, raw, line_no):
             raise ScenarioError(
                 f"bad expression for {key!r} in [{section}]: {exc}", [line_no]
             ) from exc
-    if kind == "number":
+    if kind in ("number", "integer"):
         try:
             value = float(raw)
         except ValueError:
@@ -128,7 +128,9 @@ def _parse_value(section, key, raw, line_no):
             raise ScenarioError(
                 f"key {key!r} in [{section}] must be a finite number, got {raw!r}", [line_no]
             )
-        return value
+        if kind == "integer" and not value.is_integer():
+            raise ScenarioError(f"key {key!r} in [{section}] must be an integer, got {raw!r}", [line_no])
+        return int(value) if kind == "integer" else value
     if raw.startswith('"') or any(ch.isspace() for ch in raw):
         raise ScenarioError(f"key {key!r} in [{section}] must be a bare word", [line_no])
     return raw
@@ -252,7 +254,7 @@ def _assemble(sections, key_lines) -> Scenario:
         tolerance=num.get("tolerance", DEFAULT_TOLERANCE),
         grid_min=num.get("grid_min", DEFAULT_GRID[0]),
         grid_max=num.get("grid_max", DEFAULT_GRID[1]),
-        grid_n=int(num.get("grid_n", DEFAULT_GRID[2])),
+        grid_n=num.get("grid_n", DEFAULT_GRID[2]),
     )
     validate_numerics(numerics, lines={k: line for (s, k), line in key_lines.items() if s == "numerics"})
 

@@ -8,6 +8,8 @@ import pytest
 
 from defectgeo.cli import main
 
+from util import point_array
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -108,8 +110,8 @@ def test_elastic_accepts_diagonal_forward_map(tmp_path):
 
 @pytest.mark.parametrize("grid_n", [2, 3, 5, 9, 24, 48])
 def test_check_points_match_strided_grid(grid_n):
-    from defectgeo.cli import _check_points
     from defectgeo.fields import Point
+    from defectgeo.sampling import check_points
     from defectgeo.scenario import parse_scenario
 
     scenario = parse_scenario(f"[numerics]\ngrid_min = -0.7\ngrid_max = 1.3\ngrid_n = {grid_n}\n")
@@ -119,7 +121,8 @@ def test_check_points_match_strided_grid(grid_n):
     pts = [Point(float(x), float(y), float(z)) for x, y, z in zip(X.ravel(), Y.ravel(), Z.ravel())]
     if len(pts) > 125:
         pts = pts[:: max(1, len(pts) // 125)][:125]
-    assert _check_points(scenario) == pts
+    num = scenario.numerics
+    assert np.array_equal(check_points(num.grid_min, num.grid_max, num.grid_n), point_array(*pts))
 
 
 def test_energy_linear_rho(tmp_path):
@@ -392,6 +395,13 @@ def test_grid_above_the_bound_is_bad_input_with_its_line(tmp_path, capsys, numer
     scenario.write_text(f"[defects]\nrho = \"x\"\n[couplings]\nkappa2 = 1.0\n[numerics]\n{numerics}\n")
     assert run(["energy", scenario]) == 2
     assert capsys.readouterr().err == "error: grid_n must be between 2 and 512 (line 6)\n"
+
+
+def test_non_integer_grid_n_is_bad_input_with_its_line(tmp_path, capsys):
+    scenario = tmp_path / "fractional.toml"
+    scenario.write_text("[numerics]\ngrid_n = 9.9\n")
+    assert run(["check", scenario]) == 2
+    assert capsys.readouterr().err == "error: key 'grid_n' in [numerics] must be an integer, got '9.9' (line 2)\n"
 
 
 def test_grid_override_above_the_bound_is_bad_input(capsys):

@@ -38,7 +38,7 @@ from defectgeo.forms import FRAME_INDICES
 from defectgeo.geometry import CoFrame
 from defectgeo.sampling import batch_components, normalized_residual, sample_points
 
-from util import fd_partial, flow_jacobian, flow_map, random_points, random_scalar_field
+from util import fd_partial, flow_jacobian, flow_map, point_array, random_points, random_scalar_field
 
 rng = np.random.default_rng(777)
 PTS = sample_points(30, seed=30)
@@ -85,7 +85,7 @@ def test_simple_shear_inverse_consistency():
 def test_singular_deformation_detection():
     dm = DeformationMap(("x*x/2", "y", "z"))  # dX/dx = x vanishes at x = 0
     with pytest.raises(SingularDeformation):
-        check_invertible(dm, [Point(0.0, 0.0, 0.0)])
+        check_invertible(dm, point_array(Point(0.0, 0.0, 0.0)))
 
 
 def test_forward_map_newton_inversion():
@@ -120,17 +120,17 @@ def test_newton_failure_on_noninvertible_map():
     # x^1 = 0 is solved at once where x = 0; the first point off that plane is named
     pts = [Point(0.0, 0.2, 0.3), Point(0.5, 0.5, 0.5), Point(0.7, 0.1, 0.1)]
     with pytest.raises(SingularDeformation, match=r"at Point\(x=0\.5, y=0\.5, z=0\.5, t=0\.0\)"):
-        batch_components(collapsed.inverse_fields(), pts)
+        batch_components(collapsed.inverse_fields(), point_array(*pts))
     # x = X^3 solves x = 0 without a step, where dx/dX = 0
     cubic = DeformationMap(("x^3", "y", "z"), kind="forward")
     with pytest.raises(SingularDeformation, match=r"at Point\(x=0\.0, y=0\.2, z=0\.3, t=0\.0\)"):
-        batch_components(cubic.inverse_fields(), [Point(1.0, 0.0, 0.0)] + pts)
+        batch_components(cubic.inverse_fields(), point_array(Point(1.0, 0.0, 0.0), *pts))
 
 
 def test_stalled_forward_inversion_names_first_failing_point():
     # sqrt(X^2 + 1) never drops below 1: x = 2 is solved, x = 0.5 and x = -2 stall
     dm = DeformationMap(("sqrt(x^2+1)", "y", "z"), kind="forward")
-    pts = [Point(2.0, 0.0, 0.0), Point(0.5, 0.25, 0.0), Point(-2.0, 0.0, 0.0)]
+    pts = point_array(Point(2.0, 0.0, 0.0), Point(0.5, 0.25, 0.0), Point(-2.0, 0.0, 0.0))
     with pytest.raises(NewtonFailure, match=r"after 50 iterations at Point\(x=0\.5, y=0\.25"):
         batch_components(dm.inverse_fields(), pts)
 
@@ -186,7 +186,7 @@ def test_coupled_forward_map_round_trip_in_one_solve():
     dm._chart._newton = lambda *args: solves.append(1) or newton(*args)
     X = batch_components(dm.inverse_fields(), pts)
     assert len(solves) == 1
-    target = np.array([[p.x, p.y, p.z] for p in pts]).T
+    target = pts[:, :3].T
     assert np.max(np.abs(_coupled_forward(X) - target)) <= 1e-12
 
 

@@ -106,8 +106,8 @@ def test_parity_of_quadratic_and_triple_terms():
     d = random_defects(np.random.default_rng(77), amplitude=0.5)
     mirrored = reflect(d)
     k = Couplings(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-    for p in sample_points(10, seed=3):
-        q = Point(-p.x, p.y, p.z, p.t)
+    for x, y, z, t in sample_points(10, seed=3).tolist():
+        p, q = Point(x, y, z, t), Point(-x, y, z, t)
         quad = lagrangian_vector(d, k, E).evaluate(q).components[0]
         quad_m = lagrangian_vector(mirrored, k, E).evaluate(p).components[0]
         assert quad_m == pytest.approx(quad, rel=1e-10, abs=1e-12)

@@ -30,7 +30,7 @@ from defectgeo.geometry import (
 )
 from defectgeo.sampling import normalized_residual, sample_points
 
-from util import random_coframe, random_defects
+from util import point_array, random_coframe, random_defects
 
 rng = np.random.default_rng(2718)
 PTS = sample_points(50, seed=77)
@@ -200,13 +200,13 @@ def test_pure_gauge_flatness_random():
 def test_singular_gauge_detection():
     gauge = GaugeField([["x", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     with pytest.raises(SingularGauge):
-        gauge.validate([Point(0.0, 0.0, 0.0)])
+        gauge.validate(point_array(Point(0.0, 0.0, 0.0)))
 
 
 def test_singular_triad_detection():
     e = CoFrame([["x", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     with pytest.raises(SingularTriad):
-        e.validate([Point(1.0, 0, 0), Point(0.0, 0, 0)])
+        e.validate(point_array(Point(1.0, 0, 0), Point(0.0, 0, 0)))
 
 
 # ---- covariant exterior derivative ---------------------------------------------------

@@ -296,6 +296,19 @@ def test_extra_matter_harmonic_potential():
     assert abs(report.flux_total) <= 1e-10
 
 
+def test_extra_matter_totals_from_bounded_blocks(monkeypatch):
+    from defectgeo import fields
+
+    blocks = []
+    original = fields._evaluate_block
+    monkeypatch.setattr(fields, "_evaluate_block", lambda *args: blocks.append(1) or original(*args))
+    phi = symbolic(0, "x*x + 2*y*y - z*z + x*y")
+    report = extra_matter(phi, volume_resolution=32, sphere_resolution=(48, 96))
+    assert (report.volume_total, report.flux_total) == (16.8515625, 16.75066598032118)
+    # four blocks of the 32^3 ball grid, and one for the three gradient components on the sphere
+    assert len(blocks) == 5
+
+
 def test_extra_matter_rejects_bad_radius():
     with pytest.raises(ValueError):
         extra_matter(symbolic(0, "x"), radius=0.0)

@@ -178,6 +178,14 @@ def test_numerics_out_of_range_name_their_lines(numerics, message):
     assert str(err.value) == message
 
 
+def test_grid_n_must_be_integral():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario("[numerics]\n# grid\ngrid_n = 9.9\n")
+    assert str(err.value) == "key 'grid_n' in [numerics] must be an integer, got '9.9' (line 3)"
+    grid_n = parse_scenario("[numerics]\ngrid_n = 9.0\n").numerics.grid_n
+    assert grid_n == 9 and isinstance(grid_n, int)
+
+
 def test_zero_tolerance_is_accepted():
     assert parse_scenario("[numerics]\ntolerance = 0\n").numerics.tolerance == 0.0
 

@@ -19,6 +19,11 @@ from defectgeo.forms import BASIS, COMPONENT_COUNTS, KForm
 from defectgeo.geometry import CoFrame, TensorFormField
 
 
+def point_array(*points: Point):
+    """The (n, 4) point set with rows (x, y, z, t) of the given points."""
+    return np.array([(p.x, p.y, p.z, p.t) for p in points], dtype=float).reshape(-1, 4)
+
+
 def random_points(rng, count, lo=-1.0, hi=1.0, t=0.0):
     pts = rng.uniform(lo, hi, size=(count, 3))
     return [Point(float(p[0]), float(p[1]), float(p[2]), t) for p in pts]
