@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defects import DefectFields
-from .errors import InvalidMaterial
+from .errors import EvaluationError, InvalidMaterial
 from .elasticity import MaterialConstants
 from .fields import FormField, field_sum, one_form_to_vector, wedge, zero_field
 from .forms import FRAME_INDICES
@@ -155,7 +155,7 @@ def total_free_energy(
     e: CoFrame | None = None,
     t=0.0,
 ) -> float:
-    """Midpoint quadrature of the free-energy 3-form coefficient over a box."""
+    """Midpoint quadrature of the free-energy 3-form coefficient over a box (EvaluationError on overflow)."""
     if int(resolution) < 2:
         raise ValueError("quadrature needs at least 2 cells per axis")
     from .fields import component_field
@@ -166,7 +166,13 @@ def total_free_energy(
     blocks = grid_blocks(bounds_min, bounds_max, counts, t=t, midpoints=True)
     # one sum over the whole grid: the same summation order as an unblocked walk
     vals = np.concatenate([density.evaluate_batch(*block.T).components[0] for block in blocks])
-    return float(np.sum(vals) * cell)
+    total = float(np.sum(vals) * cell)
+    if not np.isfinite(total):
+        raise EvaluationError(
+            f"free-energy quadrature at resolution {counts[0]} over the box {tuple(bounds_min)} to "
+            f"{tuple(bounds_max)} overflows: the midpoint sum is {total}"
+        )
+    return total
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ depth.  Components may hold sampled leaves (expressions.Sample), which
 differentiate through their source:
 
 * the body coordinates X(x, t) of a forward map (see elasticity) are
-  leaves with exact derivatives, so its fields are SymbolicFormFields;
-* NumericFormField - a SymbolicFormField whose components hold leaves of
-  an opaque callable, which a walk calls once per point for all
-  components.  Their derivatives are central differences with step
-  `fd_step`, nested at most expressions.MAX_FD_DEPTH deep, unless the
-  caller supplies exact derivative fields.  A result with a numeric
-  operand is numeric.
+  leaves with exact derivatives;
+* NumericFormField builds the leaves of an opaque callable, which a walk
+  calls once per point for all components.  Their derivatives are central
+  differences with step `fd_step`, nested at most expressions.MAX_FD_DEPTH
+  deep.
+
+Every field, and every result of the algebra, is a SymbolicFormField; the
+finite-difference step and depth of any field are read off its leaves.
 
 Components are stored against the fixed Cartesian coordinate coframe
 dx^1, dx^2, dx^3, which doubles as the global orthonormal basis of the
@@ -79,7 +80,7 @@ def _as_expr(value):
 
 
 class FormField:
-    """Base class: the algebra of SymbolicFormField and NumericFormField."""
+    """Base class: the algebra of SymbolicFormField."""
 
     degree: int
 
@@ -90,17 +91,17 @@ class FormField:
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError(f"cannot add degree {self.degree} and degree {other.degree} fields")
-        return _result(self, other)(self.degree, [ex.add(a, b) for a, b in zip(self.comps, other.comps)])
+        return SymbolicFormField(self.degree, [ex.add(a, b) for a, b in zip(self.comps, other.comps)])
 
     def __sub__(self, other):
         if not isinstance(other, FormField):
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError(f"cannot subtract degree {other.degree} from degree {self.degree} fields")
-        return _result(self, other)(self.degree, [ex.sub(a, b) for a, b in zip(self.comps, other.comps)])
+        return SymbolicFormField(self.degree, [ex.sub(a, b) for a, b in zip(self.comps, other.comps)])
 
     def __neg__(self):
-        return _result(self)(self.degree, [ex.neg(a) for a in self.comps])
+        return SymbolicFormField(self.degree, [ex.neg(a) for a in self.comps])
 
     def __mul__(self, factor):
         """Multiply by a number, an expression, or a 0-form field."""
@@ -111,7 +112,7 @@ class FormField:
                 return wedge(self, factor)
             raise ValueError("one factor must be a scalar (degree-0) field; use wedge")
         f = _as_expr(factor)
-        return _result(self)(self.degree, [ex.mul(f, a) for a in self.comps])
+        return SymbolicFormField(self.degree, [ex.mul(f, a) for a in self.comps])
 
     __rmul__ = __mul__
 
@@ -130,9 +131,7 @@ class SymbolicFormField(FormField):
         self.comps = comps
 
     def evaluate(self, point: Point) -> KForm:
-        coords = (point.x, point.y, point.z, point.t)
-        vals = np.asarray(ex.evaluate_many(self.comps, *coords), dtype=float)
-        return KForm(self.degree, _finite(vals, coords))
+        return self.evaluate_batch(point.x, point.y, point.z, point.t)
 
     def evaluate_batch(self, xs, ys, zs, ts=0.0) -> KForm:
         """Evaluate on aligned coordinate arrays; returns a KForm with array components."""
@@ -140,6 +139,19 @@ class SymbolicFormField(FormField):
 
     def __repr__(self):
         return f"{type(self).__name__}({self.degree}, [{', '.join(map(str, self.comps))}])"
+
+    @property
+    def fd_depth(self):
+        """The deepest finite difference among the sampled leaves."""
+        return max((s.depth for s in self._differenced()), default=0)
+
+    @property
+    def fd_step(self):
+        return min((s.step for s in self._differenced()), default=DEFAULT_FD_STEP)
+
+    def _differenced(self):
+        """Sources of the sampled leaves that differentiate by finite differences."""
+        return [s.source for s in ex.samples(self.comps) if s.source.step is not None]
 
 
 def evaluate_fields(fields, xs, ys, zs, ts=0.0):
@@ -191,43 +203,16 @@ def _finite(comps, coords):
 class NumericFormField(SymbolicFormField):
     """Components sampled from `func(Point) -> KForm`, one call per point for all of them.
 
-    `d_field` and `dt_field` are exact derivatives supplied by the caller;
-    without them derivatives difference the samples with step `fd_step`,
-    starting `fd_depth` levels deep.  Results of algebra on numeric fields
-    are built by `of` from components that hold sampled leaves.
+    Derivatives difference the samples with step `fd_step`, which must be
+    finite and positive.
     """
 
-    d_field = None
-    dt_field = None
-
-    def __init__(self, degree, func, fd_step=DEFAULT_FD_STEP, fd_depth=0, d_field=None, dt_field=None):
-        if fd_step <= 0.0:
-            raise ValueError("finite-difference step must be positive")
-        source = ex.Sampler(_pointwise(degree, func), fd_step, fd_depth)
+    def __init__(self, degree, func, fd_step=DEFAULT_FD_STEP):
+        if not 0.0 < fd_step < math.inf:
+            raise ValueError(f"finite-difference step must be positive and finite, got {fd_step!r}")
+        source = ex.Sampler(_pointwise(degree, func), fd_step)
         coords = [ex.Var(v) for v in ex.VARIABLES]
         super().__init__(degree, [ex.Sample(source, slot, coords) for slot in range(COMPONENT_COUNTS[degree])])
-        self.func = func
-        self.d_field = d_field
-        self.dt_field = dt_field
-
-    @classmethod
-    def of(cls, degree, comps):
-        field = cls.__new__(cls)
-        SymbolicFormField.__init__(field, degree, comps)
-        return field
-
-    @property
-    def fd_depth(self):
-        """The deepest finite difference among the sampled leaves."""
-        return max((s.depth for s in self._differenced()), default=0)
-
-    @property
-    def fd_step(self):
-        return min((s.step for s in self._differenced()), default=DEFAULT_FD_STEP)
-
-    def _differenced(self):
-        """Sources of the sampled leaves that differentiate by finite differences."""
-        return [s.source for s in ex.samples(self.comps) if s.source.step is not None]
 
 
 def _pointwise(degree, func):
@@ -245,11 +230,6 @@ def _pointwise(degree, func):
         return out
 
     return values
-
-
-def _result(*fields):
-    """Constructor of a result built from `fields`: numeric when an operand is."""
-    return NumericFormField.of if any(isinstance(f, NumericFormField) for f in fields) else SymbolicFormField
 
 
 def constant_field(kform: KForm) -> SymbolicFormField:
@@ -296,7 +276,7 @@ def wedge(alpha: FormField, beta: FormField) -> FormField:
         if sign < 0:
             term = ex.neg(term)
         out[k] = ex.add(out[k], term)
-    return _result(alpha, beta)(p + q, out)
+    return SymbolicFormField(p + q, out)
 
 
 def hodge(alpha: FormField) -> FormField:
@@ -306,7 +286,7 @@ def hodge(alpha: FormField) -> FormField:
     out = [ex.ZERO] * COMPONENT_COUNTS[3 - p]
     for i, k, sign in HODGE_TERMS[p]:
         out[k] = ex.neg(a[i]) if sign < 0 else a[i]
-    return _result(alpha)(3 - p, out)
+    return SymbolicFormField(3 - p, out)
 
 
 def interior(index: int, alpha: FormField) -> FormField:
@@ -321,7 +301,7 @@ def interior(index: int, alpha: FormField) -> FormField:
     for i, k, sign in INTERIOR_TERMS[index][p]:
         term = ex.neg(a[i]) if sign < 0 else a[i]
         out[k] = ex.add(out[k], term)
-    return _result(alpha)(p - 1, out)
+    return SymbolicFormField(p - 1, out)
 
 
 # ---- derivatives -------------------------------------------------------------
@@ -336,8 +316,6 @@ def exterior_derivative(alpha: FormField) -> FormField:
     p = alpha.degree
     if p == 3:
         return zero_field(3)
-    if isinstance(alpha, NumericFormField) and alpha.d_field is not None:
-        return alpha.d_field
     out = [ex.ZERO] * COMPONENT_COUNTS[p + 1]
     for a, var in zip(FRAME_INDICES, ("x", "y", "z")):
         for i, j, k, sign in WEDGE_TERMS[(1, p)]:
@@ -347,14 +325,12 @@ def exterior_derivative(alpha: FormField) -> FormField:
             if sign < 0:
                 term = ex.neg(term)
             out[k] = ex.add(out[k], term)
-    return _result(alpha)(p + 1, out)
+    return SymbolicFormField(p + 1, out)
 
 
 def time_derivative(alpha: FormField) -> FormField:
     """Componentwise d/dt; structurally time-independent symbolic fields give exact zero."""
-    if isinstance(alpha, NumericFormField) and alpha.dt_field is not None:
-        return alpha.dt_field
-    return _result(alpha)(alpha.degree, [ex.differentiate(c, "t") for c in alpha.comps])
+    return SymbolicFormField(alpha.degree, [ex.differentiate(c, "t") for c in alpha.comps])
 
 
 # ---- vector fields and the vector-calculus isomorphisms ----------------------
@@ -389,7 +365,7 @@ class VectorField:
 
     def as_one_form(self) -> FormField:
         """The 1-form with the same orthonormal components."""
-        return _result(*self.comps)(1, [c.comps[0] for c in self.comps])
+        return SymbolicFormField(1, [c.comps[0] for c in self.comps])
 
     def __add__(self, other):
         return VectorField(tuple(a + b for a, b in zip(self.comps, other.comps)))
@@ -425,7 +401,7 @@ def one_form_to_vector(alpha: FormField) -> VectorField:
 
 
 def _component_field(alpha: FormField, slot: int) -> FormField:
-    return _result(alpha)(0, [alpha.comps[slot]])
+    return SymbolicFormField(0, [alpha.comps[slot]])
 
 
 def component_field(alpha: FormField, *indices) -> FormField:
@@ -498,7 +474,6 @@ def matrix_inverse(matrix):
     m = matrix
     det = matrix_determinant(m).comps[0]
     e = [[cell.comps[0] for cell in row] for row in m]
-    build = _result(*(cell for row in m for cell in row))
     out = []
     for i in range(3):
         row = []
@@ -511,14 +486,14 @@ def matrix_inverse(matrix):
                 ex.mul(e[r[0]][c[1]], e[r[1]][c[0]]),
             )
             cof = minor if (i + j) % 2 == 0 else ex.neg(minor)
-            row.append(build(0, [ex.div(cof, det)]))
+            row.append(SymbolicFormField(0, [ex.div(cof, det)]))
         out.append(row)
     return out
 
 
 def quotient(numerator: FormField, denominator: FormField) -> FormField:
     """Pointwise ratio of two scalar (0-form) fields."""
-    return _result(numerator, denominator)(0, [ex.div(numerator.comps[0], denominator.comps[0])])
+    return SymbolicFormField(0, [ex.div(numerator.comps[0], denominator.comps[0])])
 
 
 def matrix_multiply(a, b):
@@ -544,7 +519,6 @@ def substitute_basis(alpha: FormField, matrix) -> FormField:
         return matrix_determinant(matrix_of_scalar_fields(m)) * alpha
     c = alpha.comps
     a_expr = [[cell.comps[0] for cell in row] for row in m]
-    build = _result(alpha, *(cell for row in m for cell in row))
     if p == 1:
         out = []
         for col in range(3):
@@ -552,7 +526,7 @@ def substitute_basis(alpha: FormField, matrix) -> FormField:
             for j in range(3):
                 acc = ex.add(acc, ex.mul(c[j], a_expr[j][col]))
             out.append(acc)
-        return build(1, out)
+        return SymbolicFormField(1, out)
     out = []
     for (a, b) in BASIS[2]:
         acc = ex.ZERO
@@ -563,4 +537,4 @@ def substitute_basis(alpha: FormField, matrix) -> FormField:
             )
             acc = ex.add(acc, ex.mul(c[i], minor))
         out.append(acc)
-    return build(2, out)
+    return SymbolicFormField(2, out)

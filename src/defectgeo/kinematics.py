@@ -319,8 +319,8 @@ def extra_matter(
     integrals use the midpoint rule (uniform Cartesian cells restricted to
     the ball, and a latitude/longitude grid on the sphere).
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     density = hodge(exterior_derivative(hodge(exterior_derivative(phi))))
 
     cx, cy, cz = center

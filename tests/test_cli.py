@@ -254,8 +254,15 @@ def test_deeply_nested_density_is_a_parse_error(tmp_path, capsys):
     assert "parse error at offset" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["kinematics", "energy"])
-def test_non_finite_report_values_are_not_written(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command,prefix,cause",
+    [
+        ("kinematics", "error: report value report.", "is not finite"),
+        ("energy", "error: free-energy quadrature at resolution 32 over the box (0.0, 0.0, 0.0)", "overflows"),
+    ],
+    ids=["kinematics", "energy"],
+)
+def test_non_finite_report_values_are_not_written(tmp_path, capsys, command, prefix, cause):
     # the fields are finite, but the fit sums and the quadrature overflow
     report_path = tmp_path / "r.json"
     code = run([command, _rho_scenario(tmp_path, "1e154*x"), "--json", report_path])
@@ -263,7 +270,20 @@ def test_non_finite_report_values_are_not_written(tmp_path, capsys, command):
     assert code == 2
     assert out == "" and not report_path.exists()
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: report value report.") and "is not finite" in err
+    assert err.startswith(prefix) and cause in err
+
+
+def test_energy_quadrature_overflow_names_the_resolution_and_the_box(tmp_path, capsys):
+    # every integrand value is finite; their midpoint sum is not
+    scenario = tmp_path / "s.toml"
+    scenario.write_text('[defects]\nb1 = "0.5"\n[couplings]\nkappa1 = 1e308\n[numerics]\ngrid_n = 4\n')
+    assert run(["energy", scenario]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: free-energy quadrature at resolution 4 over the box (-1.0, -1.0, -1.0) to (1.0, 1.0, 1.0)"
+        " overflows: the midpoint sum is inf\n"
+    )
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):

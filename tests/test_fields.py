@@ -8,13 +8,17 @@ from defectgeo.errors import DerivativeDepthExceeded, EvaluationError
 from defectgeo.fields import (
     NumericFormField,
     Point,
+    SymbolicFormField,
     VectorField,
     curl,
     divergence,
     exterior_derivative,
     grad,
     hodge,
+    interior,
     lie_derivative,
+    matrix_inverse,
+    substitute_basis,
     symbolic,
     time_derivative,
     wedge,
@@ -103,16 +107,6 @@ def test_finite_difference_depth_cap():
     assert d3.fd_depth == 3
     with pytest.raises(DerivativeDepthExceeded):
         exterior_derivative(d3)
-
-
-def test_exact_user_supplied_derivative():
-    base = symbolic(0, "x*x")
-    exact = symbolic(1, "2*x", "0", "0")
-    field = NumericFormField(0, base.evaluate, d_field=exact)
-    d = exterior_derivative(field)
-    assert d is exact
-    # exact path does not consume finite-difference depth
-    assert exterior_derivative(exterior_derivative(d)).degree == 3
 
 
 def test_time_derivative_structural_zero():
@@ -209,7 +203,8 @@ def test_symbolic_numeric_mixing():
     sym = symbolic(1, "x", "0", "0")
     num = numeric_from(symbolic(1, "0", "y", "0"))
     total = sym + num
-    assert isinstance(total, NumericFormField)
+    assert type(total) is SymbolicFormField
+    assert (total.fd_step, total.fd_depth) == (num.fd_step, 0) == (1e-4, 0)
     v = total.evaluate(Point(2.0, 3.0, 4.0))
     assert np.allclose(v.components, [2.0, 3.0, 0.0])
 
@@ -277,12 +272,41 @@ def test_derivative_of_mixed_field_is_exact_on_the_symbolic_part():
 
 
 def test_numeric_field_errors():
-    with pytest.raises(ValueError, match="step must be positive"):
-        NumericFormField(0, lambda p: KForm.scalar(1.0), fd_step=0.0)
+    for step in (0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            NumericFormField(0, lambda p: KForm.scalar(1.0), fd_step=step)
     with pytest.raises(TypeError, match="expected KForm"):
         NumericFormField(0, lambda p: 1.0).evaluate(Point(0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="declared 0"):
         NumericFormField(0, lambda p: KForm.basis(1)).evaluate(Point(0.0, 0.0, 0.0))
+
+
+def test_algebra_on_a_numeric_operand_builds_fields_that_difference_its_leaves():
+    h = 1e-3
+    phi = symbolic(0, "sin(x)*exp(y) + x*z^2")
+    alpha = symbolic(1, "x*y", "sin(z)", "x^2*z")
+    num0, num1 = numeric_from(phi, fd_step=h), numeric_from(alpha, fd_step=h)
+    m = [[symbolic(0, "2+x*y"), symbolic(0, "z"), symbolic(0, "0")],
+         [symbolic(0, "0"), symbolic(0, "1+y^2"), symbolic(0, "x")],
+         [symbolic(0, "y"), symbolic(0, "0"), symbolic(0, "3")]]
+    num_m = [[num0 if (i, j) == (0, 1) else m[i][j] for j in range(3)] for i in range(3)]
+    sym_m = [[phi if (i, j) == (0, 1) else m[i][j] for j in range(3)] for i in range(3)]
+    cases = [
+        (wedge(num1, num0), wedge(alpha, phi)),
+        (hodge(num1), hodge(alpha)),
+        (interior(2, num1), interior(2, alpha)),
+        (substitute_basis(num1, m), substitute_basis(alpha, m)),
+        (substitute_basis(alpha, num_m), substitute_basis(alpha, sym_m)),
+        (matrix_inverse(num_m)[1][0], matrix_inverse(sym_m)[1][0]),
+    ]
+    for got, exact in cases:
+        assert type(got) is SymbolicFormField
+        assert (got.fd_step, got.fd_depth) == (h, 0)
+        d_got, d_exact = exterior_derivative(got), exterior_derivative(exact)
+        assert d_got.fd_depth == 1
+        for p in random_points(rng, 5, lo=-0.5, hi=0.5):
+            # central differences: error O(h^2) times third derivatives of order one
+            assert (d_got.evaluate(p) - d_exact.evaluate(p)).max_abs() <= 1e2 * h**2
 
 
 def test_spatial_numeric_field_joins_a_forward_chart():
@@ -316,11 +340,12 @@ def test_forward_map_leaves_are_exact_at_any_depth_and_not_finite_differences():
     X = DeformationMap(("x+0.1*x^3", "y", "z"), kind="forward").inverse_fields()[0]
     d4 = exterior_derivative(hodge(exterior_derivative(hodge(exterior_derivative(X)))))
     d4 = exterior_derivative(hodge(d4))  # past the finite-difference depth cap
-    assert not isinstance(d4, NumericFormField)
+    assert type(d4) is SymbolicFormField
+    assert (d4.fd_step, d4.fd_depth) == (ff.DEFAULT_FD_STEP, 0)
     mixed = exterior_derivative(numeric_from(symbolic(0, "x*y"), fd_step=1e-3) + X)
     assert (mixed.fd_step, mixed.fd_depth) == (1e-3, 1)
     chart_only = numeric_from(symbolic(0, "x")) * 0.0 + X
-    assert isinstance(chart_only, NumericFormField)
+    assert type(chart_only) is SymbolicFormField
     assert (chart_only.fd_step, chart_only.fd_depth) == (ff.DEFAULT_FD_STEP, 0)
 
 

@@ -310,5 +310,6 @@ def test_extra_matter_totals_from_bounded_blocks(monkeypatch):
 
 
 def test_extra_matter_rejects_bad_radius():
-    with pytest.raises(ValueError):
-        extra_matter(symbolic(0, "x"), radius=0.0)
+    for radius in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            extra_matter(symbolic(0, "x"), radius=radius)
