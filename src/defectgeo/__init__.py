@@ -86,7 +86,6 @@ from .fields import (
 from .forms import KForm
 from .geometry import (
     CoFrame,
-    ConnectionField,
     GaugeField,
     TensorFormField,
     bianchi_residuals,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from .fields import FormField, field_sum, scalar_field, wedge, zero_field
 from .forms import FRAME_INDICES
-from .geometry import CoFrame, ConnectionField, TensorFormField, nonmetricity, torsion
+from .geometry import CoFrame, TensorFormField, nonmetricity, torsion
 
 #: exact factor between the raw second-kind trace and the Frank covector it
 #: encodes; see calibration.measure_frank_scale for the oracle that pins it.
@@ -272,7 +272,7 @@ def extract_from_tensors(
 
 def extract_defects(
     e: CoFrame,
-    omega: ConnectionField,
+    omega: TensorFormField,
     frank_mode: str = "identity",
     c1: float = GENERALIZED_BURGERS_C1,
     c2: float = GENERALIZED_BURGERS_C2,

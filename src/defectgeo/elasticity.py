@@ -85,6 +85,9 @@ class MaterialConstants:
     r_core: float | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not np.isfinite(value):
+                raise InvalidMaterial(f"{name} must be finite, got {value}")
         if self.mu is not None and self.mu <= 0.0:
             raise InvalidMaterial(f"shear Lame constant must be positive, got {self.mu}")
         if self.poisson is not None and not (0.0 < self.poisson < 0.5):
@@ -251,11 +254,7 @@ def deformation_gradients(dm: DeformationMap, e: CoFrame | None = None):
     """
     X = dm.inverse_fields()
     push_coord = [[_partial(X[A], a) for a in FRAME_INDICES] for A in range(3)]
-    if e is not None and not e.is_identity:
-        hinv = [[e.inverse_matrix[i][j] for j in range(3)] for i in range(3)]
-        push = matrix_multiply(push_coord, hinv)
-    else:
-        push = push_coord
+    push = matrix_multiply(push_coord, (e or CoFrame.identity()).inverse_matrix)
     pull = matrix_inverse(matrix_of_scalar_fields(push))
     return pull, push
 

@@ -25,7 +25,7 @@ import numpy as np
 from .defects import DefectFields
 from .errors import EvaluationError, InvalidMaterial
 from .elasticity import MaterialConstants
-from .fields import FormField, field_sum, one_form_to_vector, wedge, zero_field
+from .fields import FormField, VectorField, field_sum, wedge, zero_field
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, TensorFormField
 from .sampling import batch_groups, grid_blocks, sample_points
@@ -139,10 +139,6 @@ def lagrangian_vector(
 
 def _frame_vector(alpha: FormField, e: CoFrame):
     """Orthonormal components of a 1-form against the coframe."""
-    if e.is_identity:
-        return one_form_to_vector(alpha)
-    from .fields import VectorField
-
     return VectorField.of(*(e.interior(a, alpha) for a in FRAME_INDICES))
 
 

@@ -9,9 +9,10 @@ Conventions (all verified by the identity test-suite):
   e-frame) are exposed as CoFrame methods; the plain fields-module
   operations act against the Cartesian background and agree with them only
   for identity (or constant-rotation) triads.
-* Connections omega^a_b are 3x3 matrices of 1-form fields with no symmetry
-  imposed; symmetric/antisymmetric specialisations are asserted by tests,
-  not encoded in the storage.
+* A connection omega^a_b is a TensorFormField with variance ("u", "d") and
+  degree 1, with no symmetry imposed; symmetric/antisymmetric
+  specialisations are asserted by tests, not encoded in the storage.  It
+  changes frame by transform_connection, never by transform_tensor.
 
 Structure equations used throughout:
 
@@ -30,7 +31,6 @@ import itertools
 from .errors import SingularGauge, SingularTriad
 from .fields import (
     FormField,
-    SymbolicFormField,
     VectorField,
     exterior_derivative,
     hodge,
@@ -53,10 +53,7 @@ def _is_identity_matrix(m):
 
     for i in range(3):
         for j in range(3):
-            cell = m[i][j]
-            if not isinstance(cell, SymbolicFormField):
-                return False
-            c = cell.comps[0]
+            c = m[i][j].comps[0]
             if not isinstance(c, ex.Num):
                 return False
             if c.value != (1.0 if i == j else 0.0):
@@ -149,49 +146,13 @@ class GaugeField(_MatrixField):
         self._check_invertible(points, SingularGauge, "gauge matrix")
 
 
-class ConnectionField:
-    """Affine connection 1-form omega^a_b as a full 3x3 matrix of 1-form fields."""
-
-    def __init__(self, entries):
-        rows = [list(r) for r in entries]
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("expected a 3x3 matrix of 1-form fields")
-        for r in rows:
-            for c in r:
-                if c.degree != 1:
-                    raise ValueError("connection entries must be 1-form fields")
-        self._m = rows
-
-    @classmethod
-    def zero(cls):
-        return cls([[zero_field(1) for _ in range(3)] for _ in range(3)])
-
-    def entry(self, a: int, b: int) -> FormField:
-        """omega^a_b with 1-based frame indices; omega_ab coincides numerically."""
-        return self._m[a - 1][b - 1]
-
-    def __add__(self, other):
-        return ConnectionField(
-            [[self._m[i][j] + other._m[i][j] for j in range(3)] for i in range(3)]
-        )
-
-    def __sub__(self, other):
-        return ConnectionField(
-            [[self._m[i][j] - other._m[i][j] for j in range(3)] for i in range(3)]
-        )
-
-    def __neg__(self):
-        return ConnectionField([[-self._m[i][j] for j in range(3)] for i in range(3)])
-
-    def entries(self):
-        return [f for row in self._m for f in row]
-
-
 class TensorFormField:
     """Frame-indexed collection of equal-degree form fields.
 
     `variance` lists the slots, 'u' for an upper index and 'd' for a lower
-    one; components are addressed with 1-based frame index tuples.
+    one; components are addressed with 1-based frame index tuples.  A
+    connection is the ("u", "d") degree-1 case; it is not a tensor, so it
+    changes frame by transform_connection, never by transform_tensor.
     """
 
     def __init__(self, variance, degree, comps):
@@ -282,23 +243,21 @@ def _antisymmetric_from(e: CoFrame, two_forms):
             acc = acc - wedge(coeff, e.e(c))
         return acc * 0.5
 
-    return [[entry(a, b) for b in FRAME_INDICES] for a in FRAME_INDICES]
+    return TensorFormField.build(("u", "d"), 1, entry)
 
 
-def levi_civita_connection(e: CoFrame) -> ConnectionField:
+def levi_civita_connection(e: CoFrame) -> TensorFormField:
     """The unique antisymmetric connection with gamma^a_b ^ e^b = -de^a."""
     de = [exterior_derivative(e.e(a)) for a in FRAME_INDICES]
-    m = _antisymmetric_from(e, [-f for f in de])
-    return ConnectionField(m)
+    return _antisymmetric_from(e, [-f for f in de])
 
 
-def contortion(e: CoFrame, torsion_tensor: TensorFormField) -> ConnectionField:
+def contortion(e: CoFrame, torsion_tensor: TensorFormField) -> TensorFormField:
     """Antisymmetric K_ab with K^a_b ^ e^b = T^a."""
-    m = _antisymmetric_from(e, [torsion_tensor.entry(a) for a in FRAME_INDICES])
-    return ConnectionField(m)
+    return _antisymmetric_from(e, [torsion_tensor.entry(a) for a in FRAME_INDICES])
 
 
-def pure_gauge_connection(gauge: GaugeField) -> ConnectionField:
+def pure_gauge_connection(gauge: GaugeField) -> TensorFormField:
     """omega = Lambda^-1 d(Lambda); its curvature vanishes identically."""
     inv = gauge.inverse_matrix
     d_entries = [[exterior_derivative(gauge.matrix[c][b]) for b in range(3)] for c in range(3)]
@@ -309,13 +268,13 @@ def pure_gauge_connection(gauge: GaugeField) -> ConnectionField:
             acc = acc + inv[a - 1][c] * d_entries[c][b - 1]
         return acc
 
-    return ConnectionField([[entry(a, b) for b in FRAME_INDICES] for a in FRAME_INDICES])
+    return TensorFormField.build(("u", "d"), 1, entry)
 
 
 # ---- curvature, torsion, non-metricity ----------------------------------------
 
 
-def torsion(e: CoFrame, omega: ConnectionField) -> TensorFormField:
+def torsion(e: CoFrame, omega: TensorFormField) -> TensorFormField:
     def entry(a):
         acc = exterior_derivative(e.e(a))
         for b in FRAME_INDICES:
@@ -325,7 +284,7 @@ def torsion(e: CoFrame, omega: ConnectionField) -> TensorFormField:
     return TensorFormField.build(("u",), 2, entry)
 
 
-def nonmetricity(omega: ConnectionField) -> TensorFormField:
+def nonmetricity(omega: TensorFormField) -> TensorFormField:
     """Q_ab = omega_(ab); symmetric by construction."""
 
     def entry(a, b):
@@ -334,7 +293,7 @@ def nonmetricity(omega: ConnectionField) -> TensorFormField:
     return TensorFormField.build(("d", "d"), 1, entry)
 
 
-def curvature(omega: ConnectionField) -> TensorFormField:
+def curvature(omega: TensorFormField) -> TensorFormField:
     def entry(a, b):
         acc = exterior_derivative(omega.entry(a, b))
         for c in FRAME_INDICES:
@@ -344,7 +303,7 @@ def curvature(omega: ConnectionField) -> TensorFormField:
     return TensorFormField.build(("u", "d"), 2, entry)
 
 
-def covariant_exterior_derivative(X: TensorFormField, omega: ConnectionField) -> TensorFormField:
+def covariant_exterior_derivative(X: TensorFormField, omega: TensorFormField) -> TensorFormField:
     """DX = dX + omega ^ X per upper slot - omega ^ X per lower slot."""
 
     def entry(*idx):
@@ -381,11 +340,9 @@ def defect_one_form(T: TensorFormField, Q: TensorFormField, e: CoFrame) -> Tenso
     return TensorFormField.build(("d", "d"), 1, entry)
 
 
-def connection_with(gamma: ConnectionField, L: TensorFormField) -> ConnectionField:
+def connection_with(gamma: TensorFormField, L: TensorFormField) -> TensorFormField:
     """omega^a_b = gamma^a_b + L^a_b (indices move freely in orthonormal frames)."""
-    return ConnectionField(
-        [[gamma.entry(a, b) + L.entry(a, b) for b in FRAME_INDICES] for a in FRAME_INDICES]
-    )
+    return TensorFormField.build(("u", "d"), 1, lambda a, b: gamma.entry(a, b) + L.entry(a, b))
 
 
 # ---- frame transformations ----------------------------------------------------
@@ -396,7 +353,7 @@ def transform_coframe(h: GaugeField, e: CoFrame) -> CoFrame:
     return CoFrame(matrix_multiply(h.matrix, e.matrix))
 
 
-def transform_connection(h: GaugeField, omega: ConnectionField) -> ConnectionField:
+def transform_connection(h: GaugeField, omega: TensorFormField) -> TensorFormField:
     """omega' = h omega h^-1 + h d(h^-1): the inhomogeneous connection law."""
     hinv = h.inverse_matrix
 
@@ -409,7 +366,7 @@ def transform_connection(h: GaugeField, omega: ConnectionField) -> ConnectionFie
             acc = acc + h.matrix[a - 1][c] * exterior_derivative(hinv[c][b - 1])
         return acc
 
-    return ConnectionField([[entry(a, b) for b in FRAME_INDICES] for a in FRAME_INDICES])
+    return TensorFormField.build(("u", "d"), 1, entry)
 
 
 def transform_tensor(h: GaugeField, X: TensorFormField) -> TensorFormField:
@@ -444,7 +401,7 @@ def frame_transform(h: GaugeField, e=None, omega=None, tensors=()):
 # ---- identities ----------------------------------------------------------------
 
 
-def bianchi_residuals(e: CoFrame, omega: ConnectionField):
+def bianchi_residuals(e: CoFrame, omega: TensorFormField):
     """(D R^a_b,  D T^a - R^a_b ^ e^b,  D Q_ab - R_(ab)); all vanish identically."""
     R = curvature(omega)
     T = torsion(e, omega)

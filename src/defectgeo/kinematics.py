@@ -321,10 +321,15 @@ def extra_matter(
     """
     if not 0.0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    n = int(volume_resolution)
+    n_theta, n_phi = sphere_resolution
+    if n < 1:
+        raise ValueError(f"volume_resolution must be at least 1, got {volume_resolution!r}")
+    if min(n_theta, n_phi) < 1:
+        raise ValueError(f"sphere_resolution must be at least 1 per axis, got {sphere_resolution!r}")
     density = hodge(exterior_derivative(hodge(exterior_derivative(phi))))
 
     cx, cy, cz = center
-    n = int(volume_resolution)
     cell = (2.0 * radius / n) ** 3
     vals = []
     for block in grid_blocks([c - radius for c in center], [c + radius for c in center], (n,) * 3, t=t, midpoints=True):
@@ -333,7 +338,6 @@ def extra_matter(
         vals.append(np.where(inside, density.evaluate_batch(*block.T).components[0], 0.0))
     volume_total = float(np.sum(np.concatenate(vals)) * cell)
 
-    n_theta, n_phi = sphere_resolution
     thetas = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
     phis = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
     TH, PH = np.meshgrid(thetas, phis, indexing="ij")

@@ -33,7 +33,7 @@ def check_points(lo, hi, n, cap=125):
 
 
 def batch_components(fields, points):
-    """Stack |components| of several fields at several points: shape (n_values, n_points)."""
+    """Stack the signed components of several fields at several points: shape (n_values, n_points)."""
     return np.vstack([np.atleast_2d(v.components) for v in evaluate_fields(fields, *points.T)])
 
 

@@ -300,8 +300,6 @@ def validate_numerics(num: Numerics, names=None, lines=None):
 def _covector(section: dict, stem: str, coframe: CoFrame) -> FormField:
     """1-form with quoted orthonormal components against the scenario coframe."""
     comps = [section.get(f"{stem}{i}", parse_expr("0")) for i in (1, 2, 3)]
-    if coframe.is_identity:
-        return SymbolicFormField(1, comps)
     acc = zero_field(1)
     for a, comp in zip(FRAME_INDICES, comps):
         acc = acc + SymbolicFormField(0, [comp]) * coframe.e(a)

@@ -51,8 +51,8 @@ from defectgeo.forms import interior as kform_interior
 from defectgeo.forms import wedge as kform_wedge
 from defectgeo.geometry import (
     CoFrame,
-    ConnectionField,
     GaugeField,
+    TensorFormField,
     bianchi_residuals,
     connection_with,
     curvature,
@@ -71,6 +71,7 @@ from defectgeo.kinematics import (
 from defectgeo.sampling import batch_components, normalized_residual, sample_points
 
 from util import (
+    connection,
     fd_partial,
     random_coframe,
     random_defects,
@@ -201,8 +202,8 @@ def test_criterion_05_bianchi_identity_matrix():
         started = time.perf_counter()
         pts = sample_points(50, seed=5)
         cases = []
-        cases.append((CoFrame.identity(), ConnectionField.zero()))
-        constant = ConnectionField(
+        cases.append((CoFrame.identity(), TensorFormField.zero(("u", "d"), 1)))
+        constant = connection(
             [[symbolic(1, "0.4", "-0.1", "0.3") for _ in range(3)] for _ in range(3)]
         )
         cases.append((CoFrame.identity(), constant))

@@ -58,6 +58,17 @@ def test_identity_map_gradients():
             assert pull[a][b].evaluate(p).components[0] == pytest.approx(want, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "exprs, kind",
+    [(("x+0.1*y^2", "y-0.2*x*z", "z"), "inverse"), (("x+0.1*y^2", "y", "z"), "forward")],
+)
+def test_identity_coframe_gradients_are_the_coordinate_gradients(exprs, kind):
+    dm = DeformationMap(exprs, kind=kind)
+    for got, want in zip(deformation_gradients(dm, CoFrame.identity()), deformation_gradients(dm)):
+        for got_row, want_row in zip(got, want):
+            assert all(g.comps[0] is w.comps[0] for g, w in zip(got_row, want_row))
+
+
 def test_uniform_dilation_gradients():
     dm = DeformationMap(("x/2", "y/2", "z/2"))
     pull, push = deformation_gradients(dm)
@@ -323,6 +334,23 @@ def test_material_validation():
         MaterialConstants(poisson=0.5)
     with pytest.raises(InvalidMaterial):
         MaterialConstants(r_outer=1.0, r_core=2.0)
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("shear_modulus", dict(shear_modulus=float("nan"), r_outer=2.0, r_core=1.0)),
+        ("r_outer", dict(shear_modulus=1.0, r_outer=float("inf"), r_core=1.0)),
+        ("r_core", dict(r_outer=2.0, r_core=float("-inf"))),
+        ("lam", dict(lam=float("nan"), mu=1.0)),
+        ("mu", dict(mu=float("nan"))),
+        ("kappa", dict(kappa=float("inf"))),
+        ("poisson", dict(poisson=float("nan"))),
+    ],
+)
+def test_material_rejects_non_finite_values(name, kwargs):
+    with pytest.raises(InvalidMaterial, match=f"^{name} must be finite"):
+        MaterialConstants(**kwargs)
 
 
 def test_stress_two_form_relation():

@@ -9,7 +9,6 @@ from defectgeo.fields import Point, exterior_derivative, symbolic, wedge, zero_f
 from defectgeo.forms import FRAME_INDICES, KForm
 from defectgeo.geometry import (
     CoFrame,
-    ConnectionField,
     GaugeField,
     TensorFormField,
     bianchi_residuals,
@@ -30,7 +29,7 @@ from defectgeo.geometry import (
 )
 from defectgeo.sampling import normalized_residual, sample_points
 
-from util import point_array, random_coframe, random_defects
+from util import connection, point_array, random_coframe, random_defects
 
 rng = np.random.default_rng(2718)
 PTS = sample_points(50, seed=77)
@@ -90,9 +89,36 @@ def test_levi_civita_is_torsion_free():
 # ---- torsion / non-metricity / curvature -------------------------------------------
 
 
+def test_tensor_field_rejects_a_wrong_degree_entry():
+    rows = [[zero_field(1) for _ in range(3)] for _ in range(3)]
+    rows[1][2] = zero_field(2)
+    with pytest.raises(ValueError, match=r"component \(2, 3\) has degree 2, expected 1"):
+        connection(rows)
+
+
+def test_tensor_field_rejects_a_missing_index():
+    comps = {(a, b): zero_field(1) for a in FRAME_INDICES for b in FRAME_INDICES}
+    comps[(4, 4)] = comps.pop((3, 1))
+    with pytest.raises(ValueError, match=r"missing component \(3, 1\)"):
+        TensorFormField(("u", "d"), 1, comps)
+
+
+def test_connections_are_one_up_one_down_tensor_fields():
+    e = random_coframe(np.random.default_rng(5), amplitude=0.1)
+    h = GaugeField([["1", "0.1*y", "0"], ["0", "1", "0"], ["0", "0", "1+0.2*x"]])
+    gamma = levi_civita_connection(e)
+    T = TensorFormField.build(("u",), 2, lambda a: symbolic(2, "x", "y*z", "0"))
+    L = defect_one_form(T, TensorFormField.zero(("d", "d"), 1), e)
+    built = [gamma, contortion(e, T), pure_gauge_connection(h), connection_with(gamma, L)]
+    built.append(transform_connection(h, built[-1]))
+    for omega in built:
+        assert type(omega) is TensorFormField
+        assert (omega.variance, omega.degree) == (("u", "d"), 1)
+
+
 def test_torsion_zero_connection():
     e = CoFrame.identity()
-    T = torsion(e, ConnectionField.zero())
+    T = torsion(e, TensorFormField.zero(("u", "d"), 1))
     p = Point(0.1, 0.2, 0.3)
     assert all(T.entry(a).evaluate(p).max_abs() == 0.0 for a in FRAME_INDICES)
 
@@ -101,7 +127,7 @@ def test_torsion_direct_substitution():
     e = CoFrame.identity()
     entries = [[zero_field(1) for _ in range(3)] for _ in range(3)]
     entries[0][1] = symbolic(1, "0", "0", "1")  # omega^1_2 = e^3
-    omega = ConnectionField(entries)
+    omega = connection(entries)
     T = torsion(e, omega)
     p = Point(0.5, 0.5, 0.5)
     assert T.entry(1).evaluate(p).allclose(-1.0 * KForm.basis(2, 3))  # e^3 ^ e^2
@@ -111,7 +137,7 @@ def test_torsion_direct_substitution():
 def test_nonmetricity_symmetrisation():
     entries = [[zero_field(1) for _ in range(3)] for _ in range(3)]
     entries[0][0] = symbolic(1, "0", "1", "0")  # omega^1_1 = e^2
-    omega = ConnectionField(entries)
+    omega = connection(entries)
     Q = nonmetricity(omega)
     p = Point(0, 0, 0)
     assert Q.entry(1, 1).evaluate(p).allclose(KForm.basis(2))
@@ -120,12 +146,12 @@ def test_nonmetricity_symmetrisation():
     anti = [[zero_field(1) for _ in range(3)] for _ in range(3)]
     anti[0][1] = symbolic(1, "x", "0", "0")
     anti[1][0] = symbolic(1, "-x", "0", "0")
-    Q2 = nonmetricity(ConnectionField(anti))
+    Q2 = nonmetricity(connection(anti))
     assert all(
         Q2.entry(a, b).evaluate(p).max_abs() == 0.0 for a in FRAME_INDICES for b in FRAME_INDICES
     )
     # exact symmetry for random connections
-    rnd = ConnectionField(
+    rnd = connection(
         [[symbolic(1, "x*y", "z", "1") for _ in range(3)] for _ in range(3)]
     )
     Q3 = nonmetricity(rnd)
@@ -138,7 +164,7 @@ def test_curvature_constant_connection():
     entries = [[zero_field(1) for _ in range(3)] for _ in range(3)]
     entries[0][1] = symbolic(1, "1", "0", "0")  # omega^1_2 = e^1
     entries[1][0] = symbolic(1, "0", "1", "0")  # omega^2_1 = e^2
-    omega = ConnectionField(entries)
+    omega = connection(entries)
     R = curvature(omega)
     p = Point(0.2, 0.8, -0.1)
     assert R.entry(1, 1).evaluate(p).allclose(KForm.basis(1, 2))
@@ -214,7 +240,7 @@ def test_singular_triad_detection():
 
 def test_covariant_derivative_reduces_to_d():
     X = TensorFormField.build(("u",), 1, lambda a: symbolic(1, "x*y", "z", "0"))
-    D = covariant_exterior_derivative(X, ConnectionField.zero())
+    D = covariant_exterior_derivative(X, TensorFormField.zero(("u", "d"), 1))
     d = exterior_derivative(X.entry(1))
     p = Point(0.2, 0.4, 0.6)
     for a in FRAME_INDICES:
@@ -226,7 +252,7 @@ def test_covariant_derivative_algebraic_terms():
     entries = [[zero_field(1) for _ in range(3)] for _ in range(3)]
     entries[0][1] = symbolic(1, "2", "0", "0")
     entries[2][0] = symbolic(1, "0", "3", "0")
-    omega = ConnectionField(entries)
+    omega = connection(entries)
     X = TensorFormField.build(
         ("u",), 1, lambda a: symbolic(1, "0", "0", "1") if a == 2 else zero_field(1)
     )
@@ -339,7 +365,7 @@ def test_frame_transform_constant_rotation_moves_components():
     c, s = np.cos(0.3), np.sin(0.3)
     h = GaugeField([[f"{c}", f"{-s}", "0"], [f"{s}", f"{c}", "0"], ["0", "0", "1"]])
     e = CoFrame.identity()
-    omega = ConnectionField.zero()
+    omega = TensorFormField.zero(("u", "d"), 1)
     T = torsion(e, omega)  # zero; use a synthetic tensor instead
     X = TensorFormField.build(("u",), 2, lambda a: symbolic(2, "x", "0", "0") if a == 1 else zero_field(2))
     X2 = transform_tensor(h, X)
@@ -373,7 +399,7 @@ def test_frame_transform_covariance_of_torsion():
 
 def test_frame_transform_preserves_flatness():
     h = GaugeField([["1+0.2*x", "0.1*y", "0"], ["0", "1", "0.3*z"], ["0.1", "0", "1"]])
-    omega2 = transform_connection(h, ConnectionField.zero())
+    omega2 = transform_connection(h, TensorFormField.zero(("u", "d"), 1))
     R = curvature(omega2)
     pts = sample_points(20, seed=8)
     assert normalized_residual(R.entries(), omega2.entries(), pts) <= 1e-10
@@ -386,13 +412,13 @@ def test_frame_transform_preserves_flatness():
 def test_bianchi_identities_across_matrix(construction):
     rnd = np.random.default_rng(abs(hash(construction)) % 1000)
     if construction == "zero":
-        e, omega = CoFrame.identity(), ConnectionField.zero()
+        e, omega = CoFrame.identity(), TensorFormField.zero(("u", "d"), 1)
     elif construction == "constant":
         e = CoFrame.identity()
         entries = [
             [symbolic(1, "0.3", "-0.2", "0.5") for _ in range(3)] for _ in range(3)
         ]
-        omega = ConnectionField(entries)
+        omega = connection(entries)
     elif construction == "pure-gauge":
         e = random_coframe(rnd, amplitude=0.1)
         gauge = GaugeField(

@@ -313,3 +313,17 @@ def test_extra_matter_rejects_bad_radius():
     for radius in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             extra_matter(symbolic(0, "x"), radius=radius)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        (dict(volume_resolution=0), "volume_resolution"),
+        (dict(volume_resolution=-3), "volume_resolution"),
+        (dict(sphere_resolution=(0, 8)), "sphere_resolution"),
+        (dict(sphere_resolution=(8, -1)), "sphere_resolution"),
+    ],
+)
+def test_extra_matter_rejects_empty_resolutions(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+        extra_matter(symbolic(0, "x*x"), **kwargs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from defectgeo.errors import ScenarioError
+from defectgeo.expressions import parse_expr
 from defectgeo.fields import Point
 from defectgeo.scenario import parse_scenario
 
@@ -214,3 +215,17 @@ b1 = "1"
     )
     p = Point(0.5, 0.0, 0.0)
     assert s.defects.burgers.evaluate(p).components[0] == pytest.approx(1.5)
+
+
+def test_identity_coframe_covector_keeps_the_parsed_nodes():
+    s = parse_scenario(
+        """
+[defects]
+b1 = "x*y + sin(z)"
+b2 = "2.5"
+b3 = "exp(-x)/(1+y^2)"
+"""
+    )
+    assert s.coframe.is_identity
+    wanted = [parse_expr(text) for text in ("x*y + sin(z)", "2.5", "exp(-x)/(1+y^2)")]
+    assert all(got is want for got, want in zip(s.defects.burgers.comps, wanted, strict=True))

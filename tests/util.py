@@ -78,6 +78,11 @@ def random_coframe(rng, amplitude=0.2):
     return CoFrame(random_triad(rng, amplitude))
 
 
+def connection(rows):
+    """The connection omega^a_b = rows[a-1][b-1]: a ("u", "d") TensorFormField of 1-forms."""
+    return TensorFormField.build(("u", "d"), 1, lambda a, b: rows[a - 1][b - 1])
+
+
 def random_symmetric_tensor(rng, degree=1, poly_degree=2, amplitude=0.8):
     comps = {}
     for a in (1, 2, 3):
