@@ -95,7 +95,6 @@ from .geometry import (
     curvature,
     curvature_split_residual,
     defect_one_form,
-    frame_transform,
     levi_civita_connection,
     nonmetricity,
     pure_gauge_connection,

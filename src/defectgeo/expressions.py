@@ -26,9 +26,11 @@ drops each node's value once the last node that reads it has run, so only
 the live frontier of arrays is held at once.  The node table and the
 per-variable derivative memo live for the whole process.
 
-Evaluation accepts floats or numpy arrays and raises EvaluationError
-(carrying the offending point) on division by zero, ln/sqrt outside their
-domain, or 0 raised to a negative power.
+Evaluation accepts floats or numpy arrays.  Every node applies the same
+numpy primitive to both, so the value at a point is the same bits, sign of
+zero included, as at that point inside an array.  It raises
+EvaluationError (carrying the offending point) on division by zero,
+ln/sqrt outside their domain, or 0 raised to a negative power.
 
 A `Sample` leaf is slot `slot` of a `Sampler`'s values at the coordinates
 its four kids evaluate to: at first x, y, z, t, which substitution rewrites
@@ -333,17 +335,19 @@ def _postorder(roots, done=()):
 # ---- evaluation ------------------------------------------------------------
 
 
-def _point_of(env, mask=None):
-    def pick(v):
-        if np.ndim(v) == 0:
-            return float(v)
-        return float(np.asarray(v)[mask][0] if mask is not None else np.asarray(v).flat[0])
+def _point_of(env, mask):
+    """(x, y, z, t) at the first True of `mask` broadcast against the coordinates.
 
-    return tuple(pick(env[k]) for k in VARIABLES)
+    A node of numbers or of `t` alone is a scalar inside an array walk; its
+    mask broadcasts to all True, so it names the first point.
+    """
+    mask, *coords = np.broadcast_arrays(mask, *(env[k] for k in VARIABLES))
+    first = int(np.argmax(mask))
+    return tuple(float(c.flat[first]) for c in coords)
 
 
 def _value(node, vals, env):
-    """Value of `node`, its kids' values being in `vals`."""
+    """Value of `node`, its kids' values being in `vals`; numpy primitives on 0-d and n-d alike."""
     kind = type(node)
     if kind is Bin:
         a, b = vals[node.lhs], vals[node.rhs]
@@ -355,7 +359,7 @@ def _value(node, vals, env):
             return a - b
         bad = np.asarray(b) == 0.0
         if np.any(bad):
-            raise EvaluationError("division by zero", _point_of(env, bad if np.ndim(b) else None))
+            raise EvaluationError("division by zero", _point_of(env, bad))
         return a / b
     if kind is Num:
         return node.value
@@ -370,23 +374,19 @@ def _value(node, vals, env):
     if kind is Pow:
         c = node.exponent
         if c < 0.0 and np.any(arr == 0.0):
-            raise EvaluationError("zero raised to a negative power", _point_of(env, arr == 0.0 if np.ndim(a) else None))
-        if not float(c).is_integer() and np.any(arr < 0.0):
-            raise EvaluationError("negative base with non-integer exponent", _point_of(env, arr < 0.0 if np.ndim(a) else None))
-        return arr**c if np.ndim(a) else float(a) ** c
-    if node.name == "ln":
-        if np.any(arr <= 0.0):
-            raise EvaluationError("ln of a non-positive value", _point_of(env, arr <= 0.0 if np.ndim(a) else None))
-        return np.log(arr) if np.ndim(a) else math.log(a)
-    if node.name == "sqrt":
-        if np.any(arr < 0.0):
-            raise EvaluationError("sqrt of a negative value", _point_of(env, arr < 0.0 if np.ndim(a) else None))
-        return np.sqrt(arr) if np.ndim(a) else math.sqrt(a)
-    fn = _UFUNCS[node.name]
-    return fn(arr) if np.ndim(a) else float(fn(a))
+            raise EvaluationError("zero raised to a negative power", _point_of(env, arr == 0.0))
+        if not c.is_integer() and np.any(arr < 0.0):
+            raise EvaluationError("negative base with non-integer exponent", _point_of(env, arr < 0.0))
+        return arr**c
+    if node.name == "ln" and np.any(arr <= 0.0):
+        raise EvaluationError("ln of a non-positive value", _point_of(env, arr <= 0.0))
+    if node.name == "sqrt" and np.any(arr < 0.0):
+        raise EvaluationError("sqrt of a negative value", _point_of(env, arr < 0.0))
+    return _UFUNCS[node.name](arr)
 
 
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "abs": np.abs, "sign": np.sign}
+_UFUNCS = {"ln": np.log, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+           "abs": np.abs, "sign": np.sign}
 
 
 def evaluate_many(exprs, x, y, z, t=0.0):

@@ -1,6 +1,6 @@
 """Fields of forms over R^3 (optionally time dependent).
 
-A FormField evaluates to a KForm of fixed degree at every Point.  Its
+A FormField evaluates to a KForm of fixed degree at every point.  Its
 components are expressions of the interned DAG (see expressions) in the
 spatial coordinates x, y, z, t, so all algebra - wedge, Hodge, interior
 product, Lie derivative, the vector calculus isomorphisms - builds
@@ -12,10 +12,13 @@ differentiate through their source:
 
 * the body coordinates X(x, t) of a forward map (see elasticity) are
   leaves with exact derivatives;
-* NumericFormField builds the leaves of an opaque callable, which a walk
-  calls once per point for all components.  Their derivatives are central
-  differences with step `fd_step`, nested at most expressions.MAX_FD_DEPTH
-  deep.
+* NumericFormField builds the leaves of an opaque vectorised callable,
+  which a walk calls once for all components and points.  Their
+  derivatives are central differences with step `fd_step`, nested at most
+  expressions.MAX_FD_DEPTH deep.
+
+Evaluation at a Point is a walk over one-element arrays, so it gives the
+same bits as the same point inside any array.
 
 Every field, and every result of the algebra, is a SymbolicFormField; the
 finite-difference step and depth of any field are read off its leaves.
@@ -164,10 +167,10 @@ def evaluate_fields(fields, xs, ys, zs, ts=0.0):
     """
     coords = [np.asarray(c, dtype=float) for c in (xs, ys, zs, ts)]
     shape = np.broadcast_shapes(*(c.shape for c in coords))
-    # a 0-d coordinate stays a scalar in every block, so the walk keeps its scalar arithmetic
-    flat = [c if c.ndim == 0 else np.broadcast_to(c, shape).reshape(-1) for c in coords]
+    # a 0-d coordinate (t, say) becomes a zero-stride view, so it costs no memory
+    flat = [np.broadcast_to(c, shape).reshape(-1) for c in coords]
     blocks = [
-        _evaluate_block(fields, *(c if c.ndim == 0 else c[lo:lo + BLOCK] for c in flat))
+        _evaluate_block(fields, *(c[lo:lo + BLOCK] for c in flat))
         for lo in range(0, max(math.prod(shape), 1), BLOCK)
     ]
     out = []
@@ -178,58 +181,48 @@ def evaluate_fields(fields, xs, ys, zs, ts=0.0):
 
 
 def _evaluate_block(fields, xs, ys, zs, ts):
-    """Components of each field, shape (components,) + the block's shape, on one block."""
-    shape = np.broadcast_shapes(*(np.shape(c) for c in (xs, ys, zs, ts)))
+    """Components of each field, shape (components, points), on one block of equally long coordinates."""
     vals = iter(ex.evaluate_many([c for f in fields for c in f.comps], xs, ys, zs, ts))
     out = []
     for f in fields:
-        comps = np.stack([np.broadcast_to(np.asarray(next(vals), dtype=float), shape) for _ in f.comps])
+        comps = np.stack([np.broadcast_to(next(vals), xs.shape) for _ in f.comps])
         out.append(_finite(comps, (xs, ys, zs, ts)))
     return out
 
 
 def _finite(comps, coords):
     """`comps` (components first), or EvaluationError at the first point where one is not finite."""
-    flat = comps.reshape(len(comps), -1)
-    bad = ~np.isfinite(flat)
+    bad = ~np.isfinite(comps)
     if bad.any():
         first = int(np.argmax(bad.any(axis=0)))
-        value = flat[np.argmax(bad[:, first]), first]
-        point = tuple(float(np.broadcast_to(c, comps.shape[1:]).flat[first]) for c in coords)
-        raise EvaluationError(f"non-finite field value {value}", point)
+        value = comps[np.argmax(bad[:, first]), first]
+        raise EvaluationError(f"non-finite field value {value}", tuple(float(c[first]) for c in coords))
     return comps
 
 
 class NumericFormField(SymbolicFormField):
-    """Components sampled from `func(Point) -> KForm`, one call per point for all of them.
+    """Components sampled from a vectorised `func(xs, ys, zs, ts) -> KForm`.
 
-    Derivatives difference the samples with step `fd_step`, which must be
-    finite and positive.
+    `func` gets equally shaped coordinate arrays and is called once per walk
+    for all components.  Derivatives difference the samples with step
+    `fd_step`, which must be finite and positive.
     """
 
     def __init__(self, degree, func, fd_step=DEFAULT_FD_STEP):
         if not 0.0 < fd_step < math.inf:
             raise ValueError(f"finite-difference step must be positive and finite, got {fd_step!r}")
-        source = ex.Sampler(_pointwise(degree, func), fd_step)
-        coords = [ex.Var(v) for v in ex.VARIABLES]
-        super().__init__(degree, [ex.Sample(source, slot, coords) for slot in range(COMPONENT_COUNTS[degree])])
 
-
-def _pointwise(degree, func):
-    """Vectorised values of `func(Point) -> KForm` on coordinate arrays, one call per point."""
-
-    def values(xs, ys, zs, ts):
-        out = np.empty((COMPONENT_COUNTS[degree],) + xs.shape)
-        for i in np.ndindex(xs.shape):
-            value = func(Point(float(xs[i]), float(ys[i]), float(zs[i]), float(ts[i])))
+        def values(xs, ys, zs, ts):
+            value = func(xs, ys, zs, ts)
             if not isinstance(value, KForm):
                 raise TypeError(f"evaluator returned {type(value).__name__}, expected KForm")
             if value.degree != degree:
                 raise ValueError(f"evaluator returned degree {value.degree}, declared {degree}")
-            out[(slice(None), *i)] = value.components
-        return out
+            return value.components
 
-    return values
+        coords = [ex.Var(v) for v in ex.VARIABLES]
+        source = ex.Sampler(values, fd_step)
+        super().__init__(degree, [ex.Sample(source, slot, coords) for slot in range(COMPONENT_COUNTS[degree])])
 
 
 def constant_field(kform: KForm) -> SymbolicFormField:
@@ -361,7 +354,8 @@ class VectorField:
         return self.comps[index - 1]
 
     def evaluate(self, point):
-        return np.asarray([c.evaluate(point).components[0] for c in self.comps])
+        values = evaluate_fields(self.comps, point.x, point.y, point.z, point.t)
+        return np.concatenate([v.components for v in values])
 
     def as_one_form(self) -> FormField:
         """The 1-form with the same orthonormal components."""

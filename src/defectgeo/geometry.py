@@ -390,14 +390,6 @@ def transform_tensor(h: GaugeField, X: TensorFormField) -> TensorFormField:
     return TensorFormField.build(X.variance, X.degree, entry)
 
 
-def frame_transform(h: GaugeField, e=None, omega=None, tensors=()):
-    """Transform a coframe, a connection and any tensors by one gauge matrix."""
-    new_e = transform_coframe(h, e) if e is not None else None
-    new_omega = transform_connection(h, omega) if omega is not None else None
-    new_tensors = tuple(transform_tensor(h, X) for X in tensors)
-    return new_e, new_omega, new_tensors
-
-
 # ---- identities ----------------------------------------------------------------
 
 

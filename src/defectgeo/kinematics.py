@@ -23,6 +23,7 @@ coframe is the identity (or any constant rotation).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,12 +322,8 @@ def extra_matter(
     """
     if not 0.0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    n = int(volume_resolution)
-    n_theta, n_phi = sphere_resolution
-    if n < 1:
-        raise ValueError(f"volume_resolution must be at least 1, got {volume_resolution!r}")
-    if min(n_theta, n_phi) < 1:
-        raise ValueError(f"sphere_resolution must be at least 1 per axis, got {sphere_resolution!r}")
+    (n,) = _counts("volume_resolution", volume_resolution, (volume_resolution,))
+    n_theta, n_phi = _counts("sphere_resolution", sphere_resolution, sphere_resolution)
     density = hodge(exterior_derivative(hodge(exterior_derivative(phi))))
 
     cx, cy, cz = center
@@ -348,6 +345,13 @@ def extra_matter(
     area_weight = radius**2 * np.sin(TH).ravel() * (np.pi / n_theta) * (2.0 * np.pi / n_phi)
     flux_total = float(np.sum(radial * area_weight))
     return ExtraMatterReport(density, volume_total, flux_total)
+
+
+def _counts(name, value, counts):
+    """`counts`, or ValueError naming `name` unless each is an integer of at least 1."""
+    if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
+        raise ValueError(f"{name} must be at least 1 per axis and integral, got {value!r}")
+    return counts
 
 
 # ---- bundled evaluation ---------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_criterion_02_nilpotent_exterior_derivative():
         worst_fd = 0.0
         for i in range(5):
             base = random_scalar_field(rng)
-            field = NumericFormField(0, base.evaluate, fd_step=1e-4)
+            field = NumericFormField(0, base.evaluate_batch, fd_step=1e-4)
             dd = exterior_derivative(exterior_derivative(field))
             for p in pts[:5]:
                 worst_fd = max(worst_fd, dd.evaluate(p).max_abs())

@@ -147,7 +147,7 @@ def test_stalled_forward_inversion_names_first_failing_point():
 
 
 def test_forward_map_needs_symbolic_components():
-    numeric = NumericFormField(0, symbolic(0, "2*x").evaluate)
+    numeric = NumericFormField(0, symbolic(0, "2*x").evaluate_batch)
     with pytest.raises(ValueError, match="symbolic"):
         DeformationMap((numeric, "y", "z"), kind="forward")
 
@@ -156,7 +156,7 @@ def test_forward_map_rejects_sampled_leaves():
     # the chart differentiates its components symbolically, and a sampled leaf
     # (another map's X, a numeric field) would drop out of that Jacobian
     X1 = DeformationMap(("x+0.1*x^3", "y", "z"), kind="forward").inverse_fields()[0]
-    numeric = NumericFormField(0, symbolic(0, "2*x").evaluate)
+    numeric = NumericFormField(0, symbolic(0, "2*x").evaluate_batch)
     for component in (X1, X1 * 2.0 + scalar_field("y"), symbolic(0, "x") + numeric):
         with pytest.raises(ValueError, match="sampled leaves"):
             DeformationMap((component, "y", "z"), kind="forward")

@@ -5,12 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defectgeo import expressions as ex
 from defectgeo.errors import EvaluationError, ParseError
-from defectgeo.fields import BLOCK, SymbolicFormField, evaluate_fields
+from defectgeo.fields import BLOCK, Point, SymbolicFormField, evaluate_fields
 
 from util import random_expr, reference_evaluate
 
@@ -380,7 +380,7 @@ def test_evaluate_many_matches_recursive_oracle_bit_for_bit(roots, size, data):
         with np.errstate(all="ignore"):
             try:
                 return [np.asarray(v) for v in evaluate()]
-            except (EvaluationError, OverflowError) as exc:
+            except EvaluationError as exc:
                 return exc
 
     got = outcome(lambda: ex.evaluate_many(roots, *args))
@@ -419,3 +419,35 @@ def test_evaluate_many_with_shared_sampled_leaves_matches_oracle(roots, size, da
     # the oracle calls each source's values directly, so this also checks
     # that the last-call cache never returns another call's values
     test_evaluate_many_matches_recursive_oracle_bit_for_bit.hypothesis.inner_test(roots, size, data)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(roots=_shared_dags(), coords=st.tuples(*[st.floats(-3.0, 3.0)] * 4))
+@example(roots=[ex.parse_expr("x^0.5")], coords=(-0.0, 0.0, 0.0, 0.0))
+@example(roots=[ex.parse_expr("x^3"), ex.parse_expr("t^-2")], coords=(2.9, 0.0, 0.0, 0.3))
+def test_scalar_evaluation_matches_a_one_element_walk_bit_for_bit(roots, coords):
+    """One evaluation path: scalar coordinates, a Point and one-element arrays give
+    the same bits and signs of zero."""
+
+    def outcome(evaluate):
+        with np.errstate(all="ignore"):
+            try:
+                return np.stack([np.broadcast_to(v, (1,)) for v in evaluate()])
+            except EvaluationError as exc:
+                return exc
+
+    walk = outcome(lambda: ex.evaluate_many(roots, *(np.array([c]) for c in coords)))
+    scalar = outcome(lambda: ex.evaluate_many(roots, *coords))
+    each = outcome(lambda: [ex.evaluate(r, *coords) for r in roots])
+    point = outcome(lambda: [SymbolicFormField(0, [r]).evaluate(Point(*coords)).components for r in roots])
+    if isinstance(walk, EvaluationError):
+        for other in (scalar, each, point):
+            assert isinstance(other, EvaluationError) and other.point == walk.point == coords
+        return
+    for other in (scalar, each):
+        assert np.array_equal(other, walk, equal_nan=True)
+        assert np.array_equal(np.signbit(other), np.signbit(walk))
+    if np.isfinite(walk).all():
+        assert np.array_equal(point, walk) and np.array_equal(np.signbit(point), np.signbit(walk))
+    else:
+        assert isinstance(point, EvaluationError) and point.point == coords

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from defectgeo import expressions as ex
 from defectgeo import fields as ff
 from defectgeo.errors import DerivativeDepthExceeded, EvaluationError
 from defectgeo.fields import (
@@ -39,7 +40,7 @@ rng = np.random.default_rng(314)
 
 def numeric_from(field, fd_step=1e-4):
     """Wrap a symbolic field as an opaque finite-difference evaluator."""
-    return NumericFormField(field.degree, field.evaluate, fd_step=fd_step)
+    return NumericFormField(field.degree, field.evaluate_batch, fd_step=fd_step)
 
 
 def test_d_of_coordinate():
@@ -220,6 +221,20 @@ def test_batch_matches_pointwise():
         assert np.allclose(batch[:, i], field.evaluate(p).components)
 
 
+def test_vector_field_evaluates_its_components_in_one_walk(monkeypatch):
+    v = VectorField.of(symbolic(0, "x*y"), symbolic(0, "sin(z) + 2"), symbolic(0, "x^3 - t"))
+    walks = []
+    evaluate_many = ex.evaluate_many
+    monkeypatch.setattr(ex, "evaluate_many", lambda *args: walks.append(args) or evaluate_many(*args))
+    for p in random_points(rng, 5, t=0.4) + [Point(-0.0, 0.0, -0.0)]:
+        walks.clear()
+        got = v.evaluate(p)
+        assert len(walks) == 1
+        want = [c.evaluate(p).components[0] for c in v.comps]
+        assert got.shape == (3,)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_wedge_rejects_overflow_at_field_level():
     from defectgeo.errors import DegreeOverflow
 
@@ -242,30 +257,33 @@ def test_zero_field_and_constant_field():
 
 
 def counting(field):
-    """`field.evaluate` as an opaque callable, with a count of its calls."""
+    """`field.evaluate_batch` as an opaque callable, with a record of the shapes of its calls."""
     calls = []
 
-    def func(point):
-        calls.append(point)
-        return field.evaluate(point)
+    def func(*coords):
+        calls.append([np.shape(c) for c in coords])
+        return field.evaluate_batch(*coords)
 
     return func, calls
 
 
-def test_numeric_callable_runs_once_per_point_for_all_components():
+def test_numeric_callable_runs_once_per_walk_for_all_components():
     func, calls = counting(symbolic(1, "x*y", "sin(z)", "x^2"))
     field = NumericFormField(1, func)
     xs = np.linspace(-1.0, 1.0, 7)
     field.evaluate_batch(xs, 0.5 * xs, 0.25 * xs)
-    assert len(calls) == 7
+    assert calls == [[(7,)] * 4]  # t as well, broadcast to the points
     calls.clear()
     exterior_derivative(field).evaluate_batch(xs, 0.5 * xs, 0.25 * xs)
     # one central difference along each of x, y, z, shared by the components
-    assert len(calls) == 6 * 7
+    assert calls == [[(7,)] * 4] * 6
+    calls.clear()
+    field.evaluate(Point(0.1, 0.2, 0.3))
+    assert calls == [[(1,)] * 4]
 
 
 def test_derivative_of_mixed_field_is_exact_on_the_symbolic_part():
-    zero = NumericFormField(0, lambda p: KForm.scalar(0.0))
+    zero = NumericFormField(0, lambda *coords: KForm.scalar(0.0))
     d = exterior_derivative(symbolic(0, "x^3") + zero)
     for p in random_points(rng, 10):
         assert np.array_equal(d.evaluate(p).components, [3.0 * p.x**2, 0.0, 0.0])
@@ -274,11 +292,11 @@ def test_derivative_of_mixed_field_is_exact_on_the_symbolic_part():
 def test_numeric_field_errors():
     for step in (0.0, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="step must be positive and finite"):
-            NumericFormField(0, lambda p: KForm.scalar(1.0), fd_step=step)
+            NumericFormField(0, lambda *coords: KForm.scalar(1.0), fd_step=step)
     with pytest.raises(TypeError, match="expected KForm"):
-        NumericFormField(0, lambda p: 1.0).evaluate(Point(0.0, 0.0, 0.0))
+        NumericFormField(0, lambda *coords: 1.0).evaluate(Point(0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="declared 0"):
-        NumericFormField(0, lambda p: KForm.basis(1)).evaluate(Point(0.0, 0.0, 0.0))
+        NumericFormField(0, lambda *coords: KForm.basis(1)).evaluate(Point(0.0, 0.0, 0.0))
 
 
 def test_algebra_on_a_numeric_operand_builds_fields_that_difference_its_leaves():

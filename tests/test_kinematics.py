@@ -322,8 +322,13 @@ def test_extra_matter_rejects_bad_radius():
         (dict(volume_resolution=-3), "volume_resolution"),
         (dict(sphere_resolution=(0, 8)), "sphere_resolution"),
         (dict(sphere_resolution=(8, -1)), "sphere_resolution"),
+        # fractional counts: 2.5 latitudes would put the grid past the pole
+        (dict(volume_resolution=2.5), "volume_resolution"),
+        (dict(sphere_resolution=(2.5, 8)), "sphere_resolution"),
+        (dict(sphere_resolution=(8, 2.5)), "sphere_resolution"),
     ],
 )
 def test_extra_matter_rejects_empty_resolutions(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
         extra_matter(symbolic(0, "x*x"), **kwargs)
+

@@ -6,7 +6,6 @@ derivatives are checked against plain central differences, and transport
 derivatives against explicit flow integration.
 """
 
-import math
 import operator
 
 import numpy as np
@@ -216,7 +215,7 @@ def reference_evaluate(e, env):
     for `expressions.evaluate_many`.
 
     Each node applies the same floating-point primitive as the library (numpy
-    on arrays, math or numpy on scalars), so agreement is bit for bit; what is
+    on 0-d and n-d values alike), so agreement is bit for bit; what is
     checked is the walk, the sharing of nodes and the early release of
     values.  Undefined values raise EvaluationError without a point.  A
     Sample calls its source's `values` directly, past the last-call cache.
@@ -236,18 +235,15 @@ def reference_evaluate(e, env):
     a = reference_evaluate(e.base if isinstance(e, ex.Pow) else e.arg, env)
     if isinstance(e, ex.Neg):
         return -a
-    arr, scalar = np.asarray(a), np.ndim(a) == 0
+    arr = np.asarray(a)
     if isinstance(e, ex.Pow):
         c = e.exponent
         if (c < 0.0 and np.any(arr == 0.0)) or (not c.is_integer() and np.any(arr < 0.0)):
             raise EvaluationError("power outside its domain")
-        return float(a) ** c if scalar else arr**c
+        return arr**c
     if (e.name == "ln" and np.any(arr <= 0.0)) or (e.name == "sqrt" and np.any(arr < 0.0)):
         raise EvaluationError(f"{e.name} outside its domain")
-    if scalar and e.name in ("ln", "sqrt"):
-        return {"ln": math.log, "sqrt": math.sqrt}[e.name](a)
-    fn = np.log if e.name == "ln" else getattr(np, e.name)
-    return float(fn(a)) if scalar else fn(arr)
+    return (np.log if e.name == "ln" else getattr(np, e.name))(arr)
 
 
 def two_walk_normalized_residual(residual_fields, reference_fields, points):
