@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -128,8 +129,6 @@ def _build_parser():
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    from dataclasses import replace
-
     flags = {"tolerance": "--tolerance", "fd_step": "--fd-step", "grid_n": "--grid"}
     values = (args.tolerance, args.fd_step, args.grid)
     given = {key: value for key, value in zip(flags, values) if value is not None}

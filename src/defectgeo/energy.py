@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defects import DefectFields
+from .defects import DefectFields, nonmetricity_second_trace, nonmetricity_trace, torsion_traces
 from .errors import EvaluationError, InvalidMaterial
 from .elasticity import MaterialConstants
-from .fields import FormField, VectorField, field_sum, wedge, zero_field
+from .fields import FormField, VectorField, component_field, field_sum, wedge, zero_field
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, TensorFormField
 from .sampling import batch_groups, grid_blocks, sample_points
@@ -154,8 +154,6 @@ def total_free_energy(
     """Midpoint quadrature of the free-energy 3-form coefficient over a box (EvaluationError on overflow)."""
     if int(resolution) < 2:
         raise ValueError("quadrature needs at least 2 cells per axis")
-    from .fields import component_field
-
     density = component_field(lagrangian_form(d, k, e), 1, 2, 3)
     counts = (int(resolution),) * 3
     cell = np.prod([(hi - lo) / n for lo, hi, n in zip(bounds_min, bounds_max, counts)])
@@ -222,12 +220,6 @@ def quadratic_invariants(
     here in calibration mode (deviation reported, nothing asserted) using
     the plain reading e_ac = e_a ^ e_c.
     """
-    from .defects import (
-        nonmetricity_second_trace,
-        nonmetricity_trace,
-        torsion_traces,
-    )
-
     e = e or CoFrame.identity()
     points = points if points is not None else sample_points(30, seed=2)
     trace_T, S = torsion_traces(T, e)

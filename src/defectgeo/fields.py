@@ -4,10 +4,11 @@ A FormField evaluates to a KForm of fixed degree at every point.  Its
 components are expressions of the interned DAG (see expressions) in the
 spatial coordinates x, y, z, t, so all algebra - wedge, Hodge, interior
 product, Lie derivative, the vector calculus isomorphisms - builds
-expressions, and one walk evaluates any set of fields.  Exterior and time
-derivatives differentiate the components, exactly on symbolic parts, so
-identities such as d(d(alpha)) = 0 hold to rounding error at any nesting
-depth.  Components may hold sampled leaves (expressions.Sample), which
+expressions, and one walk evaluates any set of fields.  This is the one
+exterior algebra of the package: a value at a point is a constant_field,
+and the sign tables come from forms.  Exterior and time derivatives
+differentiate the components, exactly on symbolic parts, so identities
+such as d(d(alpha)) = 0 hold to rounding error at any nesting depth.  Components may hold sampled leaves (expressions.Sample), which
 differentiate through their source:
 
 * the body coordinates X(x, t) of a forward map (see elasticity) are
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expressions as ex
-from .errors import EvaluationError
+from .errors import DegreeOverflow, EvaluationError
 from .forms import (
     BASIS,
     COMPONENT_COUNTS,
@@ -47,7 +48,6 @@ from .forms import (
     WEDGE_TERMS,
     KForm,
 )
-from .forms import wedge as kform_wedge
 
 #: default finite-difference step: balances h^2 truncation against eps/h round-off
 DEFAULT_FD_STEP = 1e-4
@@ -260,8 +260,7 @@ def scalar_field(value) -> SymbolicFormField:
 def wedge(alpha: FormField, beta: FormField) -> FormField:
     p, q = alpha.degree, beta.degree
     if p + q > 3:
-        # fail fast with the pointwise error message
-        kform_wedge(KForm.zero(p), KForm.zero(q))
+        raise DegreeOverflow(f"wedge of degrees {p} and {q} exceeds 3")
     a, b = alpha.comps, beta.comps
     out = [ex.ZERO] * COMPONENT_COUNTS[p + q]
     for i, j, k, sign in WEDGE_TERMS[(p, q)]:
@@ -502,8 +501,8 @@ def substitute_basis(alpha: FormField, matrix) -> FormField:
     """Re-express `alpha` after replacing each basis covector.
 
     `matrix[j][a]` (0-form fields, 0-based) is the coefficient of the new
-    basis covector `a` in the expansion of the old covector `j`; the field
-    analogue of KForm.substitute.
+    basis covector `a` in the expansion of the old covector `j`.  Used for
+    frame changes and for pull-backs along linear maps.
     """
     p = alpha.degree
     if p == 0:

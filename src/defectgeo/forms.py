@@ -1,7 +1,9 @@
-"""Pointwise exterior algebra on oriented Euclidean 3-space.
+"""Sign tables of the exterior algebra on oriented Euclidean 3-space, and
+KForm, the value of a form field at evaluated points.
 
-Component ordering is lexicographic in the frame indices and is FROZEN;
-every other module relies on it:
+The tables drive the field algebra (fields.wedge, hodge, interior and the
+exterior derivative).  Component ordering is lexicographic in the frame
+indices and is FROZEN; every other module relies on it:
 
     degree 0:  ()              1 component
     degree 1:  (1) (2) (3)     3 components
@@ -14,8 +16,8 @@ Hodge images of the basis forms are
     *1 = e^123,  *e^1 = e^23,  *e^2 = -e^13,  *e^3 = e^12,
 
 and frame indices are raised and lowered freely (the metric is the
-identity).  Components may be floats or equally-shaped numpy arrays; all
-operations broadcast componentwise.
+identity).  KForm components may be floats or equally shaped numpy
+arrays; its linear operations broadcast componentwise.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-
-from .errors import DegreeOverflow
 
 FRAME_INDICES = (1, 2, 3)
 
@@ -107,7 +107,7 @@ INTERIOR_TERMS = _build_interior_tables()
 
 
 class KForm:
-    """A degree-p antisymmetric form value at a point, p in {0,1,2,3}."""
+    """The components of a degree-p form, p in {0,1,2,3}, at a point or on an array of points."""
 
     __slots__ = ("degree", "components")
 
@@ -173,10 +173,6 @@ class KForm:
 
     # ---- helpers --------------------------------------------------------
 
-    def component(self, *indices):
-        """Component for the basis tuple, e.g. component(1, 3) of a 2-form."""
-        return self.components[_SLOT[self.degree][tuple(indices)]]
-
     def allclose(self, other, tol=1e-12):
         return self.degree == other.degree and bool(
             np.all(np.abs(self.components - other.components) <= tol)
@@ -185,37 +181,6 @@ class KForm:
     def max_abs(self):
         return float(np.max(np.abs(self.components)))
 
-    def substitute(self, matrix):
-        """Re-express the form after replacing each basis covector.
-
-        `matrix[j][a]` gives the coefficient of the new basis covector `a` in
-        the expansion of the old basis covector `j` (both 0-based rows/cols).
-        Used for frame changes and for pull-backs along linear maps.
-        """
-        A = np.asarray(matrix, dtype=float) if not isinstance(matrix, np.ndarray) else matrix
-        c = self.components
-        if self.degree == 0:
-            return KForm(0, np.array(c, copy=True))
-        if self.degree == 1:
-            out = [sum(c[j] * A[j][a] for j in range(3)) for a in range(3)]
-            return KForm(1, np.stack([np.asarray(v, dtype=float) for v in out]))
-        if self.degree == 2:
-            out = []
-            for (a, b) in BASIS[2]:
-                acc = 0.0
-                for i, (j, k) in enumerate(BASIS[2]):
-                    acc = acc + c[i] * (
-                        A[j - 1][a - 1] * A[k - 1][b - 1] - A[j - 1][b - 1] * A[k - 1][a - 1]
-                    )
-                out.append(acc)
-            return KForm(2, np.stack([np.asarray(v, dtype=float) for v in out]))
-        det = (
-            A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
-            - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
-            + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0])
-        )
-        return KForm(3, np.asarray([c[0] * det]))
-
     def __repr__(self):
         if self.degree == 0:
             return f"KForm(0, {self.components[0]!r})"
@@ -223,45 +188,3 @@ class KForm:
         body = ", ".join(f"e^{lab}: {c!r}" for lab, c in zip(labels, self.components))
         return f"KForm({self.degree}, {{{body}}})"
 
-
-def wedge(alpha: KForm, beta: KForm) -> KForm:
-    """Exterior product.  Raises DegreeOverflow when the result would exceed degree 3."""
-    p, q = alpha.degree, beta.degree
-    if p + q > 3:
-        raise DegreeOverflow(f"wedge of degrees {p} and {q} exceeds 3")
-    a, b = alpha.components, beta.components
-    out = [0.0] * COMPONENT_COUNTS[p + q]
-    for i, j, k, sign in WEDGE_TERMS[(p, q)]:
-        out[k] = out[k] + sign * a[i] * b[j]
-    shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-    comps = np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in out])
-    return KForm(p + q, comps)
-
-
-def hodge(alpha: KForm) -> KForm:
-    """Hodge dual for the Euclidean metric with eps_123 = +1; an involution in 3D."""
-    p = alpha.degree
-    a = alpha.components
-    out = [None] * COMPONENT_COUNTS[3 - p]
-    for i, k, sign in HODGE_TERMS[p]:
-        out[k] = sign * a[i]
-    return KForm(3 - p, np.stack([np.asarray(v, dtype=float) for v in out]))
-
-
-def interior(index: int, alpha: KForm) -> KForm:
-    """Contraction with the orthonormal frame vector `index` (1, 2 or 3).
-
-    Degree drops by one; a 0-form contracts to the zero 0-form.
-    """
-    if index not in FRAME_INDICES:
-        raise ValueError(f"frame index must be 1, 2 or 3, got {index}")
-    p = alpha.degree
-    if p == 0:
-        return KForm(0, np.zeros_like(alpha.components))
-    a = alpha.components
-    out = np.zeros(COMPONENT_COUNTS[p - 1])
-    if a.ndim > 1:
-        out = np.zeros((COMPONENT_COUNTS[p - 1],) + a.shape[1:])
-    for i, k, sign in INTERIOR_TERMS[index][p]:
-        out[k] = out[k] + sign * a[i]
-    return KForm(p - 1, out)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 
+from . import expressions as ex
 from .errors import SingularGauge, SingularTriad
 from .fields import (
     FormField,
@@ -49,8 +50,6 @@ from .sampling import require_nonsingular
 
 
 def _is_identity_matrix(m):
-    from . import expressions as ex
-
     for i in range(3):
         for j in range(3):
             c = m[i][j].comps[0]
@@ -69,6 +68,10 @@ class _MatrixField:
         self.is_identity = _is_identity_matrix(self.matrix)
         self._inverse = None
         self._det = None
+
+    @classmethod
+    def identity(cls):
+        return cls([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
     @property
     def inverse_matrix(self):
@@ -93,10 +96,6 @@ class CoFrame(_MatrixField):
     def __init__(self, triad):
         super().__init__(triad)
         self._coframe = tuple(VectorField(tuple(row)).as_one_form() for row in self.matrix)
-
-    @classmethod
-    def identity(cls):
-        return cls([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
     def e(self, a: int) -> FormField:
         """The coframe 1-form e^a, a in 1..3.  Lowered e_a coincides numerically."""
@@ -134,10 +133,6 @@ class CoFrame(_MatrixField):
 
 class GaugeField(_MatrixField):
     """Invertible 3x3 matrix of scalar fields; generates flat connections."""
-
-    @classmethod
-    def identity(cls):
-        return cls([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
     def entry(self, a: int, b: int) -> FormField:
         return self.matrix[a - 1][b - 1]

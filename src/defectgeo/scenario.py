@@ -35,8 +35,6 @@ from .geometry import CoFrame, GaugeField
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
 
-_MATRIX_KEYS = {f"{p}{i}{j}" for p in "hg" for i in (1, 2, 3) for j in (1, 2, 3)}
-
 _SCHEMA = {
     "coframe": {f"h{i}{j}": "expr" for i in (1, 2, 3) for j in (1, 2, 3)},
     "gauge": {f"g{i}{j}": "expr" for i in (1, 2, 3) for j in (1, 2, 3)},

@@ -5,7 +5,7 @@ import pytest
 
 from defectgeo.defects import reconstruct_defect_geometry
 from defectgeo.errors import SingularGauge, SingularTriad
-from defectgeo.fields import Point, exterior_derivative, symbolic, wedge, zero_field
+from defectgeo.fields import Point, exterior_derivative, scalar_field, symbolic, wedge, zero_field
 from defectgeo.forms import FRAME_INDICES, KForm
 from defectgeo.geometry import (
     CoFrame,
@@ -27,7 +27,7 @@ from defectgeo.geometry import (
     transform_connection,
     transform_tensor,
 )
-from defectgeo.sampling import normalized_residual, sample_points
+from defectgeo.sampling import normalized_residual, normalized_residuals, sample_points
 
 from util import connection, point_array, random_coframe, random_defects
 
@@ -233,6 +233,23 @@ def test_singular_triad_detection():
     e = CoFrame([["x", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     with pytest.raises(SingularTriad):
         e.validate(point_array(Point(1.0, 0, 0), Point(0.0, 0, 0)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_coframe_hodge_and_interior_on_position_dependent_triads(seed):
+    # a consistent orientation error would cancel in the defect round trips
+    e = random_coframe(np.random.default_rng(seed))
+    one = scalar_field(1.0)
+    volume = wedge(wedge(e.e(1), e.e(2)), e.e(3))
+    pairs = [(e.hodge(one) - volume, volume), (e.hodge(volume) - one, one)]
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        area = wedge(e.e(b), e.e(c))
+        pairs += [(e.hodge(e.e(a)) - area, area), (e.hodge(area) - e.e(a), e.e(a))]
+        for d in FRAME_INDICES:
+            delta = scalar_field(1.0 if a == d else 0.0)
+            pairs.append((e.interior(a, e.e(d)) - delta, delta))
+    residuals = normalized_residuals([([res], [ref]) for res, ref in pairs], PTS)
+    assert max(residuals) <= 1e-12
 
 
 # ---- covariant exterior derivative ---------------------------------------------------

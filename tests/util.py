@@ -1,11 +1,12 @@
 """Shared generators and independent oracles for the test-suite.
 
 Oracles here deliberately avoid the library code paths they check: the
-wedge oracle expands basis products with its own permutation-sign routine,
-derivatives are checked against plain central differences, and transport
-derivatives against explicit flow integration.
+wedge and pull-back oracles expand basis products with their own
+permutation-sign routine, derivatives are checked against plain central
+differences, and transport derivatives against explicit flow integration.
 """
 
+import itertools
 import operator
 
 import numpy as np
@@ -16,6 +17,13 @@ from defectgeo.errors import EvaluationError
 from defectgeo.fields import Point, symbolic
 from defectgeo.forms import BASIS, COMPONENT_COUNTS, KForm
 from defectgeo.geometry import CoFrame, TensorFormField
+
+
+def all_basis_forms():
+    """Every basis form e^I as a KForm, degree by degree."""
+    for p in range(4):
+        for idx in BASIS[p]:
+            yield KForm.basis(*idx)
 
 
 def point_array(*points: Point):
@@ -121,6 +129,23 @@ def oracle_wedge(alpha: KForm, beta: KForm) -> KForm:
     return KForm(p + q, out)
 
 
+def oracle_pullback(alpha: KForm, matrix) -> KForm:
+    """`alpha` re-expressed after each old basis covector j becomes
+    sum_a matrix[j][a] * (new covector a), by brute-force expansion of every
+    product of old covectors over all ordered tuples of new ones."""
+    p = alpha.degree
+    out = np.zeros(COMPONENT_COUNTS[p])
+    for i, idx_old in enumerate(BASIS[p]):
+        for idx_new in itertools.product((1, 2, 3), repeat=p):
+            if len(set(idx_new)) != p:
+                continue
+            coeff = alpha.components[i] * permutation_sign(idx_new)
+            for j, a in zip(idx_old, idx_new):
+                coeff = coeff * matrix[j - 1][a - 1]
+            out[BASIS[p].index(tuple(sorted(idx_new)))] += coeff
+    return KForm(p, out)
+
+
 def fd_partial(fn, point: Point, var: str, h=1e-5):
     """Central difference of a scalar function of a Point."""
     deltas = {"x": (h, 0, 0, 0), "y": (0, h, 0, 0), "z": (0, 0, h, 0), "t": (0, 0, 0, h)}[var]
@@ -164,11 +189,8 @@ def lie_derivative_oracle(v, alpha, point: Point, eps=1e-5):
     def pullback(sign):
         target = flow_map(v, point, sign * eps)
         jac = flow_jacobian(v, point, sign * eps)
-        value = alpha.evaluate(target)
-        if alpha.degree == 0:
-            return value
         # new-basis coefficients: dPhi^j = sum_a J[j][a] dx^a
-        return value.substitute(jac)
+        return oracle_pullback(alpha.evaluate(target), jac)
 
     plus = pullback(+1.0)
     minus = pullback(-1.0)
