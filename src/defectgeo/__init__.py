@@ -106,13 +106,11 @@ from .geometry import (
 from .kinematics import (
     ConsistencyReport,
     ExtraMatterReport,
-    KinematicResiduals,
     bianchi_consistency,
     disclination_balance_tensor,
     disclination_point_balance,
     dislocation_balance,
     extra_matter,
-    kinematic_residuals,
 )
 from .scenario import Numerics, Scenario, parse_scenario, parse_scenario_file
 

@@ -1,8 +1,8 @@
 """Batch front door: load a scenario file, run an analysis suite, emit reports.
 
     defectgeo <check|defects|kinematics|elastic|energy|calibrate> scenario.toml
-              [--grid N] [--csv PATH] [--json PATH] [--deterministic]
-              [--tolerance X] [--fd-step H]
+              [--grid N] [--json PATH] [--deterministic] [--tolerance X]
+    defectgeo defects scenario.toml [--csv PATH] ...
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 the scenario
 could not be parsed or validated, or a field or report value is not finite,
@@ -25,6 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import calibration
+from .defects import GENERALIZED_BURGERS_C1 as C1, GENERALIZED_BURGERS_C2 as C2
 from .defects import extract_defects, reconstruct_defect_geometry
 from .elasticity import (
     cauchy_motion_residual,
@@ -52,9 +53,9 @@ from .geometry import (
 )
 from .kinematics import bianchi_consistency, disclination_point_balance, dislocation_balance
 from .sampling import batch_groups, check_points, grid_blocks, max_abs, normalized_residuals
-from .scenario import Scenario, parse_scenario_file, validate_numerics
+from .scenario import Scenario, decode_scenario, parse_scenario, validate_numerics
 
-SCHEMA = "defectgeo-report-v1"
+SCHEMA = "defectgeo-report-v2"
 
 #: fixed tolerances of the calibration-fit checks (not scenario-tunable)
 FIT_RESIDUAL_TOL = 1e-4
@@ -76,12 +77,15 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     started = time.perf_counter()
-    scenario = _apply_overrides(parse_scenario_file(args.scenario), args)
+    with open(args.scenario, "rb") as fh:
+        data = fh.read()
+    scenario = _apply_overrides(parse_scenario(decode_scenario(data)), args)
     # non-finite values are reported as errors below, so numpy's warnings are noise
     with np.errstate(all="ignore"):
         checks, calib, samples, extras = _COMMANDS[args.command](scenario, args)
     elapsed = 0.0 if args.deterministic else time.perf_counter() - started
-    report = _assemble_report(args, scenario, checks, calib, samples, extras, elapsed)
+    digest = hashlib.sha256(data).hexdigest()
+    report = _assemble_report(args, scenario, digest, checks, calib, samples, extras, elapsed)
     bad = _first_non_finite(report)
     if bad is not None:
         print(f"error: report value {bad[0]} is not finite ({bad[1]}); no report written", file=sys.stderr)
@@ -116,7 +120,8 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to the scenario file")
         p.add_argument("--grid", type=int, default=None, help="override grid resolution")
-        p.add_argument("--csv", default=None, help="write field grids as CSV")
+        if name == "defects":
+            p.add_argument("--csv", default=None, help="write field grids as CSV")
         p.add_argument("--json", default=None, help="write the JSON report to this path")
         p.add_argument(
             "--deterministic",
@@ -124,13 +129,12 @@ def _build_parser():
             help="zero the timing field so reports are byte-identical",
         )
         p.add_argument("--tolerance", type=float, default=None, help="override check tolerance")
-        p.add_argument("--fd-step", type=float, default=None, help="override finite-difference step")
     return parser
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    flags = {"tolerance": "--tolerance", "fd_step": "--fd-step", "grid_n": "--grid"}
-    values = (args.tolerance, args.fd_step, args.grid)
+    flags = {"tolerance": "--tolerance", "grid_n": "--grid"}
+    values = (args.tolerance, args.grid)
     given = {key: value for key, value in zip(flags, values) if value is not None}
     num = replace(scenario.numerics, **given)
     validate_numerics(num, names={key: flags[key] for key in given})
@@ -229,7 +233,7 @@ def _cmd_defects(scenario: Scenario, args):
         ]
         reference = [given.burgers, given.frank, given.point, given.scalar]
         table.append(("extraction-round-trip", residual, reference, tol))
-    combo = extracted.burgers + extracted.frank * extracted.c1 + extracted.point * extracted.c2
+    combo = extracted.burgers + extracted.frank * C1 + extracted.point * C2
     gap = [extracted.generalized_burgers - combo]
     table.append(("generalized-burgers-combination", gap, [combo], EXACT_TOL))
     checks = _residual_checks(table, points)
@@ -247,7 +251,7 @@ def _cmd_defects(scenario: Scenario, args):
     if args.csv:
         _write_defect_csv(args.csv, scenario, extracted)
         extras["csv"] = args.csv
-    calib = {"frank_scale": calibration.FRANK_SCALE, "c1": extracted.c1, "c2": extracted.c2}
+    calib = {"frank_scale": calibration.FRANK_SCALE, "c1": C1, "c2": C2}
     return checks, calib, samples, extras
 
 
@@ -437,16 +441,13 @@ _COMMANDS = {
 # ---- report assembly -------------------------------------------------------------
 
 
-def _assemble_report(args, scenario: Scenario, checks, calib, samples, extras, elapsed):
-    with open(args.scenario, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+def _assemble_report(args, scenario: Scenario, digest, checks, calib, samples, extras, elapsed):
     report = {
         "schema": SCHEMA,
         "command": args.command,
         "scenario": {"path": args.scenario, "sha256": digest},
         "settings": {
             "tolerance": scenario.numerics.tolerance,
-            "fd_step": scenario.numerics.fd_step,
             "grid_n": scenario.numerics.grid_n,
             "grid_bounds": [scenario.numerics.grid_min, scenario.numerics.grid_max],
             "deterministic": bool(args.deterministic),

@@ -8,13 +8,13 @@ Identifications used throughout the package:
 * point covector    m  = non-metricity trace        -> point defects / extra matter
 * scalar density  rho  = coefficient of the totally
                          antisymmetric torsion part S = rho * vol
-* generalized Burgers B = b + c1 O + c2 m, default c1 = -3, c2 = 2/3.
+* generalized Burgers B = b + c1 O + c2 m, with c1 = -3, c2 = 2/3.
 
-Extraction of the Frank covector divides the raw second-kind trace by
-FRANK_SCALE (the exact factor produced by feeding the restricted
-reconstruction ansatz back through the trace; measured and frozen in
-`calibration`), so extract_defects inverts the reconstruction by default.
-Pass frank_mode="raw" to keep the undivided trace.
+Extraction of the Frank covector divides the raw second-kind trace
+(`nonmetricity_second_trace`) by FRANK_SCALE (the exact factor produced by
+feeding the restricted reconstruction ansatz back through the trace;
+measured and frozen in `calibration`), so extract_defects inverts the
+reconstruction.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ class DefectFields:
     frank: FormField  # 1-form
     point: FormField  # 1-form
     scalar: FormField  # 0-form
-    c1: float = GENERALIZED_BURGERS_C1
-    c2: float = GENERALIZED_BURGERS_C2
 
     def __post_init__(self):
         for name, deg in (("burgers", 1), ("frank", 1), ("point", 1), ("scalar", 0)):
@@ -53,7 +51,7 @@ class DefectFields:
 
     @property
     def generalized_burgers(self) -> FormField:
-        return self.burgers + self.frank * self.c1 + self.point * self.c2
+        return self.burgers + self.frank * GENERALIZED_BURGERS_C1 + self.point * GENERALIZED_BURGERS_C2
 
     @classmethod
     def zero(cls):
@@ -61,8 +59,6 @@ class DefectFields:
         return cls(z1, z1, z1, zero_field(0))
 
     def __add__(self, other):
-        if (self.c1, self.c2) != (other.c1, other.c2):
-            raise ValueError("cannot add defect fields with different B-combination constants")
         return replace(
             self,
             burgers=self.burgers + other.burgers,
@@ -245,39 +241,20 @@ def reconstruct_defect_geometry(d: DefectFields, e: CoFrame | None = None):
 # ---- extraction ------------------------------------------------------------------
 
 
-def extract_from_tensors(
-    T: TensorFormField,
-    Q: TensorFormField,
-    e: CoFrame | None = None,
-    frank_mode: str = "identity",
-    c1: float = GENERALIZED_BURGERS_C1,
-    c2: float = GENERALIZED_BURGERS_C2,
-) -> DefectFields:
+def extract_from_tensors(T: TensorFormField, Q: TensorFormField, e: CoFrame | None = None) -> DefectFields:
     """Defect densities from arbitrary torsion and non-metricity tensors.
 
-    frank_mode="identity" divides the second-kind trace by FRANK_SCALE so
-    that extraction inverts `reconstruct_nonmetricity`; "raw" keeps the
-    undivided trace.
+    The second-kind trace is divided by FRANK_SCALE, so that extraction
+    inverts `reconstruct_nonmetricity`.
     """
-    if frank_mode not in ("identity", "raw"):
-        raise ValueError(f"frank_mode must be 'identity' or 'raw', got {frank_mode!r}")
     e = e or CoFrame.identity()
     burgers, scalar_part = torsion_traces(T, e)
     rho = e.hodge(scalar_part)
     point = nonmetricity_trace(Q)
     P, _ = nonmetricity_second_trace(Q, e)
-    frank = P * (1.0 / FRANK_SCALE) if frank_mode == "identity" else P
-    return DefectFields(burgers, frank, point, rho, c1=c1, c2=c2)
+    return DefectFields(burgers, P * (1.0 / FRANK_SCALE), point, rho)
 
 
-def extract_defects(
-    e: CoFrame,
-    omega: TensorFormField,
-    frank_mode: str = "identity",
-    c1: float = GENERALIZED_BURGERS_C1,
-    c2: float = GENERALIZED_BURGERS_C2,
-) -> DefectFields:
+def extract_defects(e: CoFrame, omega: TensorFormField) -> DefectFields:
     """Defect densities of a coframe/connection pair."""
-    T = torsion(e, omega)
-    Q = nonmetricity(omega)
-    return extract_from_tensors(T, Q, e, frank_mode=frank_mode, c1=c1, c2=c2)
+    return extract_from_tensors(torsion(e, omega), nonmetricity(omega), e)

@@ -8,12 +8,8 @@ The free-energy 3-form of a defect configuration is
 with b, O, m the Burgers/Frank/point covectors and S = rho *1, so the
 vector representation is (k1 b.b + k2 rho^2 + k3 O.O + k4 m.m + k5 O.m
 + k6 b.O + k7 b.m) *1.  Both representations are implemented and must agree
-pointwise.
-
-An optional parity-violating triple term (b x O).m *1 exists behind a flag
-purely so the parity test can demonstrate that it flips sign under a
-coordinate reflection while every quadratic term is invariant; it is off by
-default and not part of the model.
+pointwise.  Every term is quadratic, so the density is invariant under a
+coordinate reflection.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from .elasticity import MaterialConstants
 from .fields import FormField, VectorField, component_field, field_sum, wedge, zero_field
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, TensorFormField
-from .sampling import batch_groups, grid_blocks, sample_points
+from .sampling import batch_groups, grid_blocks, grid_counts, sample_points
 
 
 @dataclass(frozen=True)
@@ -84,9 +80,7 @@ def map_couplings(k: Couplings) -> MappedCouplings:
     )
 
 
-def lagrangian_form(
-    d: DefectFields, k: Couplings, e: CoFrame | None = None, parity_term: float = 0.0
-) -> FormField:
+def lagrangian_form(d: DefectFields, k: Couplings, e: CoFrame | None = None) -> FormField:
     """Free-energy 3-form via wedge/Hodge evaluation."""
     e = e or CoFrame.identity()
     vol = e.volume()
@@ -110,14 +104,10 @@ def lagrangian_form(
     if k.kappa2 != 0.0:
         # S ^ *S = (rho *1) ^ *(rho *1) = rho^2 *1
         acc = acc + wedge(S, e.hodge(S)) * k.kappa2
-    if parity_term != 0.0:
-        acc = acc + wedge(wedge(d.burgers, d.frank), d.point) * parity_term
     return acc
 
 
-def lagrangian_vector(
-    d: DefectFields, k: Couplings, e: CoFrame | None = None, parity_term: float = 0.0
-) -> FormField:
+def lagrangian_vector(d: DefectFields, k: Couplings, e: CoFrame | None = None) -> FormField:
     """Free-energy 3-form via componentwise dot products times the volume form."""
     e = e or CoFrame.identity()
     b = _frame_vector(d.burgers, e)
@@ -132,8 +122,6 @@ def lagrangian_vector(
         + b.dot(O) * k.kappa6
         + b.dot(m) * k.kappa7
     )
-    if parity_term != 0.0:
-        density = density + b.cross(O).dot(m) * parity_term
     return density * e.volume()
 
 
@@ -152,11 +140,12 @@ def total_free_energy(
     t=0.0,
 ) -> float:
     """Midpoint quadrature of the free-energy 3-form coefficient over a box (EvaluationError on overflow)."""
-    if int(resolution) < 2:
+    (n,) = grid_counts("resolution", resolution, (resolution,))
+    if n < 2:
         raise ValueError("quadrature needs at least 2 cells per axis")
     density = component_field(lagrangian_form(d, k, e), 1, 2, 3)
-    counts = (int(resolution),) * 3
-    cell = np.prod([(hi - lo) / n for lo, hi, n in zip(bounds_min, bounds_max, counts)])
+    counts = (n,) * 3
+    cell = np.prod([(hi - lo) / n for lo, hi in zip(bounds_min, bounds_max)])
     blocks = grid_blocks(bounds_min, bounds_max, counts, t=t, midpoints=True)
     # one sum over the whole grid: the same summation order as an unblocked walk
     vals = np.concatenate([density.evaluate_batch(*block.T).components[0] for block in blocks])
@@ -182,7 +171,7 @@ class EnergyEstimate:
 def total_free_energy_estimate(d, k, bounds_min, bounds_max, resolution, e=None, t=0.0) -> EnergyEstimate:
     """Run the box quadrature at N and 2N; midpoint error falls like 1/N^2."""
     coarse = total_free_energy(d, k, bounds_min, bounds_max, resolution, e=e, t=t)
-    fine = total_free_energy(d, k, bounds_min, bounds_max, 2 * int(resolution), e=e, t=t)
+    fine = total_free_energy(d, k, bounds_min, bounds_max, 2 * resolution, e=e, t=t)
     extrapolated = (4.0 * fine - coarse) / 3.0
     return EnergyEstimate(coarse, fine, extrapolated, abs(fine - coarse) / 3.0)
 

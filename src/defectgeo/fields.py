@@ -342,8 +342,8 @@ class VectorField:
         )
 
     @classmethod
-    def of(cls, c1, c2, c3):
-        return cls((c1, c2, c3))
+    def of(cls, *comps):
+        return cls(comps)
 
     @classmethod
     def zero(cls):

@@ -23,7 +23,6 @@ coframe is the identity (or any constant rotation).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,6 @@ import numpy as np
 from .defects import DefectFields, reconstruct_defect_geometry
 from .fields import (
     FormField,
-    VectorField,
     curl,
     evaluate_fields,
     exterior_derivative,
@@ -51,7 +49,7 @@ from .geometry import (
     defect_one_form,
     levi_civita_connection,
 )
-from .sampling import grid_blocks, normalized_residuals, sample_points
+from .sampling import grid_blocks, grid_counts, normalized_residuals, sample_points
 
 
 def _eps(i, j, k):
@@ -322,8 +320,8 @@ def extra_matter(
     """
     if not 0.0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    (n,) = _counts("volume_resolution", volume_resolution, (volume_resolution,))
-    n_theta, n_phi = _counts("sphere_resolution", sphere_resolution, sphere_resolution)
+    (n,) = grid_counts("volume_resolution", volume_resolution, (volume_resolution,))
+    n_theta, n_phi = grid_counts("sphere_resolution", sphere_resolution, sphere_resolution)
     density = hodge(exterior_derivative(hodge(exterior_derivative(phi))))
 
     cx, cy, cz = center
@@ -345,34 +343,3 @@ def extra_matter(
     area_weight = radius**2 * np.sin(TH).ravel() * (np.pi / n_theta) * (2.0 * np.pi / n_phi)
     flux_total = float(np.sum(radial * area_weight))
     return ExtraMatterReport(density, volume_total, flux_total)
-
-
-def _counts(name, value, counts):
-    """`counts`, or ValueError naming `name` unless each is an integer of at least 1."""
-    if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
-        raise ValueError(f"{name} must be at least 1 per axis and integral, got {value!r}")
-    return counts
-
-
-# ---- bundled evaluation ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KinematicResiduals:
-    """Everything the kinematics commands report for one defect configuration."""
-
-    dislocation_form: TensorFormField
-    dislocation_vec: VectorField
-    point_curl: VectorField
-    disclination_beltrami: VectorField
-    algebraic_tensor: list
-    calibration: ConsistencyReport | None
-
-
-def kinematic_residuals(d: DefectFields, e: CoFrame | None = None, calibrate=True, points=None) -> KinematicResiduals:
-    e = e or CoFrame.identity()
-    form_res, vec_res = dislocation_balance(d, e)
-    point_curl, beltrami, _algebraic = disclination_point_balance(d)
-    tensor = disclination_balance_tensor(d)
-    calibration = bianchi_consistency(e, d, points=points) if calibrate else None
-    return KinematicResiduals(form_res, vec_res, point_curl, beltrami, tensor, calibration)

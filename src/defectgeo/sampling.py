@@ -9,6 +9,8 @@ argument takes one; `fields.Point` is for evaluating a field at one point.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .fields import BLOCK, Point, evaluate_fields
@@ -25,10 +27,14 @@ def sample_points(count, seed):
     return _point_set(*np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count, 3)).T)
 
 
-def check_points(lo, hi, n, cap=125):
-    """Deterministic check points: nodes of the n^3 grid on [lo, hi]^3, strided down to at most `cap`."""
+#: most check points: `check_points` strides the grid nodes down to this many
+CHECK_POINTS = 125
+
+
+def check_points(lo, hi, n):
+    """Deterministic check points: nodes of the n^3 grid on [lo, hi]^3, strided down to at most CHECK_POINTS."""
     axis = np.linspace(lo, hi, n)
-    flat = np.arange(0, n**3, max(1, n**3 // cap))[:cap]
+    flat = np.arange(0, n**3, max(1, n**3 // CHECK_POINTS))[:CHECK_POINTS]
     return _point_set(*(axis[i] for i in np.unravel_index(flat, (n,) * 3)))
 
 
@@ -101,3 +107,9 @@ def grid_blocks(bounds_min, bounds_max, counts, t=0.0, midpoints=False):
         index = np.unravel_index(np.arange(lo, min(lo + BLOCK, total)), counts)
         yield _point_set(*(axis[i] for axis, i in zip(axes, index)), t)
 
+
+def grid_counts(name, value, counts):
+    """`counts`, or ValueError naming `name` unless each is an integer of at least 1."""
+    if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
+        raise ValueError(f"{name} must be at least 1 per axis and integral, got {value!r}")
+    return counts

@@ -9,12 +9,13 @@ Sections (all optional unless a CLI command needs them):
     [deformation]  kind = inverse|forward (default inverse), X1..X3 quoted expressions
     [material]     lambda, mu, kappa, G, nu, R_outer, r_core   numbers
     [couplings]    kappa1..kappa7   numbers
-    [numerics]     fd_step > 0, tolerance >= 0, grid_min < grid_max   numbers;
+    [numerics]     tolerance >= 0, grid_min < grid_max   numbers;
                    grid_n integer in 2..MAX_GRID_N
 
 Expressions are always double-quoted; numbers (finite) and the kind word are bare.
-Lines starting with '#' are comments.  Duplicated sections or keys and
-unknown names raise ScenarioError carrying the offending line number(s).
+Files are UTF-8 text; lines starting with '#' are comments.  Bytes that are
+not UTF-8, duplicated sections or keys and unknown names raise ScenarioError
+carrying the offending line number(s).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ _SCHEMA = {
     },
     "couplings": {f"kappa{i}": "number" for i in range(1, 8)},
     "numerics": {
-        "fd_step": "number",
         "tolerance": "number",
         "grid_min": "number",
         "grid_max": "number",
@@ -64,7 +64,6 @@ _SCHEMA = {
     },
 }
 
-DEFAULT_FD_STEP = 1e-4
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_GRID = (-1.0, 1.0, 9)
 #: largest grid_n: energy integrates at 2 * grid_n, (2 * 512)^3 ~ 1.1e9 points
@@ -73,7 +72,6 @@ MAX_GRID_N = 512
 
 @dataclass(frozen=True)
 class Numerics:
-    fd_step: float = DEFAULT_FD_STEP
     tolerance: float = DEFAULT_TOLERANCE
     grid_min: float = DEFAULT_GRID[0]
     grid_max: float = DEFAULT_GRID[1]
@@ -181,8 +179,17 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def parse_scenario_file(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    with open(path, "rb") as fh:
+        return parse_scenario(decode_scenario(fh.read()))
+
+
+def decode_scenario(data: bytes) -> str:
+    """The UTF-8 text of a scenario file's bytes; ScenarioError names the line of the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ScenarioError(f"scenario file is not UTF-8: byte {data[exc.start]:#04x} cannot be decoded", [line]) from exc
 
 
 def _expr_or(section: dict, key, default):
@@ -248,7 +255,6 @@ def _assemble(sections, key_lines) -> Scenario:
 
     num = sections.get("numerics", {})
     numerics = Numerics(
-        fd_step=num.get("fd_step", DEFAULT_FD_STEP),
         tolerance=num.get("tolerance", DEFAULT_TOLERANCE),
         grid_min=num.get("grid_min", DEFAULT_GRID[0]),
         grid_max=num.get("grid_max", DEFAULT_GRID[1]),
@@ -270,7 +276,7 @@ def _assemble(sections, key_lines) -> Scenario:
 
 def validate_numerics(num: Numerics, names=None, lines=None):
     """Raise ScenarioError unless `num` is usable: every number finite, tolerance >= 0,
-    fd_step > 0, grid_n in 2..MAX_GRID_N and grid_min < grid_max.
+    grid_n in 2..MAX_GRID_N and grid_min < grid_max.
 
     A message calls a setting by `names[key]` (its command-line flag), else
     by its key, and names the file lines in `lines[key]`, where given.
@@ -280,13 +286,12 @@ def validate_numerics(num: Numerics, names=None, lines=None):
     def fail(message, *keys):
         raise ScenarioError(message, [lines[k] for k in keys if k in lines])
 
-    for key in ("tolerance", "fd_step", "grid_min", "grid_max"):
+    for key in ("tolerance", "grid_min", "grid_max"):
         value = getattr(num, key)
         if not math.isfinite(value):
             fail(f"{names.get(key, key)} must be a finite number, got {value}", key)
     for key, ok, what in (
         ("tolerance", num.tolerance >= 0.0, "non-negative"),
-        ("fd_step", num.fd_step > 0.0, "positive"),
         ("grid_n", 2 <= num.grid_n <= MAX_GRID_N, f"between 2 and {MAX_GRID_N}"),
     ):
         if not ok:

@@ -1,12 +1,14 @@
 """CLI behaviour: exit codes, report schema, determinism, CSV export."""
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from defectgeo.cli import main
+from defectgeo.cli import _build_parser, main
 
 from util import point_array
 
@@ -37,7 +39,8 @@ def test_report_schema_fields(tmp_path):
     report_path = tmp_path / "report.json"
     run(["check", SCENARIOS / "default.toml", "--json", report_path, "--deterministic"])
     report = json.loads(report_path.read_text())
-    assert report["schema"] == "defectgeo-report-v1"
+    assert report["schema"] == "defectgeo-report-v2"
+    assert list(report["settings"]) == ["tolerance", "grid_n", "grid_bounds", "deterministic"]
     assert report["command"] == "check"
     assert len(report["scenario"]["sha256"]) == 64
     assert report["timing_s"] == 0.0
@@ -451,7 +454,7 @@ def test_non_finite_scenario_numbers_are_bad_input_with_their_line(tmp_path, cap
     assert err == f"error: key {where} must be a finite number, got {raw!r} (line {line})\n"
 
 
-@pytest.mark.parametrize("flag,value", [("--tolerance", "nan"), ("--fd-step", "inf")])
+@pytest.mark.parametrize("flag,value", [("--tolerance", "nan"), ("--tolerance", "inf")])
 def test_non_finite_overrides_are_bad_input(capsys, flag, value):
     assert run(["check", SCENARIOS / "default.toml", flag, value]) == 2
     assert capsys.readouterr().err == f"error: {flag} must be a finite number, got {value}\n"
@@ -460,15 +463,57 @@ def test_non_finite_overrides_are_bad_input(capsys, flag, value):
 @pytest.mark.parametrize(
     "flags,message",
     [
-        (["--tolerance", "-1", "--fd-step", "-1"], "--tolerance must be non-negative"),
-        (["--fd-step", "-1"], "--fd-step must be positive"),
-        (["--fd-step", "0"], "--fd-step must be positive"),
+        (["--tolerance", "-1", "--grid", "1"], "--tolerance must be non-negative"),
+        (["--tolerance", "-0.5"], "--tolerance must be non-negative"),
+        (["--grid", "513"], "--grid must be between 2 and 512"),
         (["--grid", "1"], "--grid must be between 2 and 512"),
     ],
 )
 def test_out_of_range_overrides_are_bad_input(capsys, flags, message):
     assert run(["check", SCENARIOS / "default.toml", *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["check", "--fd-step", "1e-4"], ["check", "--csv", "out.csv"], ["energy", "--csv", "out.csv"]],
+    ids=["fd-step", "check-csv", "energy-csv"],
+)
+def test_unregistered_options_are_bad_input(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run([args[0], SCENARIOS / "default.toml", *args[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(args[1:])}" in capsys.readouterr().err
+
+
+def test_fd_step_in_the_file_is_bad_input(tmp_path, capsys):
+    scenario = tmp_path / "s.toml"
+    scenario.write_text("[numerics]\ntolerance = 1e-6\nfd_step = 1e-4\n")
+    assert run(["check", scenario]) == 2
+    assert capsys.readouterr().err == "error: unknown key 'fd_step' in [numerics] (line 3)\n"
+
+
+def test_undecodable_scenario_is_bad_input(tmp_path, capsys):
+    scenario = tmp_path / "latin1.toml"
+    scenario.write_bytes(b"[numerics]\ntolerance = 1e-6\n# caf\xe9\n")
+    assert run(["check", scenario]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: scenario file is not UTF-8: byte 0xe9 cannot be decoded (line 3)\n"
+
+
+def test_readme_synopsis_lists_the_registered_options():
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    synopsis = readme.split("## CLI", 1)[1].split("```")[1]
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {
+        option
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+    assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == registered
 
 
 def test_negative_tolerance_in_the_file_is_bad_input(tmp_path, capsys):

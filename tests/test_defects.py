@@ -274,14 +274,13 @@ def test_full_extraction_round_trip():
     assert normalized_residual(residual, reference, PTS) <= 1e-10
 
 
-def test_raw_frank_mode_keeps_undivided_trace():
+def test_second_trace_is_frank_scale_times_frank():
+    # extraction divides this raw trace by FRANK_SCALE
     source = random_defects(rng)
-    T, Q = reconstruct_defect_geometry(source, E)
-    raw = extract_from_tensors(T, Q, E, frank_mode="raw")
+    _, Q = reconstruct_defect_geometry(source, E)
+    P, _ = nonmetricity_second_trace(Q, E)
     expected = source.frank * FRANK_SCALE
-    assert normalized_residual([raw.frank - expected], [expected], PTS) <= 1e-10
-    with pytest.raises(ValueError):
-        extract_from_tensors(T, Q, E, frank_mode="paper")
+    assert normalized_residual([P - expected], [expected], PTS) <= 1e-10
 
 
 def test_generalized_burgers_combination():

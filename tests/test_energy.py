@@ -16,7 +16,7 @@ from defectgeo.energy import (
 )
 from defectgeo.elasticity import MaterialConstants
 from defectgeo.errors import InvalidMaterial
-from defectgeo.fields import Point, scalar_field, symbolic, zero_field
+from defectgeo.fields import Point, one_form_to_vector, scalar_field, symbolic, wedge, zero_field
 from defectgeo.geometry import CoFrame
 from defectgeo.sampling import normalized_residual, sample_points
 
@@ -80,6 +80,17 @@ def test_polarization_identity():
     assert normalized_residual([lhs - rhs], [rhs], PTS) <= 1e-12
 
 
+def _triple_form(d):
+    """The parity-odd triple term b ^ O ^ m, which no coupling of the model has."""
+    return wedge(wedge(d.burgers, d.frank), d.point)
+
+
+def _triple_vector(d):
+    """(b x O) . m *1, the vector representation of `_triple_form`."""
+    b, O, m = (one_form_to_vector(f) for f in (d.burgers, d.frank, d.point))
+    return b.cross(O).dot(m) * E.volume()
+
+
 def test_parity_of_quadratic_and_triple_terms():
     # reflect through the x-plane: covector components flip their x entry;
     # the textual x -> (-x) substitution is safe because the generated
@@ -111,17 +122,15 @@ def test_parity_of_quadratic_and_triple_terms():
         quad = lagrangian_vector(d, k, E).evaluate(q).components[0]
         quad_m = lagrangian_vector(mirrored, k, E).evaluate(p).components[0]
         assert quad_m == pytest.approx(quad, rel=1e-10, abs=1e-12)
-        triple = lagrangian_vector(d, Couplings(), E, parity_term=1.0).evaluate(q).components[0]
-        triple_m = lagrangian_vector(mirrored, Couplings(), E, parity_term=1.0).evaluate(p).components[0]
+        triple = _triple_vector(d).evaluate(q).components[0]
+        triple_m = _triple_vector(mirrored).evaluate(p).components[0]
         assert triple_m == pytest.approx(-triple, rel=1e-10, abs=1e-12)
 
 
 def test_parity_term_in_both_representations():
     d = random_defects(rng)
-    gap = lagrangian_form(d, Couplings(), E, parity_term=2.0) - lagrangian_vector(
-        d, Couplings(), E, parity_term=2.0
-    )
-    assert normalized_residual([gap], [lagrangian_form(d, Couplings(), E, parity_term=2.0)], PTS) <= 1e-12
+    gap = _triple_form(d) - _triple_vector(d)
+    assert normalized_residual([gap], [_triple_form(d)], PTS) <= 1e-12
 
 
 # ---- coupling map -------------------------------------------------------------------
@@ -274,5 +283,14 @@ def test_total_energy_quadratic_integrand():
 
 
 def test_total_energy_resolution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 2 cells"):
         total_free_energy(zero_defects(), Couplings(), resolution=1)
+
+
+@pytest.mark.parametrize("resolution", [2.9, 4.0, "8"])
+def test_total_energy_rejects_a_non_integral_resolution(resolution):
+    d = random_defects(np.random.default_rng(5))
+    with pytest.raises(ValueError, match="resolution must be at least 1 per axis and integral"):
+        total_free_energy(d, Couplings(kappa1=1.0), resolution=resolution)
+    with pytest.raises(ValueError, match="resolution"):
+        total_free_energy_estimate(d, Couplings(kappa1=1.0), (-1,) * 3, (1,) * 3, resolution)

@@ -24,7 +24,6 @@ from defectgeo.kinematics import (
     dislocation_balance,
     extra_matter,
     fit_scale,
-    kinematic_residuals,
 )
 from defectgeo.sampling import batch_components, normalized_residual, sample_points
 
@@ -257,22 +256,6 @@ def test_consistency_teleparallel_restriction():
 
     form_res, _ = dislocation_balance(d, E)
     assert normalized_residual(form_res.entries(), [d.burgers, d.point], PTS) <= 1e-9
-
-
-# ---- bundled residuals --------------------------------------------------------------
-
-
-def test_kinematic_residuals_bundle():
-    d = random_defects(rng)
-    bundle = kinematic_residuals(d, E, calibrate=True, points=PTS)
-    assert bundle.calibration is not None
-    assert bundle.dislocation_form.entry(1).degree == 3
-    assert len(bundle.algebraic_tensor) == 3
-    gap = [
-        hodge(bundle.dislocation_form.entry(a)) - bundle.dislocation_vec.component(a)
-        for a in FRAME_INDICES
-    ]
-    assert normalized_residual(gap, list(bundle.dislocation_vec.comps), PTS) <= 1e-6
 
 
 # ---- extra matter ---------------------------------------------------------------------

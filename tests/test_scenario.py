@@ -17,7 +17,6 @@ tolerance = 1e-8
 def test_minimal_scenario_defaults():
     s = parse_scenario(MINIMAL)
     assert s.numerics.tolerance == 1e-8
-    assert s.numerics.fd_step == 1e-4
     assert s.numerics.grid_n == 9
     assert (s.numerics.grid_min, s.numerics.grid_max) == (-1.0, 1.0)
     assert s.coframe.is_identity
@@ -157,7 +156,7 @@ def test_bad_deformation_kind():
 
 def test_numerics_validation():
     with pytest.raises(ScenarioError):
-        parse_scenario("[numerics]\nfd_step = -1.0\n")
+        parse_scenario("[numerics]\ntolerance = -1.0\n")
     with pytest.raises(ScenarioError):
         parse_scenario("[numerics]\ngrid_n = 1\n")
     with pytest.raises(ScenarioError):
@@ -168,7 +167,6 @@ def test_numerics_validation():
     "numerics,message",
     [
         ("tolerance = -1e-9", "tolerance must be non-negative (line 3)"),
-        ("fd_step = 0", "fd_step must be positive (line 3)"),
         ("grid_n = 1", "grid_n must be between 2 and 512 (line 3)"),
         ("grid_min = 1.0\ngrid_max = 1.0", "grid_min must be below grid_max (lines 3, 4)"),
     ],
@@ -177,6 +175,13 @@ def test_numerics_out_of_range_name_their_lines(numerics, message):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(f"[numerics]\n# ranges\n{numerics}\n")
     assert str(err.value) == message
+
+
+def test_fd_step_is_an_unknown_key():
+    # no command differentiates numerically, so the file has no step to set
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario("[numerics]\n# steps\nfd_step = 1e-4\n")
+    assert str(err.value) == "unknown key 'fd_step' in [numerics] (line 3)"
 
 
 def test_grid_n_must_be_integral():
