@@ -2,9 +2,14 @@
 
 Several rational factors tie the extraction conventions to the restricted
 defect ansatz.  They are measured by brute-force oracles (deterministic
-probe fields, many sample points) and frozen here; the regression tests and
-the `calibrate` CLI command re-measure them and fail loudly on any drift,
-which would mean a convention changed somewhere upstream.
+probe fields, many sample points) and frozen here.  A drift would mean a
+convention changed somewhere upstream, so a re-measurement fails loudly on it.
+
+The `calibrate` CLI command re-measures `FRANK_SCALE`, the two curvature
+factors and `ANSATZ_FLUX_FACTOR`, and checks that both piece-1 traces vanish.
+It only reports the quadratic invariants, asserted ones included, and it
+does not measure the three `PROJECTION_*` tuples: `tests/test_kinematics.py`
+re-measures those.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -24,19 +25,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import calibration
-from .defects import GENERALIZED_BURGERS_C1 as C1, GENERALIZED_BURGERS_C2 as C2
+from .defects import FRANK_SCALE, GENERALIZED_BURGERS_C1 as C1, GENERALIZED_BURGERS_C2 as C2
 from .defects import extract_defects, reconstruct_defect_geometry
-from .elasticity import (
-    cauchy_motion_residual,
-    check_invertible,
-    deformation_gradients,
-    euler_strain,
-    isotropic_stress,
-    stress_from_elasticity_tensor,
-    volume_relation_residual,
-)
-from .energy import lagrangian_form, lagrangian_vector, total_free_energy_estimate
 from .errors import DefectGeoError, ScenarioError
 from .fields import VectorField, evaluate_fields, matrix_multiply, scalar_field
 from .forms import FRAME_INDICES
@@ -51,7 +41,6 @@ from .geometry import (
     pure_gauge_connection,
     torsion,
 )
-from .kinematics import bianchi_consistency, disclination_point_balance, dislocation_balance
 from .sampling import batch_groups, check_points, grid_blocks, max_abs, normalized_residuals
 from .scenario import Scenario, decode_scenario, parse_scenario, validate_numerics
 
@@ -251,7 +240,7 @@ def _cmd_defects(scenario: Scenario, args):
     if args.csv:
         _write_defect_csv(args.csv, scenario, extracted)
         extras["csv"] = args.csv
-    calib = {"frank_scale": calibration.FRANK_SCALE, "c1": C1, "c2": C2}
+    calib = {"frank_scale": FRANK_SCALE, "c1": C1, "c2": C2}
     return checks, calib, samples, extras
 
 
@@ -274,6 +263,8 @@ def _write_defect_csv(path, scenario: Scenario, d):
 
 
 def _cmd_kinematics(scenario: Scenario, args):
+    from .kinematics import bianchi_consistency, disclination_point_balance, dislocation_balance
+
     scenario.require("defects")
     tol = scenario.numerics.tolerance
     points = _validated_points(scenario)
@@ -308,12 +299,22 @@ def _cmd_kinematics(scenario: Scenario, args):
         "disclination_fit_residual": fits.disclination.relative_residual,
         "disclination_literal_factor": fits.disclination_literal.coefficient,
         "disclination_literal_fit_residual": fits.disclination_literal.relative_residual,
-        "frank_scale": calibration.FRANK_SCALE,
+        "frank_scale": FRANK_SCALE,
     }
     return checks, calib, None, {}
 
 
 def _cmd_elastic(scenario: Scenario, args):
+    from .elasticity import (
+        cauchy_motion_residual,
+        check_invertible,
+        deformation_gradients,
+        euler_strain,
+        isotropic_stress,
+        stress_from_elasticity_tensor,
+        volume_relation_residual,
+    )
+
     scenario.require("deformation", "material")
     tol = scenario.numerics.tolerance
     points = _validated_points(scenario)
@@ -366,6 +367,8 @@ def _cmd_elastic(scenario: Scenario, args):
 
 
 def _cmd_energy(scenario: Scenario, args):
+    from .energy import lagrangian_form, lagrangian_vector, total_free_energy_estimate
+
     scenario.require("defects", "couplings")
     points = _validated_points(scenario)
     e = scenario.coframe
@@ -396,6 +399,8 @@ def _cmd_energy(scenario: Scenario, args):
 
 
 def _cmd_calibrate(scenario: Scenario, args):
+    from . import calibration
+
     points = _validated_points(scenario)
     calib = calibration.run_calibration(scenario.coframe, points)
     checks = [
@@ -490,5 +495,17 @@ def _emit(report, args):
         print(text)
 
 
+def entry():
+    """Process entry of `python -m defectgeo.cli` and the `defectgeo` script.
+
+    Exits with main()'s code after freezing the collector, so the
+    interpreter's shutdown collections skip the heap the run built; streams
+    are still flushed and `atexit` handlers still run.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    entry()

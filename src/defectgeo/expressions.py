@@ -206,7 +206,7 @@ ONE = Num(1.0)
 
 
 def _is_num(e, value=None):
-    return isinstance(e, Num) and (value is None or e.value == value)
+    return type(e) is Num and (value is None or e.value == value)  # Num has no subclasses
 
 
 # ---- folding constructors ------------------------------------------------

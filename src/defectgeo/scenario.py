@@ -8,7 +8,7 @@ Sections (all optional unless a CLI command needs them):
                    components of the Burgers/Frank/point covectors), rho expression
     [deformation]  kind = inverse|forward (default inverse), X1..X3 quoted expressions
     [material]     lambda, mu, kappa, G, nu, R_outer, r_core   numbers
-    [couplings]    kappa1..kappa7   numbers
+    [couplings]    kappa1..kappa7   numbers (unset ones 0)
     [numerics]     tolerance >= 0, grid_min < grid_max   numbers;
                    grid_n integer in 2..MAX_GRID_N
 
@@ -16,6 +16,11 @@ Expressions are always double-quoted; numbers (finite) and the kind word are bar
 Files are UTF-8 text; lines starting with '#' are comments.  Bytes that are
 not UTF-8, duplicated sections or keys and unknown names raise ScenarioError
 carrying the offending line number(s).
+
+A `Scenario` holds `None` for each of [gauge], [deformation], [material]
+and [couplings] that the file leaves out; the other sections always have a
+value.  Elasticity and energy are imported only to build the last three, so
+parsing a file without them loads neither module.
 """
 
 from __future__ import annotations
@@ -23,15 +28,18 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .defects import DefectFields
-from .elasticity import DeformationMap, MaterialConstants
-from .energy import Couplings
 from .errors import ParseError, ScenarioError
 from .expressions import parse_expr
 from .fields import FormField, SymbolicFormField, zero_field
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, GaugeField
+
+if TYPE_CHECKING:
+    from .elasticity import DeformationMap, MaterialConstants
+    from .energy import Couplings
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_]*)\]$")
 _KEY_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
@@ -87,7 +95,7 @@ class Scenario:
     defects: DefectFields
     deformation: DeformationMap | None
     material: MaterialConstants | None
-    couplings: Couplings
+    couplings: Couplings | None
     numerics: Numerics
     sections: frozenset = field(default_factory=frozenset)
 
@@ -233,12 +241,16 @@ def _assemble(sections, key_lines) -> Scenario:
             raise ScenarioError(
                 f"[deformation] is missing {', '.join(missing)}"
             )
+        from .elasticity import DeformationMap
+
         deformation = DeformationMap(
             tuple(SymbolicFormField(0, [dmap[k]]) for k in ("X1", "X2", "X3")), kind=kind
         )
 
     material = None
     if "material" in sections:
+        from .elasticity import MaterialConstants
+
         mt = sections["material"]
         material = MaterialConstants(
             lam=mt.get("lambda"),
@@ -250,8 +262,12 @@ def _assemble(sections, key_lines) -> Scenario:
             r_core=mt.get("r_core"),
         )
 
-    cpl = sections.get("couplings", {})
-    couplings = Couplings(**{f"kappa{i}": cpl.get(f"kappa{i}", 0.0) for i in range(1, 8)})
+    couplings = None
+    if "couplings" in sections:
+        from .energy import Couplings
+
+        cpl = sections["couplings"]
+        couplings = Couplings(**{f"kappa{i}": cpl.get(f"kappa{i}", 0.0) for i in range(1, 8)})
 
     num = sections.get("numerics", {})
     numerics = Numerics(

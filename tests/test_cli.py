@@ -143,6 +143,10 @@ def test_energy_requires_sections(tmp_path, capsys):
     bare.write_text("[numerics]\ntolerance = 1e-6\n")
     assert run(["energy", bare]) == 2
     assert "missing required section" in capsys.readouterr().err
+    no_couplings = tmp_path / "no_couplings.toml"
+    no_couplings.write_text('[defects]\nrho = "x"\n')
+    assert run(["energy", no_couplings]) == 2
+    assert capsys.readouterr().err == "error: missing required section(s): couplings\n"
 
 
 def test_defects_csv_export(tmp_path):

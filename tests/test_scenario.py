@@ -95,6 +95,10 @@ def test_couplings_defaults():
     assert s.couplings.kappa1 == 0.0
 
 
+def test_couplings_absent_without_the_section():
+    assert parse_scenario("").couplings is None
+
+
 def test_duplicate_section_reports_both_lines():
     text = "[defects]\nrho = \"1\"\n\n[numerics]\ntolerance = 1e-6\n\n[defects]\nb1 = \"1\"\n"
     with pytest.raises(ScenarioError) as err:
