@@ -16,13 +16,12 @@ __version__ = "0.1.0"
 
 #: the names each submodule exports through the package
 _EXPORTS = {
-    "defects": "DefectFields FRANK_SCALE NonmetricityPieces TorsionPieces extract_defects"
-    " extract_from_tensors nonmetricity_pieces nonmetricity_second_trace nonmetricity_trace"
-    " reconstruct_defect_geometry reconstruct_nonmetricity reconstruct_torsion torsion_pieces"
-    " torsion_traces",
+    "defects": "DefectFields FRANK_SCALE NonmetricityPieces extract_defects extract_from_tensors"
+    " nonmetricity_pieces nonmetricity_second_trace nonmetricity_trace"
+    " reconstruct_defect_geometry reconstruct_nonmetricity reconstruct_torsion torsion_traces",
     "elasticity": "DeformationMap MaterialConstants StrainState StressState cauchy_motion_residual"
-    " deformation_gradients deformation_rate euler_strain isotropic_stress"
-    " mass_conservation_residual stress_from_elasticity_tensor volume_relation_residual",
+    " deformation_gradients euler_strain isotropic_stress mass_conservation_residual"
+    " stress_from_elasticity_tensor volume_relation_residual",
     "energy": "Couplings MappedCouplings dislocation_energy_coefficient lagrangian_form"
     " lagrangian_vector map_couplings quadratic_invariants total_free_energy"
     " total_free_energy_estimate",
@@ -31,7 +30,7 @@ _EXPORTS = {
     " SingularGauge SingularTriad",
     "expressions": "differentiate parse_expr",
     "fields": "FormField NumericFormField Point SymbolicFormField VectorField constant_field curl"
-    " divergence exterior_derivative grad hodge interior lie_derivative one_form_to_vector"
+    " divergence exterior_derivative grad hodge interior one_form_to_vector"
     " scalar_field symbolic time_derivative wedge zero_field",
     "forms": "KForm",
     "geometry": "CoFrame GaugeField TensorFormField bianchi_residuals connection_with contortion"

@@ -1,4 +1,4 @@
-"""Irreducible decomposition of torsion and non-metricity and the defect densities.
+"""Torsion traces, the irreducible decomposition of non-metricity, and the defect densities.
 
 Identifications used throughout the package:
 
@@ -19,7 +19,7 @@ reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .fields import FormField, field_sum, scalar_field, wedge, zero_field
 from .forms import FRAME_INDICES
@@ -58,40 +58,6 @@ class DefectFields:
         z1 = zero_field(1)
         return cls(z1, z1, z1, zero_field(0))
 
-    def __add__(self, other):
-        return replace(
-            self,
-            burgers=self.burgers + other.burgers,
-            frank=self.frank + other.frank,
-            point=self.point + other.point,
-            scalar=self.scalar + other.scalar,
-        )
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
-    def __mul__(self, factor):
-        return replace(
-            self,
-            burgers=self.burgers * factor,
-            frank=self.frank * factor,
-            point=self.point * factor,
-            scalar=self.scalar * factor,
-        )
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class TorsionPieces:
-    """Irreducible torsion split: tensor piece, trace piece, totally antisymmetric piece."""
-
-    piece1: TensorFormField
-    piece2: TensorFormField
-    piece3: TensorFormField
-    trace: FormField  # 1-form
-    scalar_part: FormField  # 3-form
-
 
 @dataclass(frozen=True)
 class NonmetricityPieces:
@@ -118,17 +84,6 @@ def torsion_traces(T: TensorFormField, e: CoFrame | None = None):
         trace = trace + e.interior(a, T.entry(a))
         scalar_part = scalar_part + wedge(e.e(a), T.entry(a))
     return trace, scalar_part
-
-
-def torsion_pieces(T: TensorFormField, e: CoFrame | None = None) -> TorsionPieces:
-    e = e or CoFrame.identity()
-    trace, scalar_part = torsion_traces(T, e)
-    piece2 = TensorFormField.build(("u",), 2, lambda a: wedge(e.e(a), trace) * 0.5)
-    piece3 = TensorFormField.build(("u",), 2, lambda a: e.interior(a, scalar_part) * (1.0 / 3.0))
-    piece1 = TensorFormField.build(
-        ("u",), 2, lambda a: T.entry(a) - piece2.entry(a) - piece3.entry(a)
-    )
-    return TorsionPieces(piece1, piece2, piece3, trace, scalar_part)
 
 
 def reconstruct_torsion(burgers: FormField, scalar, e: CoFrame | None = None) -> TensorFormField:

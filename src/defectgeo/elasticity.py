@@ -31,7 +31,7 @@ with D the Levi-Civita covariant exterior derivative of the coframe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,10 +228,6 @@ class DeformationMap:
                 raise ValueError("forward-map components must be symbolic scalar fields without sampled leaves")
             object.__setattr__(self, "_chart", _ForwardChart(tuple(m.comps[0] for m in maps)))
 
-    @classmethod
-    def identity(cls):
-        return cls((scalar_field("x"), scalar_field("y"), scalar_field("z")))
-
     def inverse_fields(self):
         """The three scalar fields X^A(x, y, z, t)."""
         if self.kind == "inverse":
@@ -268,10 +264,9 @@ def check_invertible(dm: DeformationMap, points, e: CoFrame | None = None):
 
 @dataclass(frozen=True)
 class StrainState:
-    """Euler strain (and optionally its transport rate), symmetric 3x3 scalar fields."""
+    """Euler strain, symmetric 3x3 scalar fields."""
 
     strain: list
-    rate: list | None = None
 
     def entry(self, a, b):
         return self.strain[a - 1][b - 1]
@@ -444,24 +439,3 @@ def volume_relation_residual(dm: DeformationMap, e: CoFrame | None = None) -> Fo
     ratio = quotient(component_field(e.volume(), 1, 2, 3), det_push_coord)
     return det_pull - ratio
 
-
-def deformation_rate(strain: StrainState, v: VectorField) -> list:
-    """Transport rate of the Euler strain treated as a (0,2) tensor:
-
-    d_ab = (d/dt + v . grad) e_ab + e_cb dv^c/dx^a + e_ac dv^c/dx^b
-    """
-    dv = [[_partial(v.component(c), a) for a in FRAME_INDICES] for c in FRAME_INDICES]
-
-    def entry(a, b):
-        acc = time_derivative(strain.entry(a, b))
-        for c in FRAME_INDICES:
-            acc = acc + v.component(c) * _partial(strain.entry(a, b), c)
-            acc = acc + strain.entry(c, b) * dv[c - 1][a - 1]
-            acc = acc + strain.entry(a, c) * dv[c - 1][b - 1]
-        return acc
-
-    return [[entry(a, b) for b in FRAME_INDICES] for a in FRAME_INDICES]
-
-
-def with_rate(strain: StrainState, v: VectorField) -> StrainState:
-    return replace(strain, rate=deformation_rate(strain, v))

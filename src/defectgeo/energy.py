@@ -15,16 +15,19 @@ coordinate reflection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .defects import DefectFields, nonmetricity_second_trace, nonmetricity_trace, torsion_traces
 from .errors import EvaluationError, InvalidMaterial
-from .elasticity import MaterialConstants
 from .fields import FormField, VectorField, component_field, field_sum, wedge, zero_field
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, TensorFormField
 from .sampling import batch_groups, grid_blocks, grid_counts, sample_points
+
+if TYPE_CHECKING:
+    from .elasticity import MaterialConstants
 
 
 @dataclass(frozen=True)
@@ -190,12 +193,6 @@ class InvariantRelation:
 @dataclass(frozen=True)
 class InvariantReport:
     relations: tuple
-
-    def relation(self, name) -> InvariantRelation:
-        for r in self.relations:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
 
 def quadratic_invariants(

@@ -3,7 +3,7 @@
 A FormField evaluates to a KForm of fixed degree at every point.  Its
 components are expressions of the interned DAG (see expressions) in the
 spatial coordinates x, y, z, t, so all algebra - wedge, Hodge, interior
-product, Lie derivative, the vector calculus isomorphisms - builds
+product, the vector calculus isomorphisms - builds
 expressions, and one walk evaluates any set of fields.  This is the one
 exterior algebra of the package: a value at a point is a constant_field,
 and the sign tables come from forms.  Exterior and time derivatives
@@ -366,9 +366,6 @@ class VectorField:
     def __sub__(self, other):
         return VectorField(tuple(a - b for a, b in zip(self.comps, other.comps)))
 
-    def __neg__(self):
-        return VectorField(tuple(-a for a in self.comps))
-
     def __mul__(self, factor):
         return VectorField(tuple(c * factor for c in self.comps))
 
@@ -401,24 +398,6 @@ def component_field(alpha: FormField, *indices) -> FormField:
     """Scalar field of one component, addressed by basis index tuple, e.g. (1,3)."""
     slot = BASIS[alpha.degree].index(tuple(indices))
     return _component_field(alpha, slot)
-
-
-def interior_with_vector(v: VectorField, alpha: FormField) -> FormField:
-    """iota_v = sum_a v^a iota_a against the fixed Cartesian frame."""
-    if alpha.degree == 0:
-        return zero_field(0)
-    acc = zero_field(alpha.degree - 1)
-    for a in FRAME_INDICES:
-        acc = acc + v.component(a) * interior(a, alpha)
-    return acc
-
-
-def lie_derivative(v: VectorField, alpha: FormField) -> FormField:
-    """Cartan formula: L_v alpha = iota_v d(alpha) + d(iota_v alpha)."""
-    first = interior_with_vector(v, exterior_derivative(alpha))
-    if alpha.degree == 0:
-        return first
-    return first + exterior_derivative(interior_with_vector(v, alpha))
 
 
 def grad(f: FormField) -> VectorField:

@@ -177,46 +177,8 @@ class TensorFormField:
     def entry(self, *idx) -> FormField:
         return self._c[tuple(idx)]
 
-    def map(self, fn, degree=None):
-        return TensorFormField(
-            self.variance,
-            self.degree if degree is None else degree,
-            {idx: fn(f) for idx, f in self._c.items()},
-        )
-
-    def __add__(self, other):
-        self._require_same(other)
-        return TensorFormField(
-            self.variance, self.degree, {idx: f + other._c[idx] for idx, f in self._c.items()}
-        )
-
-    def __sub__(self, other):
-        self._require_same(other)
-        return TensorFormField(
-            self.variance, self.degree, {idx: f - other._c[idx] for idx, f in self._c.items()}
-        )
-
-    def __neg__(self):
-        return self.map(lambda f: -f)
-
-    def __mul__(self, factor):
-        return self.map(lambda f: f * factor)
-
-    __rmul__ = __mul__
-
-    def _require_same(self, other):
-        if self.variance != other.variance or self.degree != other.degree:
-            raise ValueError("tensor fields must share variance and degree")
-
     def entries(self):
         return list(self._c.values())
-
-
-def kronecker_tensor(variance=("u", "d")) -> TensorFormField:
-    """Constant Kronecker-delta components in the requested slot variance."""
-    return TensorFormField.build(
-        variance, 0, lambda a, b: scalar_field(1.0 if a == b else 0.0)
-    )
 
 
 # ---- connection constructions -------------------------------------------------

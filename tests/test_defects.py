@@ -15,7 +15,6 @@ from defectgeo.defects import (
     reconstruct_defect_geometry,
     reconstruct_nonmetricity,
     reconstruct_torsion,
-    torsion_pieces,
     torsion_traces,
 )
 from defectgeo.fields import Point, hodge, scalar_field, symbolic, wedge, zero_field
@@ -73,37 +72,29 @@ def test_trace_of_pure_scalar_torsion():
 # ---- torsion pieces ----------------------------------------------------------------
 
 
+def torsion_remainder(T):
+    """The tensor piece T - reconstruct_torsion(b, *S) left by the two traces."""
+    trace, scalar_part = torsion_traces(T, E)
+    rebuilt = reconstruct_torsion(trace, E.hodge(scalar_part), E)
+    return TensorFormField.build(("u",), 2, lambda a: T.entry(a) - rebuilt.entry(a))
+
+
 def test_pieces_of_reconstructed_torsion_have_no_tensor_part():
     d = random_defects(rng)
     T = reconstruct_torsion(d.burgers, d.scalar, E)
-    pieces = torsion_pieces(T, E)
-    assert normalized_residual(pieces.piece1.entries(), T.entries(), PTS) <= 1e-12
+    assert normalized_residual(torsion_remainder(T).entries(), T.entries(), PTS) <= 1e-12
 
 
 def test_torsion_pieces_sum_and_trace_freeness():
     T = random_torsion(rng)
-    pieces = torsion_pieces(T, E)
-    total = [
-        pieces.piece1.entry(a) + pieces.piece2.entry(a) + pieces.piece3.entry(a) - T.entry(a)
-        for a in FRAME_INDICES
-    ]
-    assert normalized_residual(total, T.entries(), PTS) <= 1e-12
-    interior_trace = None
-    for a in FRAME_INDICES:
-        term = E.interior(a, pieces.piece1.entry(a))
-        interior_trace = term if interior_trace is None else interior_trace + term
-    wedge_trace = None
-    for a in FRAME_INDICES:
-        term = wedge(E.e(a), pieces.piece1.entry(a))
-        wedge_trace = term if wedge_trace is None else wedge_trace + term
+    interior_trace, wedge_trace = torsion_traces(torsion_remainder(T), E)
     assert normalized_residual([interior_trace, wedge_trace], T.entries(), PTS) <= 1e-12
 
 
 def test_torsion_pieces_of_zero():
-    pieces = torsion_pieces(TensorFormField.zero(("u",), 2), E)
     p = Point(0.2, 0.2, 0.2)
-    for piece in (pieces.piece1, pieces.piece2, pieces.piece3):
-        assert all(piece.entry(a).evaluate(p).max_abs() == 0.0 for a in FRAME_INDICES)
+    remainder = torsion_remainder(TensorFormField.zero(("u",), 2))
+    assert all(f.evaluate(p).max_abs() == 0.0 for f in remainder.entries())
 
 
 # ---- reconstruction -----------------------------------------------------------------
@@ -298,7 +289,10 @@ def test_defect_linearity():
     d2 = random_defects(rng)
     T1, Q1 = reconstruct_defect_geometry(d1, E)
     T2, Q2 = reconstruct_defect_geometry(d2, E)
-    Tsum, Qsum = reconstruct_defect_geometry(d1 + d2, E)
+    want = DefectFields(
+        d1.burgers + d2.burgers, d1.frank + d2.frank, d1.point + d2.point, d1.scalar + d2.scalar
+    )
+    Tsum, Qsum = reconstruct_defect_geometry(want, E)
     residual = [Tsum.entry(a) - T1.entry(a) - T2.entry(a) for a in FRAME_INDICES]
     residual += [
         Qsum.entry(a, b) - Q1.entry(a, b) - Q2.entry(a, b)
@@ -312,7 +306,6 @@ def test_defect_linearity():
         TensorFormField.build(("d", "d"), 1, lambda a, b: Q1.entry(a, b) + Q2.entry(a, b)),
         E,
     )
-    want = d1 + d2
     residual = [
         got.burgers - want.burgers,
         got.frank - want.frank,

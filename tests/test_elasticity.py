@@ -9,13 +9,11 @@ from defectgeo.elasticity import (
     cauchy_motion_residual,
     check_invertible,
     deformation_gradients,
-    deformation_rate,
     euler_strain,
     isotropic_stress,
     mass_conservation_residual,
     stress_from_elasticity_tensor,
     volume_relation_residual,
-    with_rate,
 )
 from defectgeo.errors import (
     AnisotropyNotSupported,
@@ -38,7 +36,7 @@ from defectgeo.forms import FRAME_INDICES
 from defectgeo.geometry import CoFrame
 from defectgeo.sampling import batch_components, normalized_residual, sample_points
 
-from util import fd_partial, flow_jacobian, flow_map, point_array, random_points, random_scalar_field
+from util import fd_partial, point_array, random_points, random_scalar_field
 
 rng = np.random.default_rng(777)
 PTS = sample_points(30, seed=30)
@@ -49,7 +47,7 @@ E = CoFrame.identity()
 
 
 def test_identity_map_gradients():
-    pull, push = deformation_gradients(DeformationMap.identity())
+    pull, push = deformation_gradients(DeformationMap(("x", "y", "z")))
     p = Point(0.4, -0.1, 0.8)
     for a in range(3):
         for b in range(3):
@@ -238,7 +236,7 @@ def test_spatial_operands_join_the_body_chart():
 
 
 def test_identity_strain_zero():
-    strain = euler_strain(DeformationMap.identity())
+    strain = euler_strain(DeformationMap(("x", "y", "z")))
     p = Point(0.1, 0.9, -0.5)
     for a in FRAME_INDICES:
         for b in FRAME_INDICES:
@@ -283,7 +281,7 @@ def test_small_strain_linearization_quadratic_convergence():
 
 
 def test_zero_strain_zero_stress():
-    stress = isotropic_stress(euler_strain(DeformationMap.identity()), MaterialConstants(lam=2.0, mu=1.5))
+    stress = isotropic_stress(euler_strain(DeformationMap(("x", "y", "z"))), MaterialConstants(lam=2.0, mu=1.5))
     p = Point(0, 0, 0)
     for a in FRAME_INDICES:
         for b in FRAME_INDICES:
@@ -322,7 +320,7 @@ def test_elasticity_tensor_contraction_matches_closed_form():
 
 
 def test_kappa_rejected_by_isotropic_law():
-    strain = euler_strain(DeformationMap.identity())
+    strain = euler_strain(DeformationMap(("x", "y", "z")))
     with pytest.raises(AnisotropyNotSupported):
         isotropic_stress(strain, MaterialConstants(lam=1.0, mu=1.0, kappa=0.5))
 
@@ -401,7 +399,7 @@ def test_mass_conservation_matches_stencil():
 
 
 def test_cauchy_static_uniform_stress():
-    strain = euler_strain(DeformationMap.identity())
+    strain = euler_strain(DeformationMap(("x", "y", "z")))
     stress = isotropic_stress(strain, MaterialConstants(lam=1.0, mu=1.0))
     res = cauchy_motion_residual(
         scalar_field(1.0), VectorField.zero(), VectorField.zero(), stress, E
@@ -467,7 +465,7 @@ def test_cauchy_matches_component_stencil():
 
 
 def test_volume_relation():
-    assert volume_relation_residual(DeformationMap.identity()).evaluate(Point(0.5, 0.5, 0.5)).max_abs() <= 1e-14
+    assert volume_relation_residual(DeformationMap(("x", "y", "z"))).evaluate(Point(0.5, 0.5, 0.5)).max_abs() <= 1e-14
     dil = volume_relation_residual(DeformationMap(("x/2", "y/2", "z/2")))
     assert dil.evaluate(Point(0.1, 0.2, 0.3)).max_abs() <= 1e-12
     rnd = np.random.default_rng(8)
@@ -487,83 +485,3 @@ def test_volume_relation_with_nonidentity_coframe():
     dm = DeformationMap(("x-0.1*y", "y+0.05*z", "z"))
     res = volume_relation_residual(dm, e)
     assert normalized_residual([res], [], PTS) <= 1e-8
-
-
-# ---- deformation rate ----------------------------------------------------------------
-
-
-def test_rate_static_zero():
-    strain = euler_strain(DeformationMap.identity())
-    rate = deformation_rate(strain, VectorField.zero())
-    p = Point(0.3, 0.3, 0.3)
-    assert all(rate[a][b].evaluate(p).max_abs() == 0.0 for a in range(3) for b in range(3))
-
-
-def test_rate_pure_time_dependence():
-    from defectgeo.elasticity import StrainState
-
-    strain = StrainState(
-        [[symbolic(0, "t") if a == b else zero_field(0) for b in range(3)] for a in range(3)]
-    )
-    rate = deformation_rate(strain, VectorField.zero())
-    p = Point(0.1, 0.2, 0.3, 5.0)
-    for a in range(3):
-        for b in range(3):
-            want = 1.0 if a == b else 0.0
-            assert rate[a][b].evaluate(p).components[0] == pytest.approx(want)
-
-
-def test_rate_against_flow_transport():
-    from defectgeo.elasticity import StrainState
-
-    rnd = np.random.default_rng(6)
-    entries = {}
-    for a in range(3):
-        for b in range(3):
-            key = (min(a, b), max(a, b))
-            if key not in entries:
-                entries[key] = symbolic(
-                    0,
-                    f"0.3*x+0.2*y*z+0.1*t+({rnd.uniform(-0.5, 0.5):.6f})",
-                )
-    strain = StrainState([[entries[(min(a, b), max(a, b))] for b in range(3)] for a in range(3)])
-    v = VectorField.of(
-        symbolic(0, "0.2*y"), symbolic(0, "0.1*x*z"), symbolic(0, "0.3-0.1*x")
-    )
-    rate = deformation_rate(strain, v)
-    eps = 1e-5
-    for p in random_points(rnd, 5):
-        jac_p = flow_jacobian(v, p, eps)
-        jac_m = flow_jacobian(v, p, -eps)
-        fwd = flow_map(v, p, eps)
-        bwd = flow_map(v, p, -eps)
-        E_p = np.array(
-            [
-                [
-                    strain.entry(a, b).evaluate(Point(fwd.x, fwd.y, fwd.z, p.t + eps)).components[0]
-                    for b in FRAME_INDICES
-                ]
-                for a in FRAME_INDICES
-            ]
-        )
-        E_m = np.array(
-            [
-                [
-                    strain.entry(a, b).evaluate(Point(bwd.x, bwd.y, bwd.z, p.t - eps)).components[0]
-                    for b in FRAME_INDICES
-                ]
-                for a in FRAME_INDICES
-            ]
-        )
-        transported = (jac_p.T @ E_p @ jac_p - jac_m.T @ E_m @ jac_m) / (2 * eps)
-        got = np.array(
-            [[rate[a][b].evaluate(p).components[0] for b in range(3)] for a in range(3)]
-        )
-        assert np.max(np.abs(got - transported)) <= 1e-3
-
-
-def test_with_rate_attaches_rate():
-    strain = euler_strain(DeformationMap(("x/2", "y/2", "z/2")))
-    augmented = with_rate(strain, VectorField.zero())
-    assert augmented.rate is not None
-    assert augmented.strain is strain.strain

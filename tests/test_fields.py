@@ -1,4 +1,4 @@
-"""Field calculus: exterior/Lie/time derivatives and the vector isomorphisms."""
+"""Field calculus: exterior/time derivatives and the vector isomorphisms."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from defectgeo.fields import (
     grad,
     hodge,
     interior,
-    lie_derivative,
     matrix_inverse,
     substitute_basis,
     symbolic,
@@ -29,7 +28,6 @@ from defectgeo.forms import KForm
 
 from util import (
     fd_partial,
-    lie_derivative_oracle,
     random_form_field,
     random_points,
     random_scalar_field,
@@ -117,38 +115,6 @@ def test_time_derivative_structural_zero():
     assert dt.evaluate(Point(0.5, 0.5, 0.5, 2.0)).max_abs() == 0.0
     moving = symbolic(0, "t*x")
     assert time_derivative(moving).evaluate(Point(2.0, 0, 0, 9.0)).components[0] == 2.0
-
-
-def test_lie_derivative_directional():
-    v = VectorField.of(symbolic(0, "1"), symbolic(0, "0"), symbolic(0, "0"))
-    alpha = symbolic(0, "x")
-    out = lie_derivative(v, alpha)
-    assert out.evaluate(Point(0.2, 0.3, 0.4)).allclose(KForm.scalar(1.0))
-
-
-def test_lie_derivative_constant_form_constant_field():
-    v = VectorField.of(symbolic(0, "1"), symbolic(0, "0"), symbolic(0, "0"))
-    alpha = symbolic(1, "0", "1", "0")
-    out = lie_derivative(v, alpha)
-    assert out.evaluate(Point(0.2, 0.3, 0.4)).max_abs() == 0.0
-
-
-def test_lie_derivative_flow_transport_oracle():
-    pts = random_points(rng, 5, lo=-0.5, hi=0.5)
-    for _ in range(3):
-        v = VectorField.of(
-            random_scalar_field(rng, amplitude=0.5),
-            random_scalar_field(rng, amplitude=0.5),
-            random_scalar_field(rng, amplitude=0.5),
-        )
-        for degree in (0, 1, 2):
-            alpha = random_form_field(rng, degree)
-            lied = lie_derivative(v, alpha)
-            for p in pts:
-                got = lied.evaluate(p)
-                want = lie_derivative_oracle(v, alpha, p)
-                scale = max(1.0, want.max_abs())
-                assert (got - want).max_abs() / scale <= 1e-3
 
 
 def test_grad_example():
@@ -240,13 +206,6 @@ def test_wedge_rejects_overflow_at_field_level():
 
     with pytest.raises(DegreeOverflow):
         wedge(symbolic(2, "1", "0", "0"), symbolic(2, "0", "1", "0"))
-
-
-def test_interior_with_vector_weights():
-    v = VectorField.of(symbolic(0, "2"), symbolic(0, "0"), symbolic(0, "0"))
-    alpha = symbolic(1, "x", "y", "z")
-    out = ff.interior_with_vector(v, alpha)
-    assert out.evaluate(Point(3.0, 1.0, 1.0)).allclose(KForm.scalar(6.0))
 
 
 def test_zero_field_and_constant_field():

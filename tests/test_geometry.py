@@ -18,7 +18,6 @@ from defectgeo.geometry import (
     curvature,
     curvature_split_residual,
     defect_one_form,
-    kronecker_tensor,
     levi_civita_connection,
     nonmetricity,
     pure_gauge_connection,
@@ -290,16 +289,19 @@ def test_kronecker_identities():
     Qfull = nonmetricity(omega)
     reference = omega.entries()
 
-    mixed = covariant_exterior_derivative(kronecker_tensor(("u", "d")), omega)
+    def kronecker(variance):
+        return TensorFormField.build(variance, 0, lambda a, b: scalar_field(1.0 if a == b else 0.0))
+
+    mixed = covariant_exterior_derivative(kronecker(("u", "d")), omega)
     assert normalized_residual(mixed.entries(), reference, PTS) <= 1e-12
 
-    down = covariant_exterior_derivative(kronecker_tensor(("d", "d")), omega)
+    down = covariant_exterior_derivative(kronecker(("d", "d")), omega)
     residual_down = [
         down.entry(a, b) + Qfull.entry(a, b) * 2.0 for a in FRAME_INDICES for b in FRAME_INDICES
     ]
     assert normalized_residual(residual_down, reference, PTS) <= 1e-12
 
-    up = covariant_exterior_derivative(kronecker_tensor(("u", "u")), omega)
+    up = covariant_exterior_derivative(kronecker(("u", "u")), omega)
     residual_up = [
         up.entry(a, b) - Qfull.entry(a, b) * 2.0 for a in FRAME_INDICES for b in FRAME_INDICES
     ]

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, and reads each
-private name it defines."""
+private name it defines; the package reads each public function and class
+it defines, or keeps it for a stated reason."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,57 @@ def test_the_scan_finds_an_unread_private_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_each_private_name(path):
     assert unread_private_names(path.read_text()) == []
+
+
+#: public names that no package module reads, each kept for the reason given
+KEEP = {
+    "NumericFormField": "acceptance criterion 2 imports it",
+    "constant_field": "acceptance criterion 1 imports it",
+    "extra_matter": "acceptance criterion 8 imports it",
+    "map_couplings": "acceptance criterion 10 imports it",
+    "dislocation_energy_coefficient": "acceptance criterion 10 imports it",
+    "mass_conservation_residual": "acceptance criterion 9 imports it",
+    "normalized_residual": "acceptance criteria 3 to 7 import it",
+    "transform_coframe": "frame covariance in orthonormal frames, checked by test_frame_transform_*",
+    "transform_connection": "frame covariance in orthonormal frames, checked by test_frame_transform_*",
+    "transform_tensor": "frame covariance in orthonormal frames, checked by test_frame_transform_*",
+    "contortion": "frame covariance in orthonormal frames, checked by test_frame_transform_*",
+    "disclination_balance_tensor": "the transcription that pins calibration.PROJECTION_*",
+    "parse_scenario_file": "bench/spans.py names it and tests/util.py uses it",
+    "depends_on": "ROADMAP item 2 builds on it",
+}
+
+
+def unread_public_names(sources: dict):
+    """(module, line, name) for each module-level public function or class of
+    `sources` (module name -> source) that no module reads as a name or an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    return [
+        (module, node.lineno, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def test_the_scan_finds_an_unread_public_name():
+    sources = {
+        "a": "def f():\n    return g()\n\ndef g():\n    pass\n\nclass K:\n    pass\n\ndef unread():\n    pass\n",
+        "b": "from . import a\n\ndef h(x: K):\n    return a.f()\n\ndef _private():\n    pass\n",
+    }
+    assert unread_public_names(sources) == [("a", 10, "unread"), ("b", 3, "h")]
+
+
+def test_every_public_name_is_read_or_kept():
+    unread = unread_public_names({path.stem: path.read_text() for path in MODULES})
+    assert sorted(name for _, _, name in unread) == sorted(KEEP)
+    assert all(KEEP.values())

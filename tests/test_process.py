@@ -57,6 +57,20 @@ def test_importing_the_cli_loads_no_command_module():
         assert f"defectgeo.{name}" not in loaded
 
 
+def test_a_couplings_section_loads_no_elasticity():
+    code = (
+        "import json, sys\n"
+        "from defectgeo.scenario import parse_scenario\n"
+        "assert parse_scenario('[couplings]\\nkappa1 = 1.0\\n').couplings.kappa1 == 1.0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "defectgeo.energy" in loaded
+    assert "defectgeo.elasticity" not in loaded
+
+
 def test_package_names_resolve_lazily():
     code = (
         "import defectgeo\n"

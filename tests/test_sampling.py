@@ -9,7 +9,7 @@ from defectgeo.fields import Point, scalar_field, symbolic
 from defectgeo.geometry import CoFrame
 from defectgeo.sampling import batch_components, batch_groups, normalized_residuals, sample_points
 
-from util import point_array, random_defects, random_form_field, random_scalar_field, two_walk_normalized_residual
+from util import point_array, random_defects, random_form_field, two_walk_normalized_residual
 
 
 def test_batch_groups_equals_per_group_batches():

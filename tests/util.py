@@ -1,12 +1,10 @@
 """Shared generators and independent oracles for the test-suite.
 
 Oracles here deliberately avoid the library code paths they check: the
-wedge and pull-back oracles expand basis products with their own
-permutation-sign routine, derivatives are checked against plain central
-differences, and transport derivatives against explicit flow integration.
+wedge oracle expands basis products with its own permutation-sign routine,
+and derivatives are checked against plain central differences.
 """
 
-import itertools
 import operator
 
 import numpy as np
@@ -129,72 +127,12 @@ def oracle_wedge(alpha: KForm, beta: KForm) -> KForm:
     return KForm(p + q, out)
 
 
-def oracle_pullback(alpha: KForm, matrix) -> KForm:
-    """`alpha` re-expressed after each old basis covector j becomes
-    sum_a matrix[j][a] * (new covector a), by brute-force expansion of every
-    product of old covectors over all ordered tuples of new ones."""
-    p = alpha.degree
-    out = np.zeros(COMPONENT_COUNTS[p])
-    for i, idx_old in enumerate(BASIS[p]):
-        for idx_new in itertools.product((1, 2, 3), repeat=p):
-            if len(set(idx_new)) != p:
-                continue
-            coeff = alpha.components[i] * permutation_sign(idx_new)
-            for j, a in zip(idx_old, idx_new):
-                coeff = coeff * matrix[j - 1][a - 1]
-            out[BASIS[p].index(tuple(sorted(idx_new)))] += coeff
-    return KForm(p, out)
-
-
 def fd_partial(fn, point: Point, var: str, h=1e-5):
     """Central difference of a scalar function of a Point."""
     deltas = {"x": (h, 0, 0, 0), "y": (0, h, 0, 0), "z": (0, 0, h, 0), "t": (0, 0, 0, h)}[var]
     plus = fn(Point(point.x + deltas[0], point.y + deltas[1], point.z + deltas[2], point.t + deltas[3]))
     minus = fn(Point(point.x - deltas[0], point.y - deltas[1], point.z - deltas[2], point.t - deltas[3]))
     return (plus - minus) / (2.0 * h)
-
-
-def flow_map(v, point: Point, eps: float, steps=1):
-    """Integrate dx/ds = v(x) for time eps with RK4."""
-    y = np.array([point.x, point.y, point.z])
-    h = eps / steps
-
-    def rhs(p):
-        return v.evaluate(Point(p[0], p[1], p[2], point.t))
-
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return Point(float(y[0]), float(y[1]), float(y[2]), point.t)
-
-
-def flow_jacobian(v, point: Point, eps: float, h=1e-5):
-    """d(flow)/d(start point) by central differences."""
-    jac = np.zeros((3, 3))
-    for col, delta in enumerate(((h, 0, 0), (0, h, 0), (0, 0, h))):
-        plus = flow_map(v, Point(point.x + delta[0], point.y + delta[1], point.z + delta[2], point.t), eps)
-        minus = flow_map(v, Point(point.x - delta[0], point.y - delta[1], point.z - delta[2], point.t), eps)
-        jac[:, col] = (
-            np.array([plus.x, plus.y, plus.z]) - np.array([minus.x, minus.y, minus.z])
-        ) / (2.0 * h)
-    return jac
-
-
-def lie_derivative_oracle(v, alpha, point: Point, eps=1e-5):
-    """Transport derivative: central difference of the pulled-back form along the flow."""
-
-    def pullback(sign):
-        target = flow_map(v, point, sign * eps)
-        jac = flow_jacobian(v, point, sign * eps)
-        # new-basis coefficients: dPhi^j = sum_a J[j][a] dx^a
-        return oracle_pullback(alpha.evaluate(target), jac)
-
-    plus = pullback(+1.0)
-    minus = pullback(-1.0)
-    return (plus - minus) * (0.5 / eps)
 
 
 def max_abs_at(fields, points):
