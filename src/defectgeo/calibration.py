@@ -2,11 +2,13 @@
 
 Several rational factors tie the extraction conventions to the restricted
 defect ansatz.  They are measured by brute-force oracles (deterministic
-probe fields, many sample points) and frozen here.  A drift would mean a
-convention changed somewhere upstream, so a re-measurement fails loudly on it.
+probe fields at the points the caller passes, no built-in point set) and
+frozen here.  A drift would mean a convention changed somewhere upstream, so
+a re-measurement fails loudly on it.
 
 The `calibrate` CLI command re-measures `FRANK_SCALE`, the two curvature
-factors and `ANSATZ_FLUX_FACTOR`, and checks that both piece-1 traces vanish.
+factors and `ANSATZ_FLUX_FACTOR` at the scenario's check points, in its
+coframe, and checks that both piece-1 traces vanish.
 It only reports the quadratic invariants, asserted ones included, and it
 does not measure the three `PROJECTION_*` tuples: `tests/test_kinematics.py`
 re-measures those.
@@ -29,7 +31,7 @@ from .energy import quadratic_invariants
 from .forms import FRAME_INDICES
 from .geometry import CoFrame
 from .kinematics import bianchi_consistency
-from .sampling import batch_groups, sample_points
+from .sampling import batch_groups
 
 #: second-kind trace of the reconstruction ansatz is exactly 3x the Frank covector
 EXPECTED_FRANK_SCALE = 3.0
@@ -66,10 +68,8 @@ def probe_defects() -> DefectFields:
     )
 
 
-def measure_frank_scale(e: CoFrame | None = None, points=None):
+def measure_frank_scale(e: CoFrame, points):
     """(mean, relative std) of second-kind-trace(reconstruct(O, 0)) / O pointwise."""
-    e = e or CoFrame.identity()
-    points = points if points is not None else sample_points(100, seed=17)
     frank = probe_defects().frank
     Q = reconstruct_nonmetricity(frank, ff.zero_field(1), e)
     P, _ = nonmetricity_second_trace(Q, e)
@@ -80,10 +80,8 @@ def measure_frank_scale(e: CoFrame | None = None, points=None):
     return mean, float(np.std(ratios) / abs(mean))
 
 
-def measure_flux_factor(e: CoFrame | None = None, points=None):
+def measure_flux_factor(e: CoFrame, points):
     """(mean, relative std) of the factor c in N_a = c * e_a ^ P on the ansatz."""
-    e = e or CoFrame.identity()
-    points = points if points is not None else sample_points(100, seed=18)
     frank = probe_defects().frank
     Q = reconstruct_nonmetricity(frank, ff.zero_field(1), e)
     P, flux = nonmetricity_second_trace(Q, e)
@@ -95,10 +93,8 @@ def measure_flux_factor(e: CoFrame | None = None, points=None):
     return mean, float(np.std(ratios) / abs(mean))
 
 
-def measure_piece1_contractions(Q, e: CoFrame | None = None, points=None):
+def measure_piece1_contractions(Q, e: CoFrame, points):
     """Normalised magnitudes of i^a piece1_ab and e^a ^ piece1_ab."""
-    e = e or CoFrame.identity()
-    points = points if points is not None else sample_points(60, seed=19)
     pieces = nonmetricity_pieces(Q, e)
 
     piece1 = pieces.piece1.entry
@@ -113,16 +109,14 @@ def measure_piece1_contractions(Q, e: CoFrame | None = None, points=None):
     return float(np.max(np.abs(i_vals))) / scale, float(np.max(np.abs(w_vals))) / scale
 
 
-def run_calibration(e: CoFrame | None = None, points=None) -> dict:
+def run_calibration(e: CoFrame, points) -> dict:
     """Measure every frozen constant once; returned dict feeds reports and tests."""
-    e = e or CoFrame.identity()
-    points = points if points is not None else sample_points(40, seed=20)
     d = probe_defects()
     frank_scale, frank_std = measure_frank_scale(e, points)
     flux_factor, flux_std = measure_flux_factor(e, points)
     T, Q = reconstruct_defect_geometry(d, e)
     piece1_interior, piece1_wedge = measure_piece1_contractions(Q, e, points)
-    fits = bianchi_consistency(e, d, points=points)
+    fits = bianchi_consistency(e, d, points)
     invariants = quadratic_invariants(T, Q, e, points)
     return {
         "frank_scale": frank_scale,

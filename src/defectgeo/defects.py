@@ -75,9 +75,8 @@ class NonmetricityPieces:
 # ---- torsion -------------------------------------------------------------------
 
 
-def torsion_traces(T: TensorFormField, e: CoFrame | None = None):
+def torsion_traces(T: TensorFormField, e: CoFrame):
     """(trace 1-form i_a T^a, totally antisymmetric 3-form e_a ^ T^a)."""
-    e = e or CoFrame.identity()
     trace = zero_field(1)
     scalar_part = zero_field(3)
     for a in FRAME_INDICES:
@@ -86,12 +85,11 @@ def torsion_traces(T: TensorFormField, e: CoFrame | None = None):
     return trace, scalar_part
 
 
-def reconstruct_torsion(burgers: FormField, scalar, e: CoFrame | None = None) -> TensorFormField:
+def reconstruct_torsion(burgers: FormField, scalar, e: CoFrame) -> TensorFormField:
     """Torsion carrying only trace and scalar parts:
 
     T^a = (1/2) e^a ^ b + (rho/3) *e^a
     """
-    e = e or CoFrame.identity()
     rho = scalar if isinstance(scalar, FormField) else scalar_field(scalar)
 
     def entry(a):
@@ -117,9 +115,8 @@ def _traceless_part(Q: TensorFormField, trace: FormField) -> TensorFormField:
     )
 
 
-def nonmetricity_second_trace(Q: TensorFormField, e: CoFrame | None = None):
+def nonmetricity_second_trace(Q: TensorFormField, e: CoFrame):
     """(P, N_a): the second-kind trace 1-form and the flux 2-forms of Q-bar."""
-    e = e or CoFrame.identity()
     trace = nonmetricity_trace(Q)
     Qbar = _traceless_part(Q, trace)
     flux = TensorFormField.build(
@@ -134,8 +131,7 @@ def nonmetricity_second_trace(Q: TensorFormField, e: CoFrame | None = None):
     return P, flux
 
 
-def nonmetricity_pieces(Q: TensorFormField, e: CoFrame | None = None) -> NonmetricityPieces:
-    e = e or CoFrame.identity()
+def nonmetricity_pieces(Q: TensorFormField, e: CoFrame) -> NonmetricityPieces:
     trace = nonmetricity_trace(Q)
     P, flux = nonmetricity_second_trace(Q, e)
 
@@ -164,12 +160,11 @@ def nonmetricity_pieces(Q: TensorFormField, e: CoFrame | None = None) -> Nonmetr
     return NonmetricityPieces(piece1, piece2, piece3, piece4, trace, P, flux)
 
 
-def reconstruct_nonmetricity(frank: FormField, point: FormField, e: CoFrame | None = None) -> TensorFormField:
+def reconstruct_nonmetricity(frank: FormField, point: FormField, e: CoFrame) -> TensorFormField:
     """Non-metricity carrying only the second-kind and first-kind traces:
 
     Q_ab = (9/10) (O_a e_b + O_b e_a - (2/3) delta_ab O) + (1/3) delta_ab m
     """
-    e = e or CoFrame.identity()
 
     def entry(a, b):
         Oa = e.interior(a, frank)
@@ -185,9 +180,8 @@ def reconstruct_nonmetricity(frank: FormField, point: FormField, e: CoFrame | No
     return TensorFormField.build(("d", "d"), 1, entry)
 
 
-def reconstruct_defect_geometry(d: DefectFields, e: CoFrame | None = None):
+def reconstruct_defect_geometry(d: DefectFields, e: CoFrame):
     """(T, Q) of the restricted form carrying exactly the given defect densities."""
-    e = e or CoFrame.identity()
     T = reconstruct_torsion(d.burgers, d.scalar, e)
     Q = reconstruct_nonmetricity(d.frank, d.point, e)
     return T, Q
@@ -196,13 +190,12 @@ def reconstruct_defect_geometry(d: DefectFields, e: CoFrame | None = None):
 # ---- extraction ------------------------------------------------------------------
 
 
-def extract_from_tensors(T: TensorFormField, Q: TensorFormField, e: CoFrame | None = None) -> DefectFields:
+def extract_from_tensors(T: TensorFormField, Q: TensorFormField, e: CoFrame) -> DefectFields:
     """Defect densities from arbitrary torsion and non-metricity tensors.
 
     The second-kind trace is divided by FRANK_SCALE, so that extraction
     inverts `reconstruct_nonmetricity`.
     """
-    e = e or CoFrame.identity()
     burgers, scalar_part = torsion_traces(T, e)
     rho = e.hodge(scalar_part)
     point = nonmetricity_trace(Q)

@@ -241,7 +241,7 @@ def _partial(f: FormField, axis: int) -> FormField:
     return component_field(exterior_derivative(f), axis)
 
 
-def deformation_gradients(dm: DeformationMap, e: CoFrame | None = None):
+def deformation_gradients(dm: DeformationMap, e: CoFrame):
     """(pull-back F^a_A, push-forward F^A_a) as 3x3 matrices of scalar fields.
 
     Rows of the push-forward are body indices A, columns spatial indices a.
@@ -250,15 +250,15 @@ def deformation_gradients(dm: DeformationMap, e: CoFrame | None = None):
     """
     X = dm.inverse_fields()
     push_coord = [[_partial(X[A], a) for a in FRAME_INDICES] for A in range(3)]
-    push = matrix_multiply(push_coord, (e or CoFrame.identity()).inverse_matrix)
-    pull = matrix_inverse(matrix_of_scalar_fields(push))
+    push = matrix_multiply(push_coord, e.inverse_matrix)
+    pull = matrix_inverse(push)
     return pull, push
 
 
-def check_invertible(dm: DeformationMap, points, e: CoFrame | None = None):
+def check_invertible(dm: DeformationMap, points, e: CoFrame):
     """Raise SingularDeformation when |det F^A_a| < 1e-8 at a sampled point."""
     _, push = deformation_gradients(dm, e)
-    det = matrix_determinant(matrix_of_scalar_fields(push))
+    det = matrix_determinant(push)
     require_nonsingular(det, points, SingularDeformation, "deformation-gradient")
 
 
@@ -283,7 +283,7 @@ class StressState:
         return self.sigma[a - 1][b - 1]
 
 
-def euler_strain(dm: DeformationMap, e: CoFrame | None = None) -> StrainState:
+def euler_strain(dm: DeformationMap, e: CoFrame) -> StrainState:
     """e_ab = (1/2)(delta_ab - F^A_a F^A_b); symmetric by construction."""
     _, push = deformation_gradients(dm, e)
     half = 0.5
@@ -314,7 +314,7 @@ def strain_trace(strain: StrainState) -> FormField:
     return acc
 
 
-def isotropic_stress(strain: StrainState, mat: MaterialConstants, e: CoFrame | None = None) -> StressState:
+def isotropic_stress(strain: StrainState, mat: MaterialConstants, e: CoFrame) -> StressState:
     """sigma^ab = 2 mu e^ab + lambda tr(e) delta^ab; requires kappa = 0."""
     if mat.kappa != 0.0:
         raise AnisotropyNotSupported(
@@ -322,7 +322,6 @@ def isotropic_stress(strain: StrainState, mat: MaterialConstants, e: CoFrame | N
         )
     if mat.lam is None or mat.mu is None:
         raise InvalidMaterial("isotropic stress needs both Lame constants")
-    e = e or CoFrame.identity()
     tr = strain_trace(strain)
     sigma = [
         [
@@ -360,9 +359,8 @@ def elasticity_tensor(mat: MaterialConstants):
     return C
 
 
-def stress_from_elasticity_tensor(strain: StrainState, mat: MaterialConstants, e: CoFrame | None = None) -> StressState:
+def stress_from_elasticity_tensor(strain: StrainState, mat: MaterialConstants, e: CoFrame) -> StressState:
     """Full C_abcd contraction; agrees with isotropic_stress whenever kappa = 0."""
-    e = e or CoFrame.identity()
     C = elasticity_tensor(mat)
     sigma = []
     for a in FRAME_INDICES:
@@ -393,14 +391,13 @@ def cauchy_motion_residual(
     v: VectorField,
     f: VectorField,
     stress: StressState,
-    e: CoFrame | None = None,
+    e: CoFrame,
 ):
     """Residual 3-forms m (dv^a/dt + i_v D v^a) - m f^a - D tau^a per index.
 
     The mass 3-form m multiplies the scalar acceleration; D is the
     Levi-Civita covariant exterior derivative of the supplied coframe.
     """
-    e = e or CoFrame.identity()
     gamma = levi_civita_connection(e)
     vol = e.volume()
     mass = rho_m * vol
@@ -428,14 +425,13 @@ def cauchy_motion_residual(
     return out
 
 
-def volume_relation_residual(dm: DeformationMap, e: CoFrame | None = None) -> FormField:
+def volume_relation_residual(dm: DeformationMap, e: CoFrame) -> FormField:
     """det(F^a_A) minus the ratio of the spatial to pulled-back body volume forms."""
-    e = e or CoFrame.identity()
     pull, push = deformation_gradients(dm, e)
-    det_pull = matrix_determinant(matrix_of_scalar_fields(pull))
+    det_pull = matrix_determinant(pull)
     X = dm.inverse_fields()
     push_coord = [[_partial(X[A], a) for a in FRAME_INDICES] for A in range(3)]
-    det_push_coord = matrix_determinant(matrix_of_scalar_fields(push_coord))
+    det_push_coord = matrix_determinant(push_coord)
     ratio = quotient(component_field(e.volume(), 1, 2, 3), det_push_coord)
     return det_pull - ratio
 

@@ -24,7 +24,7 @@ from .errors import EvaluationError, InvalidMaterial
 from .fields import FormField, VectorField, component_field, field_sum, wedge, zero_field
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, TensorFormField
-from .sampling import batch_groups, grid_blocks, grid_counts, sample_points
+from .sampling import batch_groups, grid_blocks, grid_counts
 
 if TYPE_CHECKING:
     from .elasticity import MaterialConstants
@@ -83,9 +83,8 @@ def map_couplings(k: Couplings) -> MappedCouplings:
     )
 
 
-def lagrangian_form(d: DefectFields, k: Couplings, e: CoFrame | None = None) -> FormField:
+def lagrangian_form(d: DefectFields, k: Couplings, e: CoFrame) -> FormField:
     """Free-energy 3-form via wedge/Hodge evaluation."""
-    e = e or CoFrame.identity()
     vol = e.volume()
     S = d.scalar * vol
 
@@ -110,9 +109,8 @@ def lagrangian_form(d: DefectFields, k: Couplings, e: CoFrame | None = None) -> 
     return acc
 
 
-def lagrangian_vector(d: DefectFields, k: Couplings, e: CoFrame | None = None) -> FormField:
+def lagrangian_vector(d: DefectFields, k: Couplings, e: CoFrame) -> FormField:
     """Free-energy 3-form via componentwise dot products times the volume form."""
-    e = e or CoFrame.identity()
     b = _frame_vector(d.burgers, e)
     O = _frame_vector(d.frank, e)
     m = _frame_vector(d.point, e)
@@ -133,15 +131,7 @@ def _frame_vector(alpha: FormField, e: CoFrame):
     return VectorField.of(*(e.interior(a, alpha) for a in FRAME_INDICES))
 
 
-def total_free_energy(
-    d: DefectFields,
-    k: Couplings,
-    bounds_min=(-1.0, -1.0, -1.0),
-    bounds_max=(1.0, 1.0, 1.0),
-    resolution=32,
-    e: CoFrame | None = None,
-    t=0.0,
-) -> float:
+def total_free_energy(d: DefectFields, k: Couplings, bounds_min, bounds_max, resolution, e: CoFrame) -> float:
     """Midpoint quadrature of the free-energy 3-form coefficient over a box (EvaluationError on overflow)."""
     (n,) = grid_counts("resolution", resolution, (resolution,))
     if n < 2:
@@ -149,7 +139,7 @@ def total_free_energy(
     density = component_field(lagrangian_form(d, k, e), 1, 2, 3)
     counts = (n,) * 3
     cell = np.prod([(hi - lo) / n for lo, hi in zip(bounds_min, bounds_max)])
-    blocks = grid_blocks(bounds_min, bounds_max, counts, t=t, midpoints=True)
+    blocks = grid_blocks(bounds_min, bounds_max, counts, midpoints=True)
     # one sum over the whole grid: the same summation order as an unblocked walk
     vals = np.concatenate([density.evaluate_batch(*block.T).components[0] for block in blocks])
     total = float(np.sum(vals) * cell)
@@ -171,10 +161,10 @@ class EnergyEstimate:
     error_estimate: float
 
 
-def total_free_energy_estimate(d, k, bounds_min, bounds_max, resolution, e=None, t=0.0) -> EnergyEstimate:
+def total_free_energy_estimate(d, k, bounds_min, bounds_max, resolution, e: CoFrame) -> EnergyEstimate:
     """Run the box quadrature at N and 2N; midpoint error falls like 1/N^2."""
-    coarse = total_free_energy(d, k, bounds_min, bounds_max, resolution, e=e, t=t)
-    fine = total_free_energy(d, k, bounds_min, bounds_max, 2 * resolution, e=e, t=t)
+    coarse = total_free_energy(d, k, bounds_min, bounds_max, resolution, e)
+    fine = total_free_energy(d, k, bounds_min, bounds_max, 2 * resolution, e)
     extrapolated = (4.0 * fine - coarse) / 3.0
     return EnergyEstimate(coarse, fine, extrapolated, abs(fine - coarse) / 3.0)
 
@@ -195,9 +185,7 @@ class InvariantReport:
     relations: tuple
 
 
-def quadratic_invariants(
-    T: TensorFormField, Q: TensorFormField, e: CoFrame | None = None, points=None
-) -> InvariantReport:
+def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, points) -> InvariantReport:
     """Evaluate both sides of the six trace-invariant expansions.
 
     Four expansions hold identically for the restricted (T, Q) and are
@@ -206,8 +194,6 @@ def quadratic_invariants(
     here in calibration mode (deviation reported, nothing asserted) using
     the plain reading e_ac = e_a ^ e_c.
     """
-    e = e or CoFrame.identity()
-    points = points if points is not None else sample_points(30, seed=2)
     trace_T, S = torsion_traces(T, e)
     trace_Q = nonmetricity_trace(Q)
     P, _ = nonmetricity_second_trace(Q, e)

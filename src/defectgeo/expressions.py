@@ -389,7 +389,7 @@ _UFUNCS = {"ln": np.log, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "tan": n
            "abs": np.abs, "sign": np.sign}
 
 
-def evaluate_many(exprs, x, y, z, t=0.0):
+def evaluate_many(exprs, x, y, z, t):
     """Evaluate expressions at a point or componentwise over equally-shaped arrays.
 
     One walk over their shared DAG; a node's value is dropped as soon as the
@@ -408,7 +408,7 @@ def evaluate_many(exprs, x, y, z, t=0.0):
     return [vals[e] for e in exprs]
 
 
-def evaluate(e: Expr, x, y, z, t=0.0):
+def evaluate(e: Expr, x, y, z, t):
     """Evaluate one expression; see evaluate_many."""
     return evaluate_many([e], x, y, z, t)[0]
 

@@ -488,7 +488,7 @@ def substitute_basis(alpha: FormField, matrix) -> FormField:
         return alpha
     m = matrix
     if p == 3:
-        return matrix_determinant(matrix_of_scalar_fields(m)) * alpha
+        return matrix_determinant(m) * alpha
     c = alpha.comps
     a_expr = [[cell.comps[0] for cell in row] for row in m]
     if p == 1:

@@ -26,6 +26,7 @@ D Q_ab = R_(ab) holding for every connection.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import expressions as ex
@@ -66,24 +67,18 @@ class _MatrixField:
     def __init__(self, entries):
         self.matrix = matrix_of_scalar_fields(entries)
         self.is_identity = _is_identity_matrix(self.matrix)
-        self._inverse = None
-        self._det = None
 
     @classmethod
     def identity(cls):
         return cls([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
 
-    @property
+    @functools.cached_property
     def inverse_matrix(self):
-        if self._inverse is None:
-            self._inverse = self.matrix if self.is_identity else matrix_inverse(self.matrix)
-        return self._inverse
+        return self.matrix if self.is_identity else matrix_inverse(self.matrix)
 
-    @property
+    @functools.cached_property
     def determinant(self) -> FormField:
-        if self._det is None:
-            self._det = matrix_determinant(self.matrix)
-        return self._det
+        return matrix_determinant(self.matrix)
 
     def _check_invertible(self, points, error_cls, what):
         if not self.is_identity:

@@ -49,7 +49,7 @@ from .geometry import (
     defect_one_form,
     levi_civita_connection,
 )
-from .sampling import grid_blocks, grid_counts, normalized_residuals, sample_points
+from .sampling import grid_blocks, grid_counts, normalized_residuals
 
 
 def _eps(i, j, k):
@@ -59,9 +59,8 @@ def _eps(i, j, k):
 # ---- balance laws ---------------------------------------------------------------
 
 
-def dislocation_balance(d: DefectFields, e: CoFrame | None = None):
+def dislocation_balance(d: DefectFields, e: CoFrame):
     """(form residuals per index, vector residual) of the dislocation balance."""
-    e = e or CoFrame.identity()
     db = exterior_derivative(d.burgers)
     drho = exterior_derivative(d.scalar)
 
@@ -195,7 +194,7 @@ class ConsistencyReport:
     residuals: tuple = ()
 
 
-def bianchi_consistency(e: CoFrame, d: DefectFields, points=None, pairs=()) -> ConsistencyReport:
+def bianchi_consistency(e: CoFrame, d: DefectFields, points, pairs=()) -> ConsistencyReport:
     """Fit the balance combinations against their curvature counterparts.
 
     Builds omega = gamma + L from the restricted (T, Q) carrying `d`, then
@@ -215,7 +214,6 @@ def bianchi_consistency(e: CoFrame, d: DefectFields, points=None, pairs=()) -> C
     The report's `residuals` are the `normalized_residuals` of the
     (residual_fields, reference_fields) `pairs`, evaluated in the same walk.
     """
-    points = points if points is not None else sample_points(40, seed=0)
     T, Q = reconstruct_defect_geometry(d, e)
     L = defect_one_form(T, Q, e)
     gamma = levi_civita_connection(e)
@@ -310,7 +308,6 @@ def extra_matter(
     radius=1.0,
     volume_resolution=48,
     sphere_resolution=(96, 192),
-    t=0.0,
 ) -> ExtraMatterReport:
     """Extra-matter density *(d*dphi) with its ball total and boundary flux.
 
@@ -327,7 +324,7 @@ def extra_matter(
     cx, cy, cz = center
     cell = (2.0 * radius / n) ** 3
     vals = []
-    for block in grid_blocks([c - radius for c in center], [c + radius for c in center], (n,) * 3, t=t, midpoints=True):
+    for block in grid_blocks([c - radius for c in center], [c + radius for c in center], (n,) * 3, midpoints=True):
         x, y, z, _ = block.T
         inside = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2 <= radius**2
         vals.append(np.where(inside, density.evaluate_batch(*block.T).components[0], 0.0))
@@ -338,7 +335,7 @@ def extra_matter(
     TH, PH = np.meshgrid(thetas, phis, indexing="ij")
     normal = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)]).reshape(3, -1)
     on_sphere = np.reshape(center, (3, 1)) + radius * normal
-    grads = evaluate_fields(grad(phi).comps, *on_sphere, t)
+    grads = evaluate_fields(grad(phi).comps, *on_sphere)
     radial = sum(g.components[0] * nk for g, nk in zip(grads, normal))
     area_weight = radius**2 * np.sin(TH).ravel() * (np.pi / n_theta) * (2.0 * np.pi / n_phi)
     flux_total = float(np.sum(radial * area_weight))

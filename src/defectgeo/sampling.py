@@ -1,10 +1,12 @@
 """Point sets, residual norms, and quadrature grids.
 
 A point set is one float array of shape (n, 4) with rows (x, y, z, t), so
-`len(points)` counts its points.  Only this module builds them: seeded
-random points (`sample_points`), strided grid nodes (`check_points`) and
-whole grids in blocks of at most BLOCK rows (`grid_blocks`).  Every `points`
-argument takes one; `fields.Point` is for evaluating a field at one point.
+`len(points)` counts its points.  Only this module builds them, all at
+t = 0, so their rows are (x, y, z, 0): seeded random points
+(`sample_points`), strided grid nodes (`check_points`) and whole grids in
+blocks of at most BLOCK rows (`grid_blocks`).  Every `points` argument takes
+one, and none has a default; `fields.Point` is for evaluating a field at one
+point.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from .fields import BLOCK, Point, evaluate_fields
 from .forms import COMPONENT_COUNTS
 
 
-def _point_set(xs, ys, zs, t=0.0):
-    """Rows (x, y, z, t), stored column by column so that `points.T` hands the walk contiguous axes."""
-    return np.stack((xs, ys, zs, np.full(len(xs), t))).T
+def _point_set(xs, ys, zs):
+    """Rows (x, y, z, 0), stored column by column so that `points.T` hands the walk contiguous axes."""
+    return np.stack((xs, ys, zs, np.zeros(len(xs)))).T
 
 
 def sample_points(count, seed):
@@ -88,7 +90,7 @@ def require_nonsingular(det, points, error, what):
         raise error(f"{what} determinant {vals[worst]:.3e} below {DET_FLOOR} at {Point(*map(float, points[worst]))}")
 
 
-def grid_blocks(bounds_min, bounds_max, counts, t=0.0, midpoints=False):
+def grid_blocks(bounds_min, bounds_max, counts, midpoints=False):
     """Axis-aligned grid in `ij` order, as point sets of at most BLOCK rows.
 
     `midpoints=True` gives cell centres (midpoint quadrature).  Each block's
@@ -105,7 +107,7 @@ def grid_blocks(bounds_min, bounds_max, counts, t=0.0, midpoints=False):
     total = int(np.prod(counts))
     for lo in range(0, total, BLOCK):
         index = np.unravel_index(np.arange(lo, min(lo + BLOCK, total)), counts)
-        yield _point_set(*(axis[i] for axis, i in zip(axes, index)), t)
+        yield _point_set(*(axis[i] for axis, i in zip(axes, index)))
 
 
 def grid_counts(name, value, counts):

@@ -13,9 +13,10 @@ Sections (all optional unless a CLI command needs them):
                    grid_n integer in 2..MAX_GRID_N
 
 Expressions are always double-quoted; numbers (finite) and the kind word are bare.
-Files are UTF-8 text; lines starting with '#' are comments.  Bytes that are
-not UTF-8, duplicated sections or keys and unknown names raise ScenarioError
-carrying the offending line number(s).
+Files are UTF-8 text; a '#' starts a comment that runs to the end of its
+line (no value can hold one).  Bytes that are not UTF-8, duplicated sections
+or keys and unknown names raise ScenarioError carrying the offending line
+number(s).
 
 A `Scenario` holds `None` for each of [gauge], [deformation], [material]
 and [couplings] that the file leaves out; the other sections always have a
@@ -72,18 +73,20 @@ _SCHEMA = {
     },
 }
 
-DEFAULT_TOLERANCE = 1e-6
-DEFAULT_GRID = (-1.0, 1.0, 9)
+#: the [material] keys whose MaterialConstants field has another name
+_MATERIAL_FIELDS = {"lambda": "lam", "G": "shear_modulus", "nu": "poisson", "R_outer": "r_outer"}
 #: largest grid_n: energy integrates at 2 * grid_n, (2 * 512)^3 ~ 1.1e9 points
 MAX_GRID_N = 512
 
 
 @dataclass(frozen=True)
 class Numerics:
-    tolerance: float = DEFAULT_TOLERANCE
-    grid_min: float = DEFAULT_GRID[0]
-    grid_max: float = DEFAULT_GRID[1]
-    grid_n: int = DEFAULT_GRID[2]
+    """The check settings of [numerics]; a key the file leaves out keeps its default here."""
+
+    tolerance: float = 1e-6
+    grid_min: float = -1.0
+    grid_max: float = 1.0
+    grid_n: int = 9
 
 
 @dataclass(frozen=True)
@@ -147,8 +150,8 @@ def parse_scenario(text: str) -> Scenario:
     key_lines: dict[tuple, int] = {}
     current = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
             continue
         m = _SECTION_RE.match(line)
         if m:
@@ -168,9 +171,6 @@ def parse_scenario(text: str) -> Scenario:
             if current is None:
                 raise ScenarioError("key outside of any section", [line_no])
             key, raw = m.group(1), m.group(2)
-            comment = raw.find("#")
-            if comment >= 0 and '"' not in raw[:comment]:
-                raw = raw[:comment]
             if key not in _SCHEMA[current]:
                 raise ScenarioError(f"unknown key {key!r} in [{current}]", [line_no])
             if (current, key) in key_lines:
@@ -251,31 +251,15 @@ def _assemble(sections, key_lines) -> Scenario:
     if "material" in sections:
         from .elasticity import MaterialConstants
 
-        mt = sections["material"]
-        material = MaterialConstants(
-            lam=mt.get("lambda"),
-            mu=mt.get("mu"),
-            kappa=mt.get("kappa", 0.0),
-            shear_modulus=mt.get("G"),
-            poisson=mt.get("nu"),
-            r_outer=mt.get("R_outer"),
-            r_core=mt.get("r_core"),
-        )
+        material = MaterialConstants(**{_MATERIAL_FIELDS.get(k, k): v for k, v in sections["material"].items()})
 
     couplings = None
     if "couplings" in sections:
         from .energy import Couplings
 
-        cpl = sections["couplings"]
-        couplings = Couplings(**{f"kappa{i}": cpl.get(f"kappa{i}", 0.0) for i in range(1, 8)})
+        couplings = Couplings(**sections["couplings"])
 
-    num = sections.get("numerics", {})
-    numerics = Numerics(
-        tolerance=num.get("tolerance", DEFAULT_TOLERANCE),
-        grid_min=num.get("grid_min", DEFAULT_GRID[0]),
-        grid_max=num.get("grid_max", DEFAULT_GRID[1]),
-        grid_n=num.get("grid_n", DEFAULT_GRID[2]),
-    )
+    numerics = Numerics(**sections.get("numerics", {}))
     validate_numerics(numerics, lines={k: line for (s, k), line in key_lines.items() if s == "numerics"})
 
     return Scenario(

@@ -302,8 +302,9 @@ def test_criterion_08_extra_matter_stokes():
 
 def test_criterion_09_elasticity():
     with criterion(9, "dilation strain/stress exact; quadratic convergence; conservation"):
-        strain = euler_strain(DeformationMap(("x/2", "y/2", "z/2")))
-        stress = isotropic_stress(strain, MaterialConstants(lam=1.0, mu=1.0))
+        e = CoFrame.identity()
+        strain = euler_strain(DeformationMap(("x/2", "y/2", "z/2")), e)
+        stress = isotropic_stress(strain, MaterialConstants(lam=1.0, mu=1.0), e)
         p = Point(0.35, -0.6, 0.85)
         for a in FRAME_INDICES:
             for b in FRAME_INDICES:
@@ -315,7 +316,7 @@ def test_criterion_09_elasticity():
         def linearization_error(eps):
             g = ("sin(y)+0.5*z", "cos(x)*z", "x*y")
             dm = DeformationMap(tuple(f"{v}-({eps})*({gi})" for v, gi in zip("xyz", g)))
-            st = euler_strain(dm)
+            st = euler_strain(dm, e)
             u = [symbolic(0, f"({eps})*({gi})") for gi in g]
             worst = 0.0
             for q in random_points(np.random.default_rng(9), 8, lo=-0.8, hi=0.8):
@@ -346,7 +347,6 @@ def test_criterion_09_elasticity():
         worst = max(res.evaluate(Point(q.x, q.y, q.z, 0.5)).max_abs() for q in pts)
         assert worst <= 1e-6
 
-        e = CoFrame.identity()
         sigma = [
             [symbolic(0, "-(x+y+z)") if a == b else zero_field(0) for b in FRAME_INDICES]
             for a in FRAME_INDICES
@@ -389,7 +389,7 @@ def test_criterion_10_free_energy():
             assert abs(edge / screw - 1.0 / (1.0 - nu)) <= 1e-12
 
         d = DefectFields(zero_field(1), zero_field(1), zero_field(1), symbolic(0, "x"))
-        est = total_free_energy_estimate(d, Couplings(kappa2=1.0), (0, 0, 0), (1, 1, 1), 32)
+        est = total_free_energy_estimate(d, Couplings(kappa2=1.0), (0, 0, 0), (1, 1, 1), 32, e)
         third = 1.0 / 3.0
         assert abs(est.coarse - third) <= 0.01 * third
         assert abs(est.fine - third) <= 0.01 * third
@@ -421,10 +421,10 @@ def test_criterion_11_parser():
                     hi = dict(args, **{var: args[var] + h})
                     lo = dict(args, **{var: args[var] - h})
                     fd = (
-                        evaluate(expr, hi["x"], hi["y"], hi["z"])
-                        - evaluate(expr, lo["x"], lo["y"], lo["z"])
+                        evaluate(expr, hi["x"], hi["y"], hi["z"], 0.0)
+                        - evaluate(expr, lo["x"], lo["y"], lo["z"], 0.0)
                     ) / (2 * h)
-                    sym = evaluate(d, x, y, z)
+                    sym = evaluate(d, x, y, z, 0.0)
                     assert abs(sym - fd) <= 1e-6 * max(1.0, abs(fd)), text
 
         fixtures = [("2*+x", 2), ("(1+2", 4), ("sin x", 4), ("x^y", 2), ("foo(1)", 0)]

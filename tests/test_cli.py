@@ -13,6 +13,7 @@ from defectgeo.cli import _build_parser, main
 from util import point_array
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+README = SCENARIOS.parent / "README.md"
 
 
 def run(args):
@@ -24,6 +25,13 @@ def test_check_default_scenario_passes(capsys):
     out = capsys.readouterr().out
     assert "[PASS] levi-civita-contract" in out
     assert "[PASS] bianchi-curvature" in out
+
+
+def test_readme_example_scenario_passes_check(tmp_path):
+    block = re.search(r"```toml\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    path = tmp_path / "readme.toml"
+    path.write_text(block, encoding="utf-8")
+    assert run(["check", path]) == 0
 
 
 def test_check_gauge_scenario_has_flatness_check(tmp_path):

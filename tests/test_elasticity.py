@@ -27,6 +27,7 @@ from defectgeo.fields import (
     VectorField,
     component_field,
     exterior_derivative,
+    matrix_inverse,
     scalar_field,
     symbolic,
     time_derivative,
@@ -47,7 +48,7 @@ E = CoFrame.identity()
 
 
 def test_identity_map_gradients():
-    pull, push = deformation_gradients(DeformationMap(("x", "y", "z")))
+    pull, push = deformation_gradients(DeformationMap(("x", "y", "z")), E)
     p = Point(0.4, -0.1, 0.8)
     for a in range(3):
         for b in range(3):
@@ -62,14 +63,16 @@ def test_identity_map_gradients():
 )
 def test_identity_coframe_gradients_are_the_coordinate_gradients(exprs, kind):
     dm = DeformationMap(exprs, kind=kind)
-    for got, want in zip(deformation_gradients(dm, CoFrame.identity()), deformation_gradients(dm)):
+    X = dm.inverse_fields()
+    push = [[component_field(exterior_derivative(X[A]), a) for a in FRAME_INDICES] for A in range(3)]
+    for got, want in zip(deformation_gradients(dm, E), (matrix_inverse(push), push)):
         for got_row, want_row in zip(got, want):
             assert all(g.comps[0] is w.comps[0] for g, w in zip(got_row, want_row))
 
 
 def test_uniform_dilation_gradients():
     dm = DeformationMap(("x/2", "y/2", "z/2"))
-    pull, push = deformation_gradients(dm)
+    pull, push = deformation_gradients(dm, E)
     p = Point(0.3, 0.6, 0.9)
     for a in range(3):
         assert push[a][a].evaluate(p).components[0] == pytest.approx(0.5)
@@ -78,7 +81,7 @@ def test_uniform_dilation_gradients():
 
 def test_simple_shear_inverse_consistency():
     dm = DeformationMap(("x-0.3*y", "y", "z"))
-    pull, push = deformation_gradients(dm)
+    pull, push = deformation_gradients(dm, E)
     p = Point(0.5, 0.5, 0.5)
     assert push[0][1].evaluate(p).components[0] == pytest.approx(-0.3)
     prod = np.zeros((3, 3))
@@ -94,7 +97,7 @@ def test_simple_shear_inverse_consistency():
 def test_singular_deformation_detection():
     dm = DeformationMap(("x*x/2", "y", "z"))  # dX/dx = x vanishes at x = 0
     with pytest.raises(SingularDeformation):
-        check_invertible(dm, point_array(Point(0.0, 0.0, 0.0)))
+        check_invertible(dm, point_array(Point(0.0, 0.0, 0.0)), E)
 
 
 def test_forward_map_newton_inversion():
@@ -116,7 +119,7 @@ def test_forward_map_newton_inversion():
 
 def test_forward_map_strain_matches_inverse_form():
     forward = DeformationMap(("2*x", "2*y", "2*z"), kind="forward")
-    strain = euler_strain(forward)
+    strain = euler_strain(forward, E)
     p = Point(0.2, 0.1, -0.3)
     for a in FRAME_INDICES:
         assert strain.entry(a, a).evaluate(p).components[0] == pytest.approx(3.0 / 8.0, abs=1e-8)
@@ -166,7 +169,7 @@ def test_cubic_forward_map_push_forward_closed_form():
     # x = X + 0.1 X^3 componentwise: F^A_a = delta / (1 + 0.3 X^2) exactly, and
     # d/dx^a F^A_a = -0.6 X / (1 + 0.3 X^2)^3 checks the chain rule to second order
     dm = DeformationMap(("x+0.1*x^3", "y+0.1*y^3", "z+0.1*z^3"), kind="forward")
-    _, push = deformation_gradients(dm)
+    _, push = deformation_gradients(dm, E)
     body = np.random.default_rng(5).uniform(-1.5, 1.5, size=(3, 200))
     xs = body + 0.1 * body**3
     for A in range(3):
@@ -201,7 +204,7 @@ def test_coupled_forward_map_round_trip_in_one_solve():
 
 def test_coupled_forward_push_forward_matches_finite_differences():
     dm = DeformationMap(COUPLED, kind="forward")
-    pull, push = deformation_gradients(dm)
+    pull, push = deformation_gradients(dm, E)
     X = dm.inverse_fields()
     for p in random_points(np.random.default_rng(6), 5, lo=-0.8, hi=0.8):
         F = np.array([[push[A][a].evaluate(p).components[0] for a in range(3)] for A in range(3)])
@@ -236,7 +239,7 @@ def test_spatial_operands_join_the_body_chart():
 
 
 def test_identity_strain_zero():
-    strain = euler_strain(DeformationMap(("x", "y", "z")))
+    strain = euler_strain(DeformationMap(("x", "y", "z")), E)
     p = Point(0.1, 0.9, -0.5)
     for a in FRAME_INDICES:
         for b in FRAME_INDICES:
@@ -244,7 +247,7 @@ def test_identity_strain_zero():
 
 
 def test_dilation_strain_exact():
-    strain = euler_strain(DeformationMap(("x/2", "y/2", "z/2")))
+    strain = euler_strain(DeformationMap(("x/2", "y/2", "z/2")), E)
     p = Point(0.7, 0.7, 0.7)
     for a in FRAME_INDICES:
         for b in FRAME_INDICES:
@@ -256,7 +259,7 @@ def _linearization_error(eps):
     # inverse map X = x - eps * g(x) for a fixed smooth displacement profile
     g = ("sin(y)+0.5*z", "cos(x)*z", "x*y")
     dm = DeformationMap(tuple(f"{v}-({eps})*({gi})" for v, gi in zip("xyz", g)))
-    strain = euler_strain(dm)
+    strain = euler_strain(dm, E)
     u = [symbolic(0, f"({eps})*({gi})") for gi in g]
     worst = 0.0
     for p in random_points(np.random.default_rng(4), 10, lo=-0.8, hi=0.8):
@@ -281,7 +284,7 @@ def test_small_strain_linearization_quadratic_convergence():
 
 
 def test_zero_strain_zero_stress():
-    stress = isotropic_stress(euler_strain(DeformationMap(("x", "y", "z"))), MaterialConstants(lam=2.0, mu=1.5))
+    stress = isotropic_stress(euler_strain(DeformationMap(("x", "y", "z")), E), MaterialConstants(lam=2.0, mu=1.5), E)
     p = Point(0, 0, 0)
     for a in FRAME_INDICES:
         for b in FRAME_INDICES:
@@ -289,8 +292,8 @@ def test_zero_strain_zero_stress():
 
 
 def test_dilation_stress_arithmetic():
-    strain = euler_strain(DeformationMap(("x/2", "y/2", "z/2")))
-    stress = isotropic_stress(strain, MaterialConstants(lam=1.0, mu=1.0))
+    strain = euler_strain(DeformationMap(("x/2", "y/2", "z/2")), E)
+    stress = isotropic_stress(strain, MaterialConstants(lam=1.0, mu=1.0), E)
     p = Point(0.5, 0.5, 0.5)
     for a in FRAME_INDICES:
         for b in FRAME_INDICES:
@@ -310,8 +313,8 @@ def test_elasticity_tensor_contraction_matches_closed_form():
 
     strain = StrainState([[entries[(min(a, b), max(a, b))] for b in FRAME_INDICES] for a in FRAME_INDICES])
     mat = MaterialConstants(lam=1.7, mu=0.6)
-    direct = isotropic_stress(strain, mat)
-    contracted = stress_from_elasticity_tensor(strain, mat)
+    direct = isotropic_stress(strain, mat, E)
+    contracted = stress_from_elasticity_tensor(strain, mat, E)
     gap = [
         direct.entry(a, b) - contracted.entry(a, b) for a in FRAME_INDICES for b in FRAME_INDICES
     ]
@@ -320,9 +323,9 @@ def test_elasticity_tensor_contraction_matches_closed_form():
 
 
 def test_kappa_rejected_by_isotropic_law():
-    strain = euler_strain(DeformationMap(("x", "y", "z")))
+    strain = euler_strain(DeformationMap(("x", "y", "z")), E)
     with pytest.raises(AnisotropyNotSupported):
-        isotropic_stress(strain, MaterialConstants(lam=1.0, mu=1.0, kappa=0.5))
+        isotropic_stress(strain, MaterialConstants(lam=1.0, mu=1.0, kappa=0.5), E)
 
 
 def test_material_validation():
@@ -352,8 +355,8 @@ def test_material_rejects_non_finite_values(name, kwargs):
 
 
 def test_stress_two_form_relation():
-    strain = euler_strain(DeformationMap(("x/2", "y/2", "z/2")))
-    stress = isotropic_stress(strain, MaterialConstants(lam=1.0, mu=1.0))
+    strain = euler_strain(DeformationMap(("x/2", "y/2", "z/2")), E)
+    stress = isotropic_stress(strain, MaterialConstants(lam=1.0, mu=1.0), E)
     p = Point(0.4, 0.4, 0.4)
     from defectgeo.fields import hodge
 
@@ -399,8 +402,8 @@ def test_mass_conservation_matches_stencil():
 
 
 def test_cauchy_static_uniform_stress():
-    strain = euler_strain(DeformationMap(("x", "y", "z")))
-    stress = isotropic_stress(strain, MaterialConstants(lam=1.0, mu=1.0))
+    strain = euler_strain(DeformationMap(("x", "y", "z")), E)
+    stress = isotropic_stress(strain, MaterialConstants(lam=1.0, mu=1.0), E)
     res = cauchy_motion_residual(
         scalar_field(1.0), VectorField.zero(), VectorField.zero(), stress, E
     )
@@ -465,8 +468,8 @@ def test_cauchy_matches_component_stencil():
 
 
 def test_volume_relation():
-    assert volume_relation_residual(DeformationMap(("x", "y", "z"))).evaluate(Point(0.5, 0.5, 0.5)).max_abs() <= 1e-14
-    dil = volume_relation_residual(DeformationMap(("x/2", "y/2", "z/2")))
+    assert volume_relation_residual(DeformationMap(("x", "y", "z")), E).evaluate(Point(0.5, 0.5, 0.5)).max_abs() <= 1e-14
+    dil = volume_relation_residual(DeformationMap(("x/2", "y/2", "z/2")), E)
     assert dil.evaluate(Point(0.1, 0.2, 0.3)).max_abs() <= 1e-12
     rnd = np.random.default_rng(8)
     dm = DeformationMap(
@@ -476,7 +479,7 @@ def test_volume_relation():
             "z+0.06*x-0.01*y^2",
         )
     )
-    res = volume_relation_residual(dm)
+    res = volume_relation_residual(dm, E)
     assert normalized_residual([res], [], PTS) <= 1e-8
 
 

@@ -263,18 +263,18 @@ def test_energy_coefficient_validation():
 
 
 def test_total_energy_zero():
-    assert total_free_energy(zero_defects(), Couplings(kappa1=1.0)) == 0.0
+    assert total_free_energy(zero_defects(), Couplings(kappa1=1.0), (-1,) * 3, (1,) * 3, 32, E) == 0.0
 
 
 def test_total_energy_constant_integrand():
     d = DefectFields(symbolic(1, "1", "0", "0"), zero_field(1), zero_field(1), zero_field(0))
-    val = total_free_energy(d, Couplings(kappa1=1.0), (0, 0, 0), (1, 1, 1), 8)
+    val = total_free_energy(d, Couplings(kappa1=1.0), (0, 0, 0), (1, 1, 1), 8, E)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_total_energy_quadratic_integrand():
     d = DefectFields(zero_field(1), zero_field(1), zero_field(1), symbolic(0, "x"))
-    est = total_free_energy_estimate(d, Couplings(kappa2=1.0), (0, 0, 0), (1, 1, 1), 32)
+    est = total_free_energy_estimate(d, Couplings(kappa2=1.0), (0, 0, 0), (1, 1, 1), 32, E)
     third = 1.0 / 3.0
     assert abs(est.coarse - third) <= 0.01 * third
     assert abs(est.fine - third) <= 0.01 * third
@@ -286,13 +286,13 @@ def test_total_energy_quadratic_integrand():
 
 def test_total_energy_resolution_validation():
     with pytest.raises(ValueError, match="at least 2 cells"):
-        total_free_energy(zero_defects(), Couplings(), resolution=1)
+        total_free_energy(zero_defects(), Couplings(), (-1,) * 3, (1,) * 3, resolution=1, e=E)
 
 
 @pytest.mark.parametrize("resolution", [2.9, 4.0, "8"])
 def test_total_energy_rejects_a_non_integral_resolution(resolution):
     d = random_defects(np.random.default_rng(5))
     with pytest.raises(ValueError, match="resolution must be at least 1 per axis and integral"):
-        total_free_energy(d, Couplings(kappa1=1.0), resolution=resolution)
+        total_free_energy(d, Couplings(kappa1=1.0), (-1,) * 3, (1,) * 3, resolution, E)
     with pytest.raises(ValueError, match="resolution"):
-        total_free_energy_estimate(d, Couplings(kappa1=1.0), (-1,) * 3, (1,) * 3, resolution)
+        total_free_energy_estimate(d, Couplings(kappa1=1.0), (-1,) * 3, (1,) * 3, resolution, E)

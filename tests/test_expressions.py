@@ -74,26 +74,26 @@ def test_corpus_has_fifty_expressions():
 
 def test_precedence_example():
     e = ex.parse_expr("2+3*4")
-    assert ex.evaluate(e, 0.0, 0.0, 0.0) == 14.0
+    assert ex.evaluate(e, 0.0, 0.0, 0.0, 0.0) == 14.0
 
 
 def test_mixed_expression_example():
     e = ex.parse_expr("2*x + sin(y*z)")
-    assert ex.evaluate(e, 0.0, 1.0, math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+    assert ex.evaluate(e, 0.0, 1.0, math.pi / 2, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_power_binds_tighter_than_unary_minus():
     e = ex.parse_expr("-x^2")
-    assert ex.evaluate(e, 3.0, 0.0, 0.0) == -9.0
+    assert ex.evaluate(e, 3.0, 0.0, 0.0, 0.0) == -9.0
 
 
 def test_power_right_associative():
-    assert ex.evaluate(ex.parse_expr("2^3^2"), 0, 0, 0) == 512.0
+    assert ex.evaluate(ex.parse_expr("2^3^2"), 0, 0, 0, 0.0) == 512.0
 
 
 def test_left_associativity():
-    assert ex.evaluate(ex.parse_expr("5-3-1"), 0, 0, 0) == 1.0
-    assert ex.evaluate(ex.parse_expr("8/4/2"), 0, 0, 0) == 1.0
+    assert ex.evaluate(ex.parse_expr("5-3-1"), 0, 0, 0, 0.0) == 1.0
+    assert ex.evaluate(ex.parse_expr("8/4/2"), 0, 0, 0, 0.0) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -125,13 +125,13 @@ def test_parse_error_expected_description():
 def test_differentiate_power():
     d = ex.differentiate(ex.parse_expr("x^2"), "x")
     for v in (0.0, 1.5, -2.0):
-        assert ex.evaluate(d, v, 0, 0) == pytest.approx(2 * v)
+        assert ex.evaluate(d, v, 0, 0, 0.0) == pytest.approx(2 * v)
 
 
 def test_differentiate_chain_rule():
     d = ex.differentiate(ex.parse_expr("sin(x*y)"), "x")
     for x, y in ((0.3, 0.7), (1.2, -0.4)):
-        assert ex.evaluate(d, x, y, 0) == pytest.approx(y * math.cos(x * y), rel=1e-12)
+        assert ex.evaluate(d, x, y, 0, 0.0) == pytest.approx(y * math.cos(x * y), rel=1e-12)
 
 
 def test_differentiate_vs_finite_difference():
@@ -146,12 +146,12 @@ def test_differentiate_vs_finite_difference():
             for _ in range(50 // 10):
                 x, y, z = rng.uniform(-1, 1, 3)
                 args = {"x": x, "y": y, "z": z}
-                sym = ex.evaluate(d, x, y, z)
+                sym = ex.evaluate(d, x, y, z, 0.0)
                 shift = dict(args)
                 shift[var] = args[var] + h
-                plus = ex.evaluate(e, shift["x"], shift["y"], shift["z"])
+                plus = ex.evaluate(e, shift["x"], shift["y"], shift["z"], 0.0)
                 shift[var] = args[var] - h
-                minus = ex.evaluate(e, shift["x"], shift["y"], shift["z"])
+                minus = ex.evaluate(e, shift["x"], shift["y"], shift["z"], 0.0)
                 fd = (plus - minus) / (2 * h)
                 scale = max(1.0, abs(fd))
                 worst = max(worst, abs(sym - fd) / scale)
@@ -168,16 +168,16 @@ def test_differentiate_is_linear():
     df, dg = ex.differentiate(f, "x"), ex.differentiate(g, "x")
     for _ in range(20):
         x, y, z = rng.uniform(-1, 1, 3)
-        lhs = ex.evaluate(d_combo, x, y, z)
-        rhs = a * ex.evaluate(df, x, y, z) + b * ex.evaluate(dg, x, y, z)
+        lhs = ex.evaluate(d_combo, x, y, z, 0.0)
+        rhs = a * ex.evaluate(df, x, y, z, 0.0) + b * ex.evaluate(dg, x, y, z, 0.0)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_abs_derivative_is_sign_with_sign_zero():
     d = ex.differentiate(ex.parse_expr("abs(x)"), "x")
-    assert ex.evaluate(d, 2.0, 0, 0) == 1.0
-    assert ex.evaluate(d, -2.0, 0, 0) == -1.0
-    assert ex.evaluate(d, 0.0, 0, 0) == 0.0
+    assert ex.evaluate(d, 2.0, 0, 0, 0.0) == 1.0
+    assert ex.evaluate(d, -2.0, 0, 0, 0.0) == -1.0
+    assert ex.evaluate(d, 0.0, 0, 0, 0.0) == 0.0
 
 
 def test_parse_print_parse_fixpoint():
@@ -195,31 +195,31 @@ def test_print_round_trip_values_agree():
         e = ex.parse_expr(text)
         e2 = ex.parse_expr(ex.to_text(e))
         x, y, z = rng.uniform(-1, 1, 3)
-        assert ex.evaluate(e, x, y, z) == pytest.approx(ex.evaluate(e2, x, y, z), rel=1e-12)
+        assert ex.evaluate(e, x, y, z, 0.0) == pytest.approx(ex.evaluate(e2, x, y, z, 0.0), rel=1e-12)
 
 
 def test_division_by_zero_carries_point():
     e = ex.parse_expr("1/x")
     with pytest.raises(EvaluationError) as err:
-        ex.evaluate(e, 0.0, 2.0, 3.0)
+        ex.evaluate(e, 0.0, 2.0, 3.0, 0.0)
     assert err.value.point == (0.0, 2.0, 3.0, 0.0)
 
 
 def test_ln_domain_error():
     with pytest.raises(EvaluationError):
-        ex.evaluate(ex.parse_expr("ln(x)"), -1.0, 0, 0)
+        ex.evaluate(ex.parse_expr("ln(x)"), -1.0, 0, 0, 0.0)
     with pytest.raises(EvaluationError):
-        ex.evaluate(ex.parse_expr("ln(x)"), 0.0, 0, 0)
+        ex.evaluate(ex.parse_expr("ln(x)"), 0.0, 0, 0, 0.0)
 
 
 def test_sqrt_domain_error():
     with pytest.raises(EvaluationError):
-        ex.evaluate(ex.parse_expr("sqrt(x)"), -0.5, 0, 0)
+        ex.evaluate(ex.parse_expr("sqrt(x)"), -0.5, 0, 0, 0.0)
 
 
 def test_zero_to_negative_power():
     with pytest.raises(EvaluationError):
-        ex.evaluate(ex.parse_expr("x^(-1)"), 0.0, 0, 0)
+        ex.evaluate(ex.parse_expr("x^(-1)"), 0.0, 0, 0, 0.0)
 
 
 def test_array_evaluation_matches_scalar():
@@ -227,22 +227,22 @@ def test_array_evaluation_matches_scalar():
     xs = np.linspace(-1, 1, 11)
     ys = np.linspace(0, 2, 11)
     zs = np.linspace(-2, 0, 11)
-    arr = ex.evaluate(e, xs, ys, zs)
+    arr = ex.evaluate(e, xs, ys, zs, 0.0)
     for i in range(11):
-        assert arr[i] == pytest.approx(ex.evaluate(e, xs[i], ys[i], zs[i]), rel=1e-14)
+        assert arr[i] == pytest.approx(ex.evaluate(e, xs[i], ys[i], zs[i], 0.0), rel=1e-14)
 
 
 def test_array_evaluation_domain_error_carries_point():
     e = ex.parse_expr("1/x")
     xs = np.array([1.0, 0.0, 2.0])
     with pytest.raises(EvaluationError) as err:
-        ex.evaluate(e, xs, xs + 1, xs + 2)
+        ex.evaluate(e, xs, xs + 1, xs + 2, 0.0)
     assert err.value.point[0] == 0.0
 
 
 def test_constants():
-    assert ex.evaluate(ex.parse_expr("pi"), 0, 0, 0) == math.pi
-    assert ex.evaluate(ex.parse_expr("euler"), 0, 0, 0) == math.e
+    assert ex.evaluate(ex.parse_expr("pi"), 0, 0, 0, 0.0) == math.pi
+    assert ex.evaluate(ex.parse_expr("euler"), 0, 0, 0, 0.0) == math.e
 
 
 def test_exponent_must_be_constant():
@@ -250,7 +250,7 @@ def test_exponent_must_be_constant():
         ex.parse_expr("x^y")
     # constant arithmetic in the exponent is fine
     e = ex.parse_expr("x^(1+1)")
-    assert ex.evaluate(e, 3.0, 0, 0) == 9.0
+    assert ex.evaluate(e, 3.0, 0, 0, 0.0) == 9.0
 
 
 def test_time_dependence_detection():
@@ -273,9 +273,9 @@ LONG_SUM = "+".join(f"{k + 1}*x*y" for k in range(1500))
 def test_deep_sum_walks_without_recursion_error():
     e = ex.parse_expr(LONG_SUM)
     total = 1500 * 1501 / 2
-    assert ex.evaluate(e, 2.0, 3.0, 0.0) == 6.0 * total
-    assert ex.evaluate(ex.differentiate(e, "x"), 2.0, 3.0, 0.0) == 3.0 * total
-    assert ex.evaluate(ex.substitute(e, {"y": ex.parse_expr("z+1")}), 2.0, 0.0, 2.0) == 6.0 * total
+    assert ex.evaluate(e, 2.0, 3.0, 0.0, 0.0) == 6.0 * total
+    assert ex.evaluate(ex.differentiate(e, "x"), 2.0, 3.0, 0.0, 0.0) == 3.0 * total
+    assert ex.evaluate(ex.substitute(e, {"y": ex.parse_expr("z+1")}), 2.0, 0.0, 2.0, 0.0) == 6.0 * total
     assert ex.depends_on(e, "y") and not ex.depends_on(e, "t")
 
 
@@ -303,7 +303,7 @@ def test_evaluation_releases_values_after_last_use():
     xs = np.linspace(-1.0, 1.0, 20_000)
     tracemalloc.start()
     try:
-        ex.evaluate(e, xs, xs, xs)
+        ex.evaluate(e, xs, xs, xs, 0.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

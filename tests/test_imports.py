@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, and reads each
 private name it defines; the package reads each public function and class
-it defines, or keeps it for a stated reason."""
+it defines, or keeps it for a stated reason; and no public function makes
+up a coframe, a point set or a time for its caller."""
 
 import ast
 from pathlib import Path
@@ -78,6 +79,7 @@ KEEP = {
     "disclination_balance_tensor": "the transcription that pins calibration.PROJECTION_*",
     "parse_scenario_file": "bench/spans.py names it and tests/util.py uses it",
     "depends_on": "ROADMAP item 2 builds on it",
+    "sample_points": "the README quick start and the tests build point sets with it",
 }
 
 
@@ -114,3 +116,40 @@ def test_every_public_name_is_read_or_kept():
     unread = unread_public_names({path.stem: path.read_text() for path in MODULES})
     assert sorted(name for _, _, name in unread) == sorted(KEEP)
     assert all(KEEP.values())
+
+
+#: parameters whose value only the caller knows: the coframe, the point set, the time
+CALLER_DECIDES = ("e", "points", "t")
+
+
+def defaulted_caller_parameters(source: str):
+    """(line, function, parameter) for each default that a public module-level function,
+    or a public method of a module-level class, gives a parameter in CALLER_DECIDES."""
+    tree = ast.parse(source)
+    scopes = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    found = []
+    for body in scopes:
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [(node.lineno, node.name, a.arg) for a in defaulted if a.arg in CALLER_DECIDES]
+    return found
+
+
+def test_the_scan_finds_a_defaulted_caller_parameter():
+    source = (
+        "def f(x, e=None, *, points=None, t=0.0, n=3):\n    pass\n\n"
+        "def g(e, points, t, ts=0.0):\n    pass\n\n"
+        "def _h(e=None):\n    pass\n\n"
+        "class K:\n    def m(self, t=0.0):\n        pass\n\n    def _n(self, points=None):\n        pass\n"
+    )
+    assert defaulted_caller_parameters(source) == [(1, "f", "e"), (1, "f", "points"), (1, "f", "t"), (11, "m", "t")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_public_function_defaults_a_coframe_points_or_time(path):
+    assert defaulted_caller_parameters(path.read_text()) == []

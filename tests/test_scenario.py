@@ -204,11 +204,15 @@ def test_comments_and_blank_lines():
     s = parse_scenario(
         """
 # full-line comment
-[numerics]
+[numerics]   # a comment after a section header
 tolerance = 1e-7  # trailing comment
+
+[defects]
+b1 = "0.3*y"     # a comment after a quoted expression
 """
     )
     assert s.numerics.tolerance == 1e-7
+    assert s.defects.burgers.evaluate(Point(0.0, 2.0, 0.0)).components[0] == pytest.approx(0.6)
 
 
 def test_defects_against_nonidentity_coframe():
