@@ -8,10 +8,11 @@ a re-measurement fails loudly on it.
 
 The `calibrate` CLI command re-measures `FRANK_SCALE`, the two curvature
 factors and `ANSATZ_FLUX_FACTOR` at the scenario's check points, in its
-coframe, and checks that both piece-1 traces vanish.
-It only reports the quadratic invariants, asserted ones included, and it
-does not measure the three `PROJECTION_*` tuples: `tests/test_kinematics.py`
-re-measures those.
+coframe, and checks that both piece-1 traces vanish.  The piece-1 traces
+and the six quadratic-invariant deviations are `sampling.normalized_residual`
+values, the one residual scale of every check.  It only reports the
+invariants (tests assert four of them), and it does not measure the three
+`PROJECTION_*` tuples: `tests/test_kinematics.py` re-measures those.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .energy import quadratic_invariants
 from .forms import FRAME_INDICES
 from .geometry import CoFrame
 from .kinematics import bianchi_consistency
-from .sampling import batch_groups
+from .sampling import batch_groups, normalized_residuals
 
 #: second-kind trace of the reconstruction ansatz is exactly 3x the Frank covector
 EXPECTED_FRANK_SCALE = 3.0
@@ -68,45 +69,40 @@ def probe_defects() -> DefectFields:
     )
 
 
-def measure_frank_scale(e: CoFrame, points):
-    """(mean, relative std) of second-kind-trace(reconstruct(O, 0)) / O pointwise."""
-    frank = probe_defects().frank
-    Q = reconstruct_nonmetricity(frank, ff.zero_field(1), e)
-    P, _ = nonmetricity_second_trace(Q, e)
-    num, den = batch_groups([[P], [frank]], points)
+def _ratio_statistics(numerators, denominators, points):
+    """(mean, relative std) of numerator / denominator, component by component
+    at every point where |denominator| > 1e-9."""
+    num, den = batch_groups([numerators, denominators], points)
     keep = np.abs(den) > 1e-9
     ratios = num[keep] / den[keep]
     mean = float(np.mean(ratios))
     return mean, float(np.std(ratios) / abs(mean))
+
+
+def measure_frank_scale(e: CoFrame, points):
+    """(mean, relative std) of second-kind-trace(reconstruct(O, 0)) / O pointwise."""
+    frank = probe_defects().frank
+    P, _ = nonmetricity_second_trace(reconstruct_nonmetricity(frank, ff.zero_field(1), e), e)
+    return _ratio_statistics([P], [frank], points)
 
 
 def measure_flux_factor(e: CoFrame, points):
     """(mean, relative std) of the factor c in N_a = c * e_a ^ P on the ansatz."""
     frank = probe_defects().frank
-    Q = reconstruct_nonmetricity(frank, ff.zero_field(1), e)
-    P, flux = nonmetricity_second_trace(Q, e)
-    reference = [ff.wedge(e.e(a), P) for a in FRAME_INDICES]
-    num, den = batch_groups([flux.entries(), reference], points)
-    keep = np.abs(den) > 1e-9
-    ratios = num[keep] / den[keep]
-    mean = float(np.mean(ratios))
-    return mean, float(np.std(ratios) / abs(mean))
+    P, flux = nonmetricity_second_trace(reconstruct_nonmetricity(frank, ff.zero_field(1), e), e)
+    return _ratio_statistics(flux.entries(), [ff.wedge(e.e(a), P) for a in FRAME_INDICES], points)
 
 
 def measure_piece1_contractions(Q, e: CoFrame, points):
-    """Normalised magnitudes of i^a piece1_ab and e^a ^ piece1_ab."""
-    pieces = nonmetricity_pieces(Q, e)
-
-    piece1 = pieces.piece1.entry
+    """`normalized_residual`s of i^a piece1_ab and e^a ^ piece1_ab against Q."""
+    piece1 = nonmetricity_pieces(Q, e).piece1.entry
     interior_fields = [
         ff.field_sum(e.interior(a, piece1(a, b)) for a in FRAME_INDICES) for b in FRAME_INDICES
     ]
     wedge_fields = [
         ff.field_sum(ff.wedge(e.e(a), piece1(a, b)) for a in FRAME_INDICES) for b in FRAME_INDICES
     ]
-    q_vals, i_vals, w_vals = batch_groups([Q.entries(), interior_fields, wedge_fields], points)
-    scale = 1.0 + float(np.max(np.abs(q_vals)))
-    return float(np.max(np.abs(i_vals))) / scale, float(np.max(np.abs(w_vals))) / scale
+    return normalized_residuals([(interior_fields, Q.entries()), (wedge_fields, Q.entries())], points)
 
 
 def run_calibration(e: CoFrame, points) -> dict:
@@ -117,7 +113,6 @@ def run_calibration(e: CoFrame, points) -> dict:
     T, Q = reconstruct_defect_geometry(d, e)
     piece1_interior, piece1_wedge = measure_piece1_contractions(Q, e, points)
     fits = bianchi_consistency(e, d, points)
-    invariants = quadratic_invariants(T, Q, e, points)
     return {
         "frank_scale": frank_scale,
         "frank_scale_rel_std": frank_std,
@@ -134,8 +129,5 @@ def run_calibration(e: CoFrame, points) -> dict:
         "disclination_fit_std": fits.disclination.pointwise_std,
         "disclination_literal_factor": fits.disclination_literal.coefficient,
         "disclination_literal_fit_residual": fits.disclination_literal.relative_residual,
-        "quadratic_invariants": {
-            r.name: {"asserted": r.asserted, "max_deviation": r.max_deviation, "scale": r.scale}
-            for r in invariants.relations
-        },
+        "quadratic_invariants": quadratic_invariants(T, Q, e, points),
     }

@@ -89,12 +89,12 @@ class MaterialConstants:
             if value is not None and not np.isfinite(value):
                 raise InvalidMaterial(f"{name} must be finite, got {value}")
         if self.mu is not None and self.mu <= 0.0:
-            raise InvalidMaterial(f"shear Lame constant must be positive, got {self.mu}")
+            raise InvalidMaterial(f"shear Lame constant mu must be positive, got {self.mu}")
         if self.poisson is not None and not (0.0 < self.poisson < 0.5):
-            raise InvalidMaterial(f"Poisson ratio must lie in (0, 0.5), got {self.poisson}")
+            raise InvalidMaterial(f"Poisson ratio nu must lie in (0, 0.5), got {self.poisson}")
         if self.r_outer is not None or self.r_core is not None:
             if self.r_outer is None or self.r_core is None:
-                raise InvalidMaterial("outer and core radii must be given together")
+                raise InvalidMaterial("outer and core radii R_outer and r_core must be given together")
             if not (self.r_outer > self.r_core > 0.0):
                 raise InvalidMaterial(
                     f"radii must satisfy r_outer > r_core > 0, got {self.r_outer}, {self.r_core}"
@@ -104,8 +104,8 @@ class MaterialConstants:
 class _ForwardChart(ex.Sampler):
     """Body coordinates X^B(x, t) of a forward map x^a(X, t), as the source of Sample leaves.
 
-    Values invert the map on whole coordinate arrays by damped Newton; the
-    Sampler keeps the last solve, so the three slots cost one per walk.
+    Values invert the map on whole coordinate arrays by damped Newton; a walk
+    reads the three slots off one solve.
     The Jacobian J^a_B = dx^a/dX^B, its symbolic inverse and the body-point
     velocity dX^B/dt at fixed x = -(J^-1 dx/dt)^B are built once, and
     `partial` reads the derivatives of the leaves off them exactly.
@@ -321,7 +321,7 @@ def isotropic_stress(strain: StrainState, mat: MaterialConstants, e: CoFrame) ->
             f"the isotropic constitutive law requires kappa = 0, got {mat.kappa}"
         )
     if mat.lam is None or mat.mu is None:
-        raise InvalidMaterial("isotropic stress needs both Lame constants")
+        raise InvalidMaterial("isotropic stress needs both Lame constants, lambda and mu")
     tr = strain_trace(strain)
     sigma = [
         [
@@ -344,7 +344,7 @@ def _stress_two_form(sigma, a, e: CoFrame):
 def elasticity_tensor(mat: MaterialConstants):
     """C_abcd = lam d_ab d_cd + mu (d_ac d_bd + d_ad d_bc) + kappa (d_ac d_bd - d_ad d_bc)."""
     if mat.lam is None or mat.mu is None:
-        raise InvalidMaterial("the elasticity tensor needs both Lame constants")
+        raise InvalidMaterial("the elasticity tensor needs both Lame constants, lambda and mu")
 
     def delta(i, j):
         return 1.0 if i == j else 0.0

@@ -24,7 +24,7 @@ from .errors import EvaluationError, InvalidMaterial
 from .fields import FormField, VectorField, component_field, field_sum, wedge, zero_field
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, TensorFormField
-from .sampling import batch_groups, grid_blocks, grid_counts
+from .sampling import grid_blocks, grid_counts, normalized_residuals
 
 if TYPE_CHECKING:
     from .elasticity import MaterialConstants
@@ -172,34 +172,21 @@ def total_free_energy_estimate(d, k, bounds_min, bounds_max, resolution, e: CoFr
 # ---- quadratic invariants ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantRelation:
-    name: str
-    asserted: bool
-    max_deviation: float
-    scale: float
+def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, points) -> dict:
+    """{name: deviation} of the six trace-invariant expansions, each the
+    `normalized_residual` of lhs - rhs against lhs.
 
-
-@dataclass(frozen=True)
-class InvariantReport:
-    relations: tuple
-
-
-def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, points) -> InvariantReport:
-    """Evaluate both sides of the six trace-invariant expansions.
-
-    Four expansions hold identically for the restricted (T, Q) and are
-    asserted by tests.  The expansions of O^*O and b^*O involve a two-index
-    coframe factor whose intended reading is ambiguous; both are evaluated
-    here in calibration mode (deviation reported, nothing asserted) using
-    the plain reading e_ac = e_a ^ e_c.
+    Four expansions hold identically for the restricted (T, Q); tests assert
+    them.  The expansions of O^*O and b^*O involve a two-index coframe
+    factor whose intended reading is ambiguous; both are evaluated here
+    under the plain reading e_ac = e_a ^ e_c and only reported.
     """
     trace_T, S = torsion_traces(T, e)
     trace_Q = nonmetricity_trace(Q)
     P, _ = nonmetricity_second_trace(Q, e)
     star = e.hodge
 
-    sides = []  # (name, asserted, lhs, rhs) per expansion
+    sides = []  # (name, lhs, rhs) per expansion
 
     # trace-squared torsion invariant
     lhs = wedge(trace_T, star(trace_T))
@@ -210,7 +197,7 @@ def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, poi
             for b in FRAME_INDICES
         ]
     )
-    sides.append(("torsion-trace", True, lhs, rhs))
+    sides.append(("torsion-trace", lhs, rhs))
 
     # totally antisymmetric torsion invariant
     lhs = wedge(S, star(S))
@@ -221,7 +208,7 @@ def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, poi
             for b in FRAME_INDICES
         ]
     )
-    sides.append(("torsion-scalar", True, lhs, rhs))
+    sides.append(("torsion-scalar", lhs, rhs))
 
     # second-kind trace squared: calibration mode (two-index coframe factor)
     lhs = wedge(P, star(P))
@@ -244,7 +231,7 @@ def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, poi
             for b in FRAME_INDICES
         ]
     ) * (2.0 / 3.0)
-    sides.append(("frank-square", False, lhs, rhs))
+    sides.append(("frank-square", lhs, rhs))
 
     # mixed second-kind/first-kind trace
     lhs = wedge(P, star(trace_Q))
@@ -255,7 +242,7 @@ def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, poi
             for b in FRAME_INDICES
         ]
     )
-    sides.append(("frank-point", True, lhs, rhs))
+    sides.append(("frank-point", lhs, rhs))
 
     # torsion-trace / second-kind trace: calibration mode
     lhs = wedge(trace_T, star(P))
@@ -280,21 +267,17 @@ def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, poi
             for b in FRAME_INDICES
         ]
     )
-    sides.append(("burgers-frank", False, lhs, rhs))
+    sides.append(("burgers-frank", lhs, rhs))
 
     # torsion-trace / first-kind trace
     lhs = wedge(trace_T, star(trace_Q))
     rhs = -field_sum(
         [wedge(wedge(trace_Q, e.e(a)), star(T.entry(a))) for a in FRAME_INDICES]
     )
-    sides.append(("burgers-point", True, lhs, rhs))
+    sides.append(("burgers-point", lhs, rhs))
 
-    values = iter(batch_groups([g for *_, lhs, rhs in sides for g in ([lhs - rhs], [lhs])], points))
-    relations = []
-    for name, asserted, _, _ in sides:
-        dev, scale = np.abs(next(values)), np.abs(next(values))
-        relations.append(InvariantRelation(name, asserted, float(np.max(dev)), float(np.max(scale) + 1.0)))
-    return InvariantReport(tuple(relations))
+    values = normalized_residuals([([lhs - rhs], [lhs]) for _, lhs, rhs in sides], points)
+    return {name: value for (name, _, _), value in zip(sides, values)}
 
 
 # ---- dislocation strain-energy coefficients -----------------------------------------

@@ -35,7 +35,8 @@ ln/sqrt outside their domain, or 0 raised to a negative power.
 A `Sample` leaf is slot `slot` of a `Sampler`'s values at the coordinates
 its four kids evaluate to: at first x, y, z, t, which substitution rewrites
 like any other kids.  A Sampler wraps a vectorised `values(xs, ys, zs, ts)`
-and keeps its last call, so the slots of one source cost one call per walk.
+and keeps no state: a walk calls each source once per distinct kids, keeps
+that result to its end and reads every slot off it.
 A Sample differentiates by the chain rule through its kids; along a kid the
 derivative is what its source's `partial` returns.  A Sampler's partial is
 the Sample of a central-difference Sampler one level deeper, which shifts
@@ -160,25 +161,19 @@ class Sampler:
     """Source of Sample leaves: `values(xs, ys, zs, ts)` on equally shaped
     coordinate arrays, returning shape (slots,) + their shape.
 
-    Calls go through `__call__`, which keeps the last call and its result.
-    `step` is the central-difference step of derivatives (None for a source
-    whose `partial` is exact), `depth` how many differences deep this source
+    Calls go through `__call__`, which broadcasts the coordinates.  `step`
+    is the central-difference step of derivatives (None for a source whose
+    `partial` is exact), `depth` how many differences deep this source
     already is.
     """
 
     def __init__(self, values, step, depth=0, name="sample"):
         self.values, self.step, self.depth, self.name = values, step, depth, name
-        self._last = None
         self._differences = {}
 
     def __call__(self, xs, ys, zs, ts):
         coords = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (xs, ys, zs, ts)))
-        key = (coords[0].shape, b"".join(c.tobytes() for c in coords))
-        if self._last is None or self._last[0] != key:
-            values = np.asarray(self.values(*coords), dtype=float)
-            values.flags.writeable = False  # callers get views of the kept result
-            self._last = (key, values)
-        return self._last[1]
+        return np.asarray(self.values(*coords), dtype=float)
 
     def partial(self, slot, axis, args):
         """d(slot)/d(argument `axis`) at `args` (axis 0..3 for x, y, z, t): a Sample of the
@@ -346,8 +341,11 @@ def _point_of(env, mask):
     return tuple(float(c.flat[first]) for c in coords)
 
 
-def _value(node, vals, env):
-    """Value of `node`, its kids' values being in `vals`; numpy primitives on 0-d and n-d alike."""
+def _value(node, vals, env, calls):
+    """Value of `node`, its kids' values being in `vals`; numpy primitives on 0-d and n-d alike.
+
+    `calls` holds the walk's Sampler results, keyed by (source, kids).
+    """
     kind = type(node)
     if kind is Bin:
         a, b = vals[node.lhs], vals[node.rhs]
@@ -366,7 +364,10 @@ def _value(node, vals, env):
     if kind is Var:
         return env[node.name]
     if kind is Sample:
-        return node.source(*(vals[kid] for kid in node.kids))[node.slot]
+        key = (node.source, node.kids)
+        if key not in calls:
+            calls[key] = node.source(*(vals[kid] for kid in node.kids))
+        return calls[key][node.slot]
     a = vals[node.kids[0]]
     if kind is Neg:
         return -a
@@ -393,15 +394,16 @@ def evaluate_many(exprs, x, y, z, t):
     """Evaluate expressions at a point or componentwise over equally-shaped arrays.
 
     One walk over their shared DAG; a node's value is dropped as soon as the
-    last node that reads it has been evaluated.
+    last node that reads it has been evaluated.  Each Sampler is called once
+    per distinct kids in the walk, for all its slots.
     """
     env = {"x": x, "y": y, "z": z, "t": t}
     order = _postorder(exprs)
     last_reader = {kid: node for node in order for kid in node.kids}
     last_reader.update(dict.fromkeys(exprs))  # the results are kept
-    vals = {}
+    vals, calls = {}, {}
     for node in order:
-        vals[node] = _value(node, vals, env)
+        vals[node] = _value(node, vals, env, calls)
         for kid in node.kids:
             if last_reader[kid] is node:
                 vals.pop(kid, None)  # None: both kids of x*x are x

@@ -204,8 +204,9 @@ class NumericFormField(SymbolicFormField):
     """Components sampled from a vectorised `func(xs, ys, zs, ts) -> KForm`.
 
     `func` gets equally shaped coordinate arrays and is called once per walk
-    for all components.  Derivatives difference the samples with step
-    `fd_step`, which must be finite and positive.
+    for all components, so once per block of at most BLOCK points.
+    Derivatives difference the samples with step `fd_step`, which must be
+    finite and positive.
     """
 
     def __init__(self, degree, func, fd_step=DEFAULT_FD_STEP):

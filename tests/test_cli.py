@@ -385,6 +385,63 @@ def test_energy_memory_does_not_grow_with_the_dag_times_the_grid(tmp_path):
     assert peak < 20e6
 
 
+# ---- no check subtracts a node from itself -----------------------------------------
+
+#: FULL_TRIAD with a deformation and a material, so that every command runs on it
+FULL_TRIAD_ELASTIC = FULL_TRIAD + (SCENARIOS / "dilation.toml").read_text().split("[numerics]")[0]
+
+#: rows that compare two separate transcriptions of one identity: on special
+#: inputs (an identity coframe, a density of rho alone) both sides hash-cons to
+#: the same nodes, which proves the identity there, while a fault in either
+#: transcription still shows; on the generic full triad they too must differ
+TRANSCRIPTION_ROWS = {"curvature-split", "dislocation-form-vector-agreement", "lagrangian-representations-agree"}
+
+
+@pytest.mark.parametrize("scenario", sorted(p.stem for p in SCENARIOS.glob("*.toml")) + ["full-triad"])
+def test_no_check_residual_subtracts_a_node_from_itself(tmp_path, monkeypatch, scenario):
+    """Nodes are interned, so a residual component `Bin("-", X, X)` reads 0
+    whatever X is: a check that nothing can fail."""
+    from defectgeo import cli, kinematics
+    from defectgeo import expressions as ex
+
+    pending, rows = [], []  # residuals awaiting their row's name; (name, residual)
+
+    def recording(original):
+        def normalized_residuals(pairs, *args):
+            pairs = list(pairs)
+            pending.extend(res for res, _ in pairs)
+            return original(pairs, *args)
+
+        return normalized_residuals
+
+    def check(name, *args):
+        if pending:  # the rows of a table are checked in its order, before any other row
+            rows.append((name, pending.pop(0)))
+        return original_check(name, *args)
+
+    for module in (cli, kinematics):
+        monkeypatch.setattr(module, "normalized_residuals", recording(module.normalized_residuals))
+    original_check = cli._check
+    monkeypatch.setattr(cli, "_check", check)
+    path = SCENARIOS / f"{scenario}.toml"
+    if scenario == "full-triad":
+        path = tmp_path / "full.toml"
+        path.write_text(FULL_TRIAD_ELASTIC)
+    for command in ("check", "defects", "kinematics", "elastic", "energy", "calibrate"):
+        run([command, path, "--json", tmp_path / "r.json"])
+        assert pending == []
+    assert rows
+    tautologies = [
+        name
+        for name, residual in rows
+        if scenario == "full-triad" or name not in TRANSCRIPTION_ROWS
+        for field in residual
+        for c in field.comps
+        if type(c) is ex.Bin and c.op == "-" and c.lhs is c.rhs
+    ]
+    assert tautologies == []
+
+
 DEFECT_GRID = """\
 [coframe]
 h11 = "1 + 0.1*x"

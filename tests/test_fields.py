@@ -241,6 +241,14 @@ def test_numeric_callable_runs_once_per_walk_for_all_components():
     assert calls == [[(1,)] * 4]
 
 
+def test_numeric_callable_runs_once_per_block():
+    func, calls = counting(symbolic(0, "x*y - z"))
+    xs = np.linspace(-1.0, 1.0, ff.BLOCK + 1)
+    values = NumericFormField(0, func).evaluate_batch(xs, xs, xs).components[0]
+    assert calls == [[(ff.BLOCK,)] * 4, [(1,)] * 4]
+    assert np.array_equal(values, xs * xs - xs)
+
+
 def test_derivative_of_mixed_field_is_exact_on_the_symbolic_part():
     zero = NumericFormField(0, lambda *coords: KForm.scalar(0.0))
     d = exterior_derivative(symbolic(0, "x^3") + zero)

@@ -178,7 +178,7 @@ def reference_evaluate(e, env):
     on 0-d and n-d values alike), so agreement is bit for bit; what is
     checked is the walk, the sharing of nodes and the early release of
     values.  Undefined values raise EvaluationError without a point.  A
-    Sample calls its source's `values` directly, past the last-call cache.
+    Sample calls its source's `values` directly, once per leaf.
     """
     if isinstance(e, ex.Num):
         return e.value
