@@ -37,8 +37,8 @@ _EXPORTS = {
     " covariant_exterior_derivative curvature curvature_split_residual defect_one_form"
     " levi_civita_connection nonmetricity pure_gauge_connection torsion transform_coframe"
     " transform_connection transform_tensor",
-    "kinematics": "ConsistencyReport ExtraMatterReport bianchi_consistency"
-    " disclination_balance_tensor disclination_point_balance dislocation_balance extra_matter",
+    "kinematics": "ExtraMatterReport curvature_identity_sides disclination_balance_tensor"
+    " disclination_point_balance dislocation_balance extra_matter",
     "scenario": "Numerics Scenario parse_scenario parse_scenario_file",
 }
 #: the submodule that defines each exported name

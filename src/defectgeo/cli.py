@@ -46,9 +46,8 @@ from .scenario import Scenario, decode_scenario, parse_scenario, validate_numeri
 
 SCHEMA = "defectgeo-report-v2"
 
-#: fixed tolerances of the calibration-fit checks (not scenario-tunable)
+#: fixed tolerances of the calibration-fit and exact-identity checks (not scenario-tunable)
 FIT_RESIDUAL_TOL = 1e-4
-FIT_STABILITY_TOL = 1e-3
 EXACT_TOL = 1e-12
 
 
@@ -101,7 +100,7 @@ def _build_parser():
     for name, help_text in (
         ("check", "structure-equation and identity suite"),
         ("defects", "extract defect densities (optionally to CSV)"),
-        ("kinematics", "kinematic balance residuals and curvature fits"),
+        ("kinematics", "kinematic balance residuals and curvature identities"),
         ("elastic", "deformation, strain, stress, and balance checks"),
         ("energy", "free-energy quadrature with error estimate"),
         ("calibrate", "re-measure the frozen calibration constants"),
@@ -259,7 +258,13 @@ def _write_defect_csv(path, scenario: Scenario, d):
 
 
 def _cmd_kinematics(scenario: Scenario, args):
-    from .kinematics import bianchi_consistency, disclination_point_balance, dislocation_balance
+    from .kinematics import (
+        DISCLINATION_CURVATURE_FACTOR,
+        DISLOCATION_CURVATURE_FACTOR,
+        curvature_identity_sides,
+        disclination_point_balance,
+        dislocation_balance,
+    )
 
     scenario.require("defects")
     tol = scenario.numerics.tolerance
@@ -274,27 +279,23 @@ def _cmd_kinematics(scenario: Scenario, args):
         table.append(("dislocation-form-vector-agreement", iso_gap, list(vec_res.comps), tol))
     reference = [d.burgers, d.frank, d.point, d.scalar]
     point_curl, beltrami, algebraic = disclination_point_balance(d)
+    # each curvature identity is scaled against its own two sides, which are
+    # quadratic in the defect fields
+    A, B, C, R_sym = curvature_identity_sides(d, e)
+    dislocation_gap = [a - b * DISLOCATION_CURVATURE_FACTOR for a, b in zip(A, B)]
+    disclination_gap = [c - r * DISCLINATION_CURVATURE_FACTOR for c, r in zip(C, R_sym)]
     table += [
         ("dislocation-balance", form_res.entries(), reference, tol),
         ("point-defect-curl", list(point_curl.comps), reference, tol),
         ("disclination-beltrami", list(beltrami.comps), reference, tol),
         ("bilinear-constraint", [f for row in algebraic for f in row], reference, tol),
+        ("dislocation-curvature-identity", dislocation_gap, A + B, EXACT_TOL),
+        ("disclination-curvature-identity", disclination_gap, C + R_sym, EXACT_TOL),
     ]
-    fits = bianchi_consistency(e, d, points=points, pairs=[(res, ref) for _, res, ref, _ in table])
-    rows = [(name, value, tol) for (name, _, _, tol), value in zip(table, fits.residuals)] + [
-        ("dislocation-curvature-fit", fits.dislocation.relative_residual, FIT_RESIDUAL_TOL),
-        ("dislocation-fit-stability", fits.dislocation.pointwise_std, FIT_STABILITY_TOL),
-        ("disclination-curvature-fit", fits.disclination.relative_residual, FIT_RESIDUAL_TOL),
-    ]
-    checks = [_check(*row) for row in rows]
+    checks = _residual_checks(table, points)
     calib = {
-        "dislocation_factor": fits.dislocation.coefficient,
-        "dislocation_fit_residual": fits.dislocation.relative_residual,
-        "dislocation_fit_std": fits.dislocation.pointwise_std,
-        "disclination_factor": fits.disclination.coefficient,
-        "disclination_fit_residual": fits.disclination.relative_residual,
-        "disclination_literal_factor": fits.disclination_literal.coefficient,
-        "disclination_literal_fit_residual": fits.disclination_literal.relative_residual,
+        "dislocation_curvature_factor": DISLOCATION_CURVATURE_FACTOR,
+        "disclination_curvature_factor": DISCLINATION_CURVATURE_FACTOR,
         "frank_scale": FRANK_SCALE,
     }
     return checks, calib, None, {}

@@ -13,12 +13,12 @@ and the disclination/point-defect balance splits into curl m = 0, the
 generalized Beltrami equation curl O = rho O, and an algebraic bilinear
 constraint on b and O.
 
-For curved connections (generic defect fields) the same combinations are
-proportional to curvature contractions instead of zero; `bianchi_consistency`
-measures the proportionality factors by least squares rather than asserting
-numbers the displays do not fix.  The vector representations use the flat
-Cartesian operators and agree with the exterior-form residuals whenever the
-coframe is the identity (or any constant rotation).
+For curved connections (generic defect fields) the same combinations equal
+fixed multiples of curvature contractions instead of zero.
+`curvature_identity_sides` builds both sides of these two identities, and
+the two factors are defined here once.  The vector representations use the
+flat Cartesian operators and agree with the exterior-form residuals whenever
+the coframe is the identity (or any constant rotation).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .geometry import (
     defect_one_form,
     levi_civita_connection,
 )
-from .sampling import grid_blocks, grid_counts, normalized_residuals
+from .sampling import grid_blocks, grid_counts
 
 
 def _eps(i, j, k):
@@ -157,126 +157,53 @@ def disclination_balance_tensor(d: DefectFields):
     ]
 
 
-# ---- curvature-coupled consistency ------------------------------------------------
+# ---- curvature identities ----------------------------------------------------------
+
+#: dislocation balance combination = -2 x (curvature contraction R^a_b ^ e^b)
+DISLOCATION_CURVATURE_FACTOR = -2.0
+
+#: exact-covariant disclination combination = +1 x R_(ab)
+DISCLINATION_CURVATURE_FACTOR = 1.0
 
 
-@dataclass(frozen=True)
-class ScaleFit:
-    """Least-squares proportionality fit A = coefficient * B over sample points."""
+def curvature_identity_sides(d: DefectFields, e: CoFrame):
+    """(A, B, C, R_(ab)) as field lists: A^a = DISLOCATION_CURVATURE_FACTOR B^a
+    and C_ab = DISCLINATION_CURVATURE_FACTOR R_(ab) hold for any defect fields.
 
-    coefficient: float
-    relative_residual: float
-    pointwise_std: float  # std of per-point coefficients relative to |coefficient|
-
-
-def fit_scale(A, B) -> ScaleFit:
-    """Fit A ~ c*B for stacked value arrays of shape (rows, points)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    denom = float(np.sum(B * B))
-    if denom == 0.0:
-        residual = float(np.sqrt(np.sum(A * A)))
-        return ScaleFit(0.0, residual, 0.0)
-    c = float(np.sum(A * B) / denom)
-    rel = float(np.linalg.norm(A - c * B) / np.linalg.norm(B))
-    col_den = np.sum(B * B, axis=0)
-    keep = col_den > 1e-12 * col_den.max()
-    per_point = np.sum(A * B, axis=0)[keep] / col_den[keep]
-    std = float(np.std(per_point) / abs(c)) if c != 0.0 else float(np.std(per_point))
-    return ScaleFit(c, rel, std)
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    dislocation: ScaleFit
-    disclination: ScaleFit
-    disclination_literal: ScaleFit
-    residuals: tuple = ()
-
-
-def bianchi_consistency(e: CoFrame, d: DefectFields, points, pairs=()) -> ConsistencyReport:
-    """Fit the balance combinations against their curvature counterparts.
-
-    Builds omega = gamma + L from the restricted (T, Q) carrying `d`, then
-    fits the dislocation form residual A^a against B^a = R^a_b ^ e^b and
-    the disclination combination C_ab against R_(ab).  For defect fields
-    satisfying the ansatz these are exact proportionalities; the fitted
-    factors are reported, not assumed.
-
-    The disclination combination exists in two variants.  `disclination`
-    expands the covariant derivative of the Frank components exactly
-    (D O_a = dO_a - omega^c_a O_c, De_b = T_b - 2 Q_bc ^ e^c) and fits with
-    factor 1 to machine precision for any defect fields.  The `literal`
-    variant replaces D O_a by the flat-configuration shortcut
-    (1/2) O_b i_a T^b - (1/2) i_a dO, which closes only when the curvature
-    vanishes; its fit is reported purely as calibration data.
-
-    The report's `residuals` are the `normalized_residuals` of the
-    (residual_fields, reference_fields) `pairs`, evaluated in the same walk.
+    Builds omega = gamma + L from the restricted (T, Q) carrying `d`.  A^a is
+    the dislocation form residual and B^a = R^a_b ^ e^b.  C_ab is the
+    disclination combination with the covariant derivative of the Frank
+    components expanded exactly: D O_a = dO_a - omega^c_a O_c and
+    De_b = T_b - 2 Q_bc ^ e^c.
     """
     T, Q = reconstruct_defect_geometry(d, e)
-    L = defect_one_form(T, Q, e)
-    gamma = levi_civita_connection(e)
-    omega = connection_with(gamma, L)
+    omega = connection_with(levi_civita_connection(e), defect_one_form(T, Q, e))
     R = curvature(omega)
 
-    A_fields, _ = dislocation_balance(d, e)
-    B_fields = TensorFormField.build(
-        ("u",), 3, lambda a: field_sum(wedge(R.entry(a, b), e.e(b)) for b in FRAME_INDICES)
-    )
+    A = dislocation_balance(d, e)[0].entries()
+    B = [field_sum(wedge(R.entry(a, b), e.e(b)) for b in FRAME_INDICES) for a in FRAME_INDICES]
     R_sym = [(R.entry(a, b) + R.entry(b, a)) * 0.5 for a in FRAME_INDICES for b in FRAME_INDICES]
-    exact = _disclination_combination(d, e, T, Q, omega=omega)
-    literal = _disclination_combination(d, e, T, Q, omega=None)
-    *residuals, A, B, R_sym, exact, literal = normalized_residuals(
-        pairs, points, [A_fields.entries(), B_fields.entries(), R_sym, exact, literal]
-    )
-    return ConsistencyReport(fit_scale(A, B), fit_scale(exact, R_sym), fit_scale(literal, R_sym), tuple(residuals))
+    return A, B, _disclination_combination(d, e, T, Q, omega), R_sym
 
 
-def _disclination_combination(d, e: CoFrame, T: TensorFormField, Q: TensorFormField, omega=None):
-    """The symmetric 2-form combination fitted against R_(ab).
-
-    With a connection supplied the Frank-component derivative and the
-    coframe derivative are expanded covariantly and the combination is the
-    exact covariant derivative of the restricted non-metricity.  Without
-    one, the flat-configuration shortcut D O_a = (1/2) O_b i_a T^b
-    - (1/2) i_a dO and De_b = T_b is transcribed as displayed.
-    """
+def _disclination_combination(d, e: CoFrame, T: TensorFormField, Q: TensorFormField, omega: TensorFormField):
+    """The symmetric 2-form combination C_ab, the covariant derivative of the
+    restricted non-metricity, entry by entry in (a, b) order."""
     dO = exterior_derivative(d.frank)
     dm = exterior_derivative(d.point)
     O_comp = [e.interior(a, d.frank) for a in FRAME_INDICES]
-
-    if omega is None:
-
-        def DO(a):
-            acc = e.interior(a, dO) * (-0.5)
-            for b in FRAME_INDICES:
-                acc = acc + (O_comp[b - 1] * e.interior(a, T.entry(b))) * 0.5
-            return acc
-
-        def De(b):
-            return T.entry(b)
-
-    else:
-
-        def DO(a):
-            acc = exterior_derivative(O_comp[a - 1])
-            for c in FRAME_INDICES:
-                acc = acc - omega.entry(c, a) * O_comp[c - 1]
-            return acc
-
-        def De(b):
-            acc = T.entry(b)
-            for c in FRAME_INDICES:
-                acc = acc - wedge(Q.entry(b, c), e.e(c)) * 2.0
-            return acc
-
-    DO_cache = {a: DO(a) for a in FRAME_INDICES}
-    De_cache = {a: De(a) for a in FRAME_INDICES}
+    DO, De = [], []  # D O_a and De_a, a = 1..3
+    for a in FRAME_INDICES:
+        DO_a, De_a = exterior_derivative(O_comp[a - 1]), T.entry(a)
+        for c in FRAME_INDICES:
+            DO_a = DO_a - omega.entry(c, a) * O_comp[c - 1]
+            De_a = De_a - wedge(Q.entry(a, c), e.e(c)) * 2.0
+        DO.append(DO_a)
+        De.append(De_a)
 
     def entry(a, b):
-        acc = wedge(DO_cache[a], e.e(b)) + wedge(DO_cache[b], e.e(a))
-        acc = acc + O_comp[a - 1] * De_cache[b] + O_comp[b - 1] * De_cache[a]
+        acc = wedge(DO[a - 1], e.e(b)) + wedge(DO[b - 1], e.e(a))
+        acc = acc + O_comp[a - 1] * De[b - 1] + O_comp[b - 1] * De[a - 1]
         acc = acc * (9.0 / 10.0)
         acc = acc + wedge(Q.entry(a, b), d.frank) * (6.0 / 5.0)
         acc = acc - wedge(Q.entry(a, b), d.point) * (2.0 / 3.0)

@@ -63,7 +63,7 @@ from defectgeo.geometry import (
     torsion,
 )
 from defectgeo.kinematics import (
-    bianchi_consistency,
+    curvature_identity_sides,
     disclination_point_balance,
     dislocation_balance,
     extra_matter,
@@ -255,7 +255,7 @@ def test_criterion_06_trace_round_trips_and_frank_scale():
 
 
 def test_criterion_07_kinematics():
-    with criterion(7, "kinematic balances: representations, profiles, curvature fit"):
+    with criterion(7, "kinematic balances: representations, profiles, curvature identities"):
         e = CoFrame.identity()
         pts = sample_points(40, seed=7)
         d = random_defects(np.random.default_rng(7))
@@ -281,9 +281,11 @@ def test_criterion_07_kinematics():
         curl_m, _, _ = disclination_point_balance(exact_point)
         assert normalized_residual(list(curl_m.comps), [exact_point.point], pts) <= 1e-6
 
-        fits = bianchi_consistency(e, d, points=pts)
-        assert fits.dislocation.relative_residual <= 1e-4
-        assert fits.dislocation.pointwise_std <= 1e-3
+        A, B, C, R_sym = curvature_identity_sides(d, e)
+        dislocation = [a - b * calibration.DISLOCATION_CURVATURE_FACTOR for a, b in zip(A, B)]
+        assert normalized_residual(dislocation, A + B, pts) <= 1e-12
+        disclination = [c - r * calibration.DISCLINATION_CURVATURE_FACTOR for c, r in zip(C, R_sym)]
+        assert normalized_residual(disclination, C + R_sym, pts) <= 1e-12
 
 
 def test_criterion_08_extra_matter_stokes():

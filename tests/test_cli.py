@@ -87,8 +87,8 @@ def test_failing_check_exit_code(tmp_path, capsys):
     assert by_name["disclination-beltrami"]["passed"]
     assert by_name["point-defect-curl"]["passed"]
     assert not by_name["dislocation-balance"]["passed"]
-    assert by_name["dislocation-curvature-fit"]["passed"]
-    assert report["calibration"]["dislocation_factor"] == pytest.approx(-2.0, abs=1e-9)
+    assert by_name["dislocation-curvature-identity"]["passed"]
+    assert report["calibration"]["dislocation_curvature_factor"] == -2.0
     err = capsys.readouterr().err
     assert "dislocation-balance" in err
 
@@ -269,23 +269,47 @@ def test_deeply_nested_density_is_a_parse_error(tmp_path, capsys):
     assert "parse error at offset" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command,prefix,cause",
-    [
-        ("kinematics", "error: report value report.", "is not finite"),
-        ("energy", "error: free-energy quadrature at resolution 32 over the box (0.0, 0.0, 0.0)", "overflows"),
-    ],
-    ids=["kinematics", "energy"],
-)
-def test_non_finite_report_values_are_not_written(tmp_path, capsys, command, prefix, cause):
-    # the fields are finite, but the fit sums and the quadrature overflow
+def _strict_json(text):
+    """`json.loads` that rejects NaN and Infinity, which strict JSON has no words for."""
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["kinematics", "energy"])
+def test_non_finite_report_values_are_not_written(tmp_path, capsys, command):
+    # the fields are finite; the energy quadrature overflows, so no report is
+    # written, while every kinematics reduction stays finite and the dislocation
+    # balance (linear in rho against a reference of rho) fails
     report_path = tmp_path / "r.json"
     code = run([command, _rho_scenario(tmp_path, "1e154*x"), "--json", report_path])
     out, err = capsys.readouterr()
-    assert code == 2
-    assert out == "" and not report_path.exists()
     assert len(err.splitlines()) == 1
-    assert err.startswith(prefix) and cause in err
+    if command == "energy":
+        assert code == 2
+        assert out == "" and not report_path.exists()
+        assert err.startswith("error: free-energy quadrature at resolution 32 over the box (0.0, 0.0, 0.0)")
+        assert "overflows" in err
+    else:
+        assert code == 1
+        assert err.startswith("check failed: dislocation-balance")
+        assert _strict_json(report_path.read_text())["command"] == "kinematics"
+
+
+def test_a_non_finite_check_value_is_bad_input_and_writes_no_report(tmp_path, monkeypatch, capsys):
+    from defectgeo import cli
+
+    def infinite(scenario, args):
+        return [cli._check("overflowing-row", float("inf"), 1.0)], None, None, {}
+
+    monkeypatch.setitem(cli._COMMANDS, "check", infinite)
+    report_path = tmp_path / "r.json"
+    assert run(["check", SCENARIOS / "default.toml", "--json", report_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not report_path.exists()
+    assert err == "error: report value report.checks[0].max_residual is not finite (inf); no report written\n"
 
 
 def test_energy_quadrature_overflow_names_the_resolution_and_the_box(tmp_path, capsys):
@@ -324,7 +348,7 @@ def test_check_evaluates_all_its_residuals_in_one_walk(monkeypatch):
     assert len(calls) == 1
 
 
-def test_kinematics_evaluates_its_checks_and_fits_in_one_walk(monkeypatch):
+def test_kinematics_evaluates_all_its_checks_in_one_walk(monkeypatch):
     from defectgeo import sampling
 
     calls = []
@@ -385,6 +409,108 @@ def test_energy_memory_does_not_grow_with_the_dag_times_the_grid(tmp_path):
     assert peak < 20e6
 
 
+# ---- the curvature identities on curved frames -------------------------------------
+
+#: the coframe e^a = d(phi^a) of phi = (x + 0.1 y^2, y + 0.05 z x, z + 0.1 x)
+PULLBACK_COFRAME = """\
+[coframe]
+h12 = "0.2*y"
+h21 = "0.05*z"
+h23 = "0.05*x"
+h31 = "0.1"
+"""
+
+#: two exact solutions of all four balance laws, pulled back along phi:
+#: (a) rho = 0, O = grad chi, b = (18/5) grad chi, m = grad psi with
+#: chi = xy + z^2/2 and psi = xz; (b) rho = -6, b = (sin 2z, cos 2z, 0) with
+#: curl b = 2b; each component is read at phi(x, y, z)
+PULLED_BACK_FAMILIES = {
+    "a": """\
+[defects]
+b1 = "3.6*(y + 0.05*z*x)"
+b2 = "3.6*(x + 0.1*y^2)"
+b3 = "3.6*(z + 0.1*x)"
+omega1 = "y + 0.05*z*x"
+omega2 = "x + 0.1*y^2"
+omega3 = "z + 0.1*x"
+m1 = "z + 0.1*x"
+m3 = "x + 0.1*y^2"
+rho = "0"
+""",
+    "b": """\
+[defects]
+b1 = "sin(2*(z + 0.1*x))"
+b2 = "cos(2*(z + 0.1*x))"
+rho = "-6"
+""",
+}
+
+#: a curved scenario as the benchmark generates it (diagonal linear triad,
+#: every quadratic monomial in every defect component)
+BENCH_CURVED = """\
+[coframe]
+h11 = "1.000000 + 0.025570*x - 0.071053*y + 0.021399*z"
+h22 = "1.000000 + 0.065517*x - 0.044580*y + 0.087177*z"
+h33 = "1.000000 - 0.082007*x + 0.021397*y + 0.084590*z"
+[defects]
+b1 = "0.550256 - 0.502857*x + 0.798000*y + 0.323708*z + 0.486984*x*x + 0.868905*x*y + 0.464480*x*z - 0.646130*y*y + 0.619321*y*z - 0.940867*z*z"
+b2 = "-0.405002 + 0.325123*x + 0.800637*y + 0.653817*z - 0.533697*x*x + 0.444833*x*y + 0.809008*x*z - 0.501646*y*y - 0.874722*y*z - 0.632128*z*z"
+b3 = "-0.535412 + 0.777756*x - 0.233794*y - 0.681707*z - 0.687134*x*x - 0.406848*x*y + 0.434536*x*z - 0.217269*y*y + 0.203068*y*z + 0.541192*z*z"
+omega1 = "0.260162 - 0.749055*x - 0.687925*y - 0.473634*z + 0.729123*x*x - 0.761034*x*y + 0.882970*x*z - 0.694358*y*y - 0.578828*y*z - 0.506062*z*z"
+omega2 = "0.355836 + 0.257928*x + 0.746717*y - 0.368239*z - 0.403292*x*x + 0.589221*x*y - 0.657639*x*z + 0.533330*y*y - 0.586665*y*z - 0.601568*z*z"
+omega3 = "-0.736449 - 0.851459*x - 0.654863*y - 0.584605*z + 0.339383*x*x + 0.205393*x*y - 0.600628*x*z + 0.720593*y*y - 0.661240*y*z - 0.311102*z*z"
+m1 = "-0.437270 - 0.837869*x + 0.616437*y - 0.646234*z + 0.306449*x*x + 0.605581*x*y - 0.779314*x*z + 0.426879*y*y + 0.711273*y*z - 0.249583*z*z"
+m2 = "-0.241637 - 0.733630*x + 0.292827*y - 0.485915*z - 0.786694*x*x + 0.743372*x*y + 0.675504*x*z - 0.665715*y*y - 0.860101*y*z + 0.344172*z*z"
+m3 = "0.312164 - 0.851660*x + 0.826121*y + 0.705882*z + 0.541029*x*x - 0.827577*x*y + 0.702991*x*z - 0.434821*y*y - 0.379077*y*z + 0.574415*z*z"
+rho = "0.642501 + 0.540650*x - 0.347142*y - 0.453453*z - 0.337946*x*x - 0.352878*x*y - 0.437459*x*z - 0.807531*y*y + 0.681711*y*z + 0.419434*z*z"
+"""
+
+BALANCE_ROWS = {"dislocation-balance", "point-defect-curl", "disclination-beltrami", "bilinear-constraint"}
+
+
+def _kinematics_checks(tmp_path, text):
+    """(exit code, {row name: check}) of `kinematics` on a scenario text."""
+    scenario, report_path = tmp_path / "s.toml", tmp_path / "r.json"
+    scenario.write_text(text)
+    code = run(["kinematics", scenario, "--json", report_path])
+    return code, {c["name"]: c for c in json.loads(report_path.read_text())["checks"]}
+
+
+def test_kinematics_passes_every_row_on_curved_frames(tmp_path):
+    # where the balance laws hold, R^a_b ^ e^b is rounding noise: a fitted
+    # factor regressed noise on noise there, while the identity rows stay exact
+    for family, defects in PULLED_BACK_FAMILIES.items():
+        code, checks = _kinematics_checks(tmp_path, PULLBACK_COFRAME + defects)
+        assert code == 0, family
+        assert all(c["passed"] for c in checks.values()), family
+    # both sides of each identity are quadratic in the defect fields, so each
+    # row is scaled against its own sides, not against the fields: x 1e4 still passes
+    scaled = re.sub(r'^(\w+) = "(.*)"$', r'\1 = "1e4*(\2)"', BENCH_CURVED.split("[defects]")[1], flags=re.M)
+    code, checks = _kinematics_checks(tmp_path, BENCH_CURVED.split("[defects]")[0] + "[defects]" + scaled)
+    assert code == 1  # random fields violate the four balance laws
+    assert {name for name, c in checks.items() if not c["passed"]} == BALANCE_ROWS
+    assert checks["dislocation-curvature-identity"]["max_residual"] > 0.0  # measured, not folded to 0
+
+
+@pytest.mark.parametrize("scenario", ["beltrami", "full-triad"])
+@pytest.mark.parametrize(
+    "factor,wrong,row,other",
+    [
+        ("DISLOCATION_CURVATURE_FACTOR", -1.99, "dislocation-curvature-identity", "disclination-curvature-identity"),
+        ("DISCLINATION_CURVATURE_FACTOR", 1.01, "disclination-curvature-identity", "dislocation-curvature-identity"),
+    ],
+)
+def test_each_curvature_identity_row_fails_on_a_wrong_factor(tmp_path, monkeypatch, scenario, factor, wrong, row, other):
+    from defectgeo import kinematics
+
+    monkeypatch.setattr(kinematics, factor, wrong)
+    text = FULL_TRIAD if scenario == "full-triad" else (SCENARIOS / f"{scenario}.toml").read_text()
+    code, checks = _kinematics_checks(tmp_path, text)
+    assert code == 1
+    assert checks[row]["max_residual"] > 1e-3  # 4.4e-3 to 9.7e-3, against a tolerance of 1e-12
+    assert checks[other]["passed"]
+
+
 # ---- no check subtracts a node from itself -----------------------------------------
 
 #: FULL_TRIAD with a deformation and a material, so that every command runs on it
@@ -401,7 +527,7 @@ TRANSCRIPTION_ROWS = {"curvature-split", "dislocation-form-vector-agreement", "l
 def test_no_check_residual_subtracts_a_node_from_itself(tmp_path, monkeypatch, scenario):
     """Nodes are interned, so a residual component `Bin("-", X, X)` reads 0
     whatever X is: a check that nothing can fail."""
-    from defectgeo import cli, kinematics
+    from defectgeo import cli
     from defectgeo import expressions as ex
 
     pending, rows = [], []  # residuals awaiting their row's name; (name, residual)
@@ -419,8 +545,7 @@ def test_no_check_residual_subtracts_a_node_from_itself(tmp_path, monkeypatch, s
             rows.append((name, pending.pop(0)))
         return original_check(name, *args)
 
-    for module in (cli, kinematics):
-        monkeypatch.setattr(module, "normalized_residuals", recording(module.normalized_residuals))
+    monkeypatch.setattr(cli, "normalized_residuals", recording(cli.normalized_residuals))
     original_check = cli._check
     monkeypatch.setattr(cli, "_check", check)
     path = SCENARIOS / f"{scenario}.toml"

@@ -13,21 +13,27 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str):
-    """(line, name) for each imported name that no expression of `source` reads."""
+    """(line, name) for each imported name that no expression of `source` reads.
+
+    `from m import X as X` is an explicit re-export, kept for other modules
+    to read, so the scan passes it over."""
     tree = ast.parse(source)
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+            imported += [(node.lineno, a.asname or a.name) for a in node.names if a.asname != a.name]
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [(line, name) for line, name in imported if name not in read]
 
 
 def test_the_scan_finds_an_unused_import():
-    source = "from __future__ import annotations\nimport numpy as np\nfrom . import ex\nfrom .f import a, b\nex.add(a)\n"
-    assert unused_imports(source) == [(2, "np"), (4, "b")]
+    source = (
+        "from __future__ import annotations\nimport numpy as np\nfrom . import ex\nfrom .f import a, b\n"
+        "from .g import c as c, d as e\nex.add(a)\n"
+    )
+    assert unused_imports(source) == [(2, "np"), (4, "b"), (5, "e")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,4 +1,4 @@
-"""Kinematic balance residuals, the three-index tensor, curvature fits, extra matter."""
+"""Kinematic balance residuals, the three-index tensor, curvature identities, extra matter."""
 
 import numpy as np
 import pytest
@@ -18,16 +18,15 @@ from defectgeo.fields import (
 from defectgeo.forms import FRAME_INDICES
 from defectgeo.geometry import CoFrame, GaugeField, curvature, pure_gauge_connection
 from defectgeo.kinematics import (
-    bianchi_consistency,
+    curvature_identity_sides,
     disclination_balance_tensor,
     disclination_point_balance,
     dislocation_balance,
     extra_matter,
-    fit_scale,
 )
-from defectgeo.sampling import batch_components, normalized_residual, sample_points
+from defectgeo.sampling import batch_components, batch_groups, normalized_residual, normalized_residuals, sample_points
 
-from util import random_defects
+from util import random_coframe, random_defects
 
 rng = np.random.default_rng(1234)
 PTS = sample_points(40, seed=17)
@@ -156,9 +155,9 @@ def test_tensor_projections_reproduce_residuals_with_frozen_coefficients():
             f = tensor[a][a][c]
             acc = f if acc is None else acc + f
         proj.append(acc)
-    fit = fit_scale(batch_components(proj, PTS), R1)
-    assert fit.relative_residual <= 1e-12
-    assert fit.coefficient == pytest.approx(calibration.PROJECTION_DELTA_AB[0], abs=1e-12)
+    coefficient, relative_residual = calibration.fit_scale(batch_components(proj, PTS), R1)
+    assert relative_residual <= 1e-12
+    assert coefficient == pytest.approx(calibration.PROJECTION_DELTA_AB[0], abs=1e-12)
 
     # delta^bc contraction -> combination of curl-m and the beltrami residual
     proj2 = []
@@ -203,40 +202,46 @@ def test_tensor_projections_reproduce_residuals_with_frozen_coefficients():
     assert np.allclose(coef, calibration.PROJECTION_EPSILON, atol=1e-9)
 
 
-# ---- curvature fits --------------------------------------------------------------------
+# ---- curvature identities --------------------------------------------------------------
 
 
-def test_consistency_zero_defects_trivially_fits():
-    rep = bianchi_consistency(E, zero_defects(), points=PTS)
-    assert rep.dislocation.coefficient == 0.0
-    assert rep.dislocation.relative_residual == 0.0
+def identity_residuals(d, e, points):
+    """The two curvature-identity residuals, each scaled against its own two sides."""
+    A, B, C, R_sym = curvature_identity_sides(d, e)
+    dislocation = [a - b * calibration.DISLOCATION_CURVATURE_FACTOR for a, b in zip(A, B)]
+    disclination = [c - r * calibration.DISCLINATION_CURVATURE_FACTOR for c, r in zip(C, R_sym)]
+    return normalized_residuals([(dislocation, A + B), (disclination, C + R_sym)], points)
+
+
+def test_curvature_identities_hold_trivially_on_zero_defects():
+    assert identity_residuals(zero_defects(), E, PTS) == [0.0, 0.0]
 
 
 def test_consistency_random_defects():
+    # the identities hold for any defect fields, on the identity frame and on a curved triad
     for seed in (0, 1):
-        d = random_defects(np.random.default_rng(seed))
-        rep = bianchi_consistency(E, d, points=sample_points(40, seed=seed))
-        assert rep.dislocation.relative_residual <= 1e-4
-        assert rep.dislocation.pointwise_std <= 1e-3
-        assert rep.dislocation.coefficient == pytest.approx(
-            calibration.DISLOCATION_CURVATURE_FACTOR, abs=1e-9
-        )
-        assert rep.disclination.relative_residual <= 1e-4
-        assert rep.disclination.coefficient == pytest.approx(
-            calibration.DISCLINATION_CURVATURE_FACTOR, abs=1e-9
-        )
-        # the literal flat-configuration shortcut does not close off-shell;
-        # its fit is reported as calibration data only
-        assert rep.disclination_literal.relative_residual > 1e-4
+        rng = np.random.default_rng(seed)
+        d = random_defects(rng)
+        for e in (E, random_coframe(rng)):
+            dislocation, disclination = identity_residuals(d, e, sample_points(40, seed=seed))
+            assert dislocation <= 1e-12
+            assert disclination <= 1e-12
 
 
 def test_consistency_factor_stable_across_disjoint_samples():
+    # the least-squares fit of `calibrate` recovers both frozen factors on each sample
     d = random_defects(np.random.default_rng(5))
-    mus = []
-    for seed in (11, 22, 33):
-        rep = bianchi_consistency(E, d, points=sample_points(30, seed=seed))
-        mus.append(rep.dislocation.coefficient)
-    assert np.std(mus) <= 1e-3 * abs(np.mean(mus))
+    for e in (E, random_coframe(np.random.default_rng(6))):
+        sides = curvature_identity_sides(d, e)
+        for seed in (11, 22, 33):
+            A, B, C, R_sym = batch_groups(sides, sample_points(30, seed=seed))
+            for (lhs, rhs), frozen in (
+                ((A, B), calibration.DISLOCATION_CURVATURE_FACTOR),
+                ((C, R_sym), calibration.DISCLINATION_CURVATURE_FACTOR),
+            ):
+                coefficient, relative_residual = calibration.fit_scale(lhs, rhs)
+                assert coefficient == pytest.approx(frozen, abs=1e-9)
+                assert relative_residual <= 1e-4
 
 
 def test_consistency_teleparallel_restriction():
