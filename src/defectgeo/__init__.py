@@ -29,16 +29,16 @@ _EXPORTS = {
     " EvaluationError InvalidMaterial NewtonFailure ParseError ScenarioError SingularDeformation"
     " SingularGauge SingularTriad",
     "expressions": "differentiate parse_expr",
-    "fields": "FormField NumericFormField Point SymbolicFormField VectorField constant_field curl"
-    " divergence exterior_derivative grad hodge interior one_form_to_vector"
-    " scalar_field symbolic time_derivative wedge zero_field",
+    "fields": "FormField NumericFormField Point SymbolicFormField VectorField constant_field"
+    " divergence exterior_derivative hodge interior scalar_field symbolic time_derivative"
+    " wedge zero_field",
     "forms": "KForm",
     "geometry": "CoFrame GaugeField TensorFormField bianchi_residuals connection_with contortion"
     " covariant_exterior_derivative curvature curvature_split_residual defect_one_form"
     " levi_civita_connection nonmetricity pure_gauge_connection torsion transform_coframe"
     " transform_connection transform_tensor",
-    "kinematics": "ExtraMatterReport curvature_identity_sides disclination_balance_tensor"
-    " disclination_point_balance dislocation_balance extra_matter",
+    "kinematics": "ExtraMatterReport curvature_identity_sides disclination_point_balance"
+    " dislocation_balance extra_matter",
     "scenario": "Numerics Scenario parse_scenario parse_scenario_file",
 }
 #: the submodule that defines each exported name

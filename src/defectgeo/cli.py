@@ -272,22 +272,17 @@ def _cmd_kinematics(scenario: Scenario, args):
     e = scenario.coframe
     d = scenario.defects
 
-    form_res, vec_res = dislocation_balance(d, e)
-    table = []
-    if e.is_identity:
-        iso_gap = [e.hodge(form_res.entry(a)) - vec_res.component(a) for a in FRAME_INDICES]
-        table.append(("dislocation-form-vector-agreement", iso_gap, list(vec_res.comps), tol))
     reference = [d.burgers, d.frank, d.point, d.scalar]
-    point_curl, beltrami, algebraic = disclination_point_balance(d)
+    point_curl, beltrami, algebraic = disclination_point_balance(d, e)
     # each curvature identity is scaled against its own two sides, which are
     # quadratic in the defect fields
     A, B, C, R_sym = curvature_identity_sides(d, e)
     dislocation_gap = [a - b * DISLOCATION_CURVATURE_FACTOR for a, b in zip(A, B)]
     disclination_gap = [c - r * DISCLINATION_CURVATURE_FACTOR for c, r in zip(C, R_sym)]
-    table += [
-        ("dislocation-balance", form_res.entries(), reference, tol),
-        ("point-defect-curl", list(point_curl.comps), reference, tol),
-        ("disclination-beltrami", list(beltrami.comps), reference, tol),
+    table = [
+        ("dislocation-balance", dislocation_balance(d, e).entries(), reference, tol),
+        ("point-defect-curl", point_curl, reference, tol),
+        ("disclination-beltrami", beltrami, reference, tol),
         ("bilinear-constraint", [f for row in algebraic for f in row], reference, tol),
         ("dislocation-curvature-identity", dislocation_gap, A + B, EXACT_TOL),
         ("disclination-curvature-identity", disclination_gap, C + R_sym, EXACT_TOL),

@@ -3,12 +3,12 @@
 A FormField evaluates to a KForm of fixed degree at every point.  Its
 components are expressions of the interned DAG (see expressions) in the
 spatial coordinates x, y, z, t, so all algebra - wedge, Hodge, interior
-product, the vector calculus isomorphisms - builds
-expressions, and one walk evaluates any set of fields.  This is the one
-exterior algebra of the package: a value at a point is a constant_field,
-and the sign tables come from forms.  Exterior and time derivatives
-differentiate the components, exactly on symbolic parts, so identities
-such as d(d(alpha)) = 0 hold to rounding error at any nesting depth.  Components may hold sampled leaves (expressions.Sample), which
+product - builds expressions, and one walk evaluates any set of fields.
+This is the one exterior algebra of the package: a value at a point is a
+constant_field, and the sign tables come from forms.  Exterior and time
+derivatives differentiate the components, exactly on symbolic parts, so
+identities such as d(d(alpha)) = 0 hold to rounding error at any nesting
+depth.  Components may hold sampled leaves (expressions.Sample), which
 differentiate through their source:
 
 * the body coordinates X(x, t) of a forward map (see elasticity) are
@@ -326,7 +326,7 @@ def time_derivative(alpha: FormField) -> FormField:
     return SymbolicFormField(alpha.degree, [ex.differentiate(c, "t") for c in alpha.comps])
 
 
-# ---- vector fields and the vector-calculus isomorphisms ----------------------
+# ---- vector fields ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -361,12 +361,6 @@ class VectorField:
         """The 1-form with the same orthonormal components."""
         return SymbolicFormField(1, [c.comps[0] for c in self.comps])
 
-    def __add__(self, other):
-        return VectorField(tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __sub__(self, other):
-        return VectorField(tuple(a - b for a, b in zip(self.comps, other.comps)))
-
     def __mul__(self, factor):
         return VectorField(tuple(c * factor for c in self.comps))
 
@@ -378,37 +372,10 @@ class VectorField:
             acc = acc + a * b
         return acc
 
-    def cross(self, other) -> "VectorField":
-        a1, a2, a3 = self.comps
-        b1, b2, b3 = other.comps
-        return VectorField.of(a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-
-
-def one_form_to_vector(alpha: FormField) -> VectorField:
-    """Inverse of VectorField.as_one_form (orthonormal components coincide)."""
-    if alpha.degree != 1:
-        raise ValueError("expected a 1-form field")
-    return VectorField.of(*(_component_field(alpha, i) for i in range(3)))
-
-
-def _component_field(alpha: FormField, slot: int) -> FormField:
-    return SymbolicFormField(0, [alpha.comps[slot]])
-
 
 def component_field(alpha: FormField, *indices) -> FormField:
     """Scalar field of one component, addressed by basis index tuple, e.g. (1,3)."""
-    slot = BASIS[alpha.degree].index(tuple(indices))
-    return _component_field(alpha, slot)
-
-
-def grad(f: FormField) -> VectorField:
-    """Gradient of a scalar field via df."""
-    return one_form_to_vector(exterior_derivative(f))
-
-
-def curl(v: VectorField) -> VectorField:
-    """Curl via *(d v-flat)."""
-    return one_form_to_vector(hodge(exterior_derivative(v.as_one_form())))
+    return SymbolicFormField(0, [alpha.comps[BASIS[alpha.degree].index(tuple(indices))]])
 
 
 def divergence(v: VectorField) -> FormField:

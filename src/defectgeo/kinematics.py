@@ -8,17 +8,17 @@ frame index a,
     db ^ e^a + (1/3) rho b ^ *e^a - 4 rho O ^ *e^a
              - (2/3) drho ^ *e^a + (2/9) rho m ^ *e^a  =  0,
 
-equivalently curl b = -(1/3) rho b + 4 rho O + (2/3) grad rho - (2/9) rho m,
-and the disclination/point-defect balance splits into curl m = 0, the
-generalized Beltrami equation curl O = rho O, and an algebraic bilinear
-constraint on b and O.
+equivalently *db = -(1/3) rho b + 4 rho O + (2/3) drho - (2/9) rho m, and
+the disclination/point-defect balance splits into *dm = 0, the generalized
+Beltrami equation *dO = rho O, and an algebraic bilinear constraint on b
+and O.  Every Hodge dual is the coframe's, and the disclination and
+point-defect residuals are read in frame components i_a(.), since the paper
+states the theory in orthonormal frames.
 
 For curved connections (generic defect fields) the same combinations equal
 fixed multiples of curvature contractions instead of zero.
 `curvature_identity_sides` builds both sides of these two identities, and
-the two factors are defined here once.  The vector representations use the
-flat Cartesian operators and agree with the exterior-form residuals whenever
-the coframe is the identity (or any constant rotation).
+the two factors are defined here once.
 """
 
 from __future__ import annotations
@@ -28,18 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defects import DefectFields, reconstruct_defect_geometry
-from .fields import (
-    FormField,
-    curl,
-    evaluate_fields,
-    exterior_derivative,
-    field_sum,
-    grad,
-    hodge,
-    one_form_to_vector,
-    wedge,
-    zero_field,
-)
+from .fields import FormField, evaluate_fields, exterior_derivative, field_sum, hodge, wedge, zero_field
 from .forms import FRAME_INDICES
 from .geometry import (
     CoFrame,
@@ -52,15 +41,11 @@ from .geometry import (
 from .sampling import grid_blocks, grid_counts
 
 
-def _eps(i, j, k):
-    return float((i - j) * (j - k) * (k - i)) / 2.0
-
-
 # ---- balance laws ---------------------------------------------------------------
 
 
-def dislocation_balance(d: DefectFields, e: CoFrame):
-    """(form residuals per index, vector residual) of the dislocation balance."""
+def dislocation_balance(d: DefectFields, e: CoFrame) -> TensorFormField:
+    """The dislocation balance residual: one 3-form per frame index a."""
     db = exterior_derivative(d.burgers)
     drho = exterior_derivative(d.scalar)
 
@@ -73,88 +58,37 @@ def dislocation_balance(d: DefectFields, e: CoFrame):
         acc = acc + wedge(d.point, star_ea) * d.scalar * (2.0 / 9.0)
         return acc
 
-    form_residual = TensorFormField.build(("u",), 3, entry)
-
-    b = one_form_to_vector(d.burgers)
-    O = one_form_to_vector(d.frank)
-    m = one_form_to_vector(d.point)
-    rho = d.scalar
-    vector_residual = (
-        curl(b)
-        + b * rho * (1.0 / 3.0)
-        - O * rho * 4.0
-        - grad(rho) * (2.0 / 3.0)
-        + m * rho * (2.0 / 9.0)
-    )
-    return form_residual, vector_residual
+    return TensorFormField.build(("u",), 3, entry)
 
 
-def disclination_point_balance(d: DefectFields):
-    """(curl m, curl O - rho O, bilinear 3x3 constraint) as residual fields."""
-    O = one_form_to_vector(d.frank)
-    b = one_form_to_vector(d.burgers)
-    m = one_form_to_vector(d.point)
-    point_curl = curl(m)
-    beltrami = curl(O) - O * d.scalar
+def disclination_point_balance(d: DefectFields, e: CoFrame):
+    """(*dm, *dO - rho O, bilinear 3x3 constraint) as residual 0-form fields.
 
-    OO = O.dot(O)
-    bO = b.dot(O)
+    The two 1-form residuals are given by their frame components i_a(.),
+    and the constraint is built from the frame components O_a = i_a O and
+    b_a = i_a b.
+    """
+    point_curl = e.hodge(exterior_derivative(d.point))
+    beltrami = e.hodge(exterior_derivative(d.frank)) - d.frank * d.scalar
+    O = [e.interior(a, d.frank) for a in FRAME_INDICES]
+    b = [e.interior(a, d.burgers) for a in FRAME_INDICES]
+    OO = field_sum(o * o for o in O)
+    bO = field_sum(b_a * o for b_a, o in zip(b, O))
 
     def entry(a, c):
         acc = zero_field(0)
         if a == c:
             acc = acc + OO * 18.0 - bO * 5.0
-        acc = acc - O.component(a) * O.component(c) * 54.0
-        acc = acc + (b.component(a) * O.component(c) + b.component(c) * O.component(a)) * 7.5
+        acc = acc - O[a - 1] * O[c - 1] * 54.0
+        acc = acc + (b[a - 1] * O[c - 1] + b[c - 1] * O[a - 1]) * 7.5
         return acc
 
     algebraic = [[entry(a, c) for c in FRAME_INDICES] for a in FRAME_INDICES]
-    return point_curl, beltrami, algebraic
-
-
-def disclination_balance_tensor(d: DefectFields):
-    """The symmetrised three-index residual tensor S_(ab)c as 0-form fields.
-
-    Term-by-term transcription; its delta / epsilon contractions reproduce
-    the three residuals of disclination_point_balance with fixed rational
-    coefficients (pinned by the projection tests).
-    """
-    b = one_form_to_vector(d.burgers)
-    O = one_form_to_vector(d.frank)
-    m = one_form_to_vector(d.point)
-    rho = d.scalar
-    curl_O = curl(O)
-    curl_m = curl(m)
-
-    def entry(a, bb, c):
-        acc = zero_field(0)
-        if a == c:
-            acc = acc - curl_O.component(bb) * (9.0 / 20.0)
-            acc = acc + O.component(bb) * rho * (9.0 / 20.0)
-        if bb == c:
-            acc = acc - curl_O.component(a) * (9.0 / 20.0)
-            acc = acc + O.component(a) * rho * (9.0 / 20.0)
-        if a == bb:
-            acc = acc + curl_O.component(c) * (3.0 / 10.0)
-            acc = acc + curl_m.component(c) * (1.0 / 3.0)
-            acc = acc - O.component(c) * rho * (3.0 / 10.0)
-        for k in FRAME_INDICES:
-            e_kbc = _eps(k, bb, c)
-            e_kac = _eps(k, a, c)
-            if e_kbc:
-                acc = acc - (b.component(k) * O.component(a)) * (9.0 / 40.0 * e_kbc)
-                acc = acc - (b.component(a) * O.component(k)) * (9.0 / 40.0 * e_kbc)
-                acc = acc + (O.component(k) * O.component(a)) * (81.0 / 50.0 * e_kbc)
-            if e_kac:
-                acc = acc - (b.component(k) * O.component(bb)) * (9.0 / 40.0 * e_kac)
-                acc = acc - (b.component(bb) * O.component(k)) * (9.0 / 40.0 * e_kac)
-                acc = acc + (O.component(k) * O.component(bb)) * (81.0 / 50.0 * e_kac)
-        return acc
-
-    return [
-        [[entry(a, bb, c) for c in FRAME_INDICES] for bb in FRAME_INDICES]
-        for a in FRAME_INDICES
-    ]
+    return (
+        [e.interior(a, point_curl) for a in FRAME_INDICES],
+        [e.interior(a, beltrami) for a in FRAME_INDICES],
+        algebraic,
+    )
 
 
 # ---- curvature identities ----------------------------------------------------------
@@ -180,7 +114,7 @@ def curvature_identity_sides(d: DefectFields, e: CoFrame):
     omega = connection_with(levi_civita_connection(e), defect_one_form(T, Q, e))
     R = curvature(omega)
 
-    A = dislocation_balance(d, e)[0].entries()
+    A = dislocation_balance(d, e).entries()
     B = [field_sum(wedge(R.entry(a, b), e.e(b)) for b in FRAME_INDICES) for a in FRAME_INDICES]
     R_sym = [(R.entry(a, b) + R.entry(b, a)) * 0.5 for a in FRAME_INDICES for b in FRAME_INDICES]
     return A, B, _disclination_combination(d, e, T, Q, omega), R_sym
@@ -262,8 +196,8 @@ def extra_matter(
     TH, PH = np.meshgrid(thetas, phis, indexing="ij")
     normal = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)]).reshape(3, -1)
     on_sphere = np.reshape(center, (3, 1)) + radius * normal
-    grads = evaluate_fields(grad(phi).comps, *on_sphere)
-    radial = sum(g.components[0] * nk for g, nk in zip(grads, normal))
+    (dphi,) = evaluate_fields([exterior_derivative(phi)], *on_sphere)
+    radial = sum(c * nk for c, nk in zip(dphi.components, normal))
     area_weight = radius**2 * np.sin(TH).ravel() * (np.pi / n_theta) * (2.0 * np.pi / n_phi)
     flux_total = float(np.sum(radial * area_weight))
     return ExtraMatterReport(density, volume_total, flux_total)

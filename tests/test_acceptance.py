@@ -74,6 +74,8 @@ from util import (
     all_basis_forms,
     connection,
     fd_partial,
+    flat_disclination_point_balance,
+    flat_dislocation_balance,
     random_coframe,
     random_defects,
     random_expr,
@@ -259,9 +261,18 @@ def test_criterion_07_kinematics():
         e = CoFrame.identity()
         pts = sample_points(40, seed=7)
         d = random_defects(np.random.default_rng(7))
-        form_res, vec_res = dislocation_balance(d, e)
-        gap = [hodge(form_res.entry(a)) - vec_res.component(a) for a in FRAME_INDICES]
-        assert normalized_residual(gap, list(vec_res.comps), pts) <= 1e-6
+        form_res = dislocation_balance(d, e)
+        flat = flat_dislocation_balance(d)
+        gap = [hodge(form_res.entry(a)) - f for a, f in zip(FRAME_INDICES, flat)]
+        assert normalized_residual(gap, flat, pts) <= 1e-12
+        point_curl, beltrami, bilinear = disclination_point_balance(d, e)
+        flat_curl_m, flat_beltrami, flat_bilinear = flat_disclination_point_balance(d)
+        for row, oracle in (
+            (point_curl, flat_curl_m),
+            (beltrami, flat_beltrami),
+            (sum(bilinear, []), sum(flat_bilinear, [])),
+        ):
+            assert normalized_residual([r - o for r, o in zip(row, oracle)], oracle, pts) <= 1e-12
 
         beltrami_defects = DefectFields(
             zero_field(1),
@@ -269,8 +280,8 @@ def test_criterion_07_kinematics():
             zero_field(1),
             scalar_field(2.0),
         )
-        _, beltrami, _ = disclination_point_balance(beltrami_defects)
-        assert normalized_residual(list(beltrami.comps), [beltrami_defects.frank], pts) <= 1e-6
+        _, beltrami, _ = disclination_point_balance(beltrami_defects, e)
+        assert normalized_residual(beltrami, [beltrami_defects.frank], pts) <= 1e-6
 
         exact_point = DefectFields(
             zero_field(1),
@@ -278,8 +289,8 @@ def test_criterion_07_kinematics():
             exterior_derivative(symbolic(0, "ln(1+x^2)")),
             zero_field(0),
         )
-        curl_m, _, _ = disclination_point_balance(exact_point)
-        assert normalized_residual(list(curl_m.comps), [exact_point.point], pts) <= 1e-6
+        curl_m, _, _ = disclination_point_balance(exact_point, e)
+        assert normalized_residual(curl_m, [exact_point.point], pts) <= 1e-6
 
         A, B, C, R_sym = curvature_identity_sides(d, e)
         dislocation = [a - b * calibration.DISLOCATION_CURVATURE_FACTOR for a, b in zip(A, B)]

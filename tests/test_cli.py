@@ -467,6 +467,20 @@ rho = "0.642501 + 0.540650*x - 0.347142*y - 0.453453*z - 0.337946*x*x - 0.352878
 
 BALANCE_ROWS = {"dislocation-balance", "point-defect-curl", "disclination-beltrami", "bilinear-constraint"}
 
+#: scenarios/beltrami.toml pulled back along phi: O = (sin 2z, cos 2z, 0) with
+#: rho = 2 solves *dO = rho O, so only its dislocation balance and bilinear
+#: constraint fail, on every frame
+PULLED_BACK_BELTRAMI = PULLBACK_COFRAME + """\
+[defects]
+omega1 = "sin(2*(z + 0.1*x))"
+omega2 = "cos(2*(z + 0.1*x))"
+rho = "2"
+
+[numerics]
+tolerance = 1e-6
+grid_n = 9
+"""
+
 
 def _kinematics_checks(tmp_path, text):
     """(exit code, {row name: check}) of `kinematics` on a scenario text."""
@@ -490,6 +504,31 @@ def test_kinematics_passes_every_row_on_curved_frames(tmp_path):
     assert code == 1  # random fields violate the four balance laws
     assert {name for name, c in checks.items() if not c["passed"]} == BALANCE_ROWS
     assert checks["dislocation-curvature-identity"]["max_residual"] > 0.0  # measured, not folded to 0
+
+
+def test_disclination_and_point_defect_rows_are_frame_components(tmp_path):
+    # these rows read the Frank and point covectors in frame components through
+    # the coframe: the pull-back leaves each row as it is on the identity frame
+    _, original = _kinematics_checks(tmp_path, (SCENARIOS / "beltrami.toml").read_text())
+    code, checks = _kinematics_checks(tmp_path, PULLED_BACK_BELTRAMI)
+    assert code == 1
+    failing = {name for name, c in checks.items() if not c["passed"]}
+    assert failing == {name for name, c in original.items() if not c["passed"]} == {
+        "dislocation-balance",
+        "bilinear-constraint",
+    }
+    # read on the Cartesian coefficients, these two rows give 0.166 and 12.31
+    assert checks["disclination-beltrami"]["max_residual"] <= 1e-12
+    assert checks["bilinear-constraint"]["max_residual"] == pytest.approx(12.0, abs=1e-12)
+
+    # each rewritten row can still fail on the curved frame
+    _, checks = _kinematics_checks(tmp_path, PULLED_BACK_BELTRAMI.replace('rho = "2"', 'rho = "2.02"'))
+    assert not checks["disclination-beltrami"]["passed"]
+    _, checks = _kinematics_checks(tmp_path, PULLBACK_COFRAME + PULLED_BACK_FAMILIES["a"])
+    assert checks["point-defect-curl"]["passed"]
+    perturbed = PULLED_BACK_FAMILIES["a"].replace('m1 = "z + 0.1*x"', 'm1 = "z + 0.1*x + 0.01*y"')
+    _, checks = _kinematics_checks(tmp_path, PULLBACK_COFRAME + perturbed)
+    assert not checks["point-defect-curl"]["passed"]
 
 
 @pytest.mark.parametrize("scenario", ["beltrami", "full-triad"])
@@ -520,7 +559,7 @@ FULL_TRIAD_ELASTIC = FULL_TRIAD + (SCENARIOS / "dilation.toml").read_text().spli
 #: inputs (an identity coframe, a density of rho alone) both sides hash-cons to
 #: the same nodes, which proves the identity there, while a fault in either
 #: transcription still shows; on the generic full triad they too must differ
-TRANSCRIPTION_ROWS = {"curvature-split", "dislocation-form-vector-agreement", "lagrangian-representations-agree"}
+TRANSCRIPTION_ROWS = {"curvature-split", "lagrangian-representations-agree"}
 
 
 @pytest.mark.parametrize("scenario", sorted(p.stem for p in SCENARIOS.glob("*.toml")) + ["full-triad"])

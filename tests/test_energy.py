@@ -16,11 +16,11 @@ from defectgeo.energy import (
 )
 from defectgeo.elasticity import MaterialConstants
 from defectgeo.errors import InvalidMaterial
-from defectgeo.fields import Point, one_form_to_vector, scalar_field, symbolic, wedge, zero_field
+from defectgeo.fields import Point, scalar_field, symbolic, wedge, zero_field
 from defectgeo.geometry import CoFrame
 from defectgeo.sampling import normalized_residual, sample_points
 
-from util import random_defects
+from util import flat_cross, flat_dot, flat_vector, random_defects
 
 rng = np.random.default_rng(909)
 PTS = sample_points(30, seed=60)
@@ -89,8 +89,8 @@ def _triple_form(d):
 
 def _triple_vector(d):
     """(b x O) . m *1, the vector representation of `_triple_form`."""
-    b, O, m = (one_form_to_vector(f) for f in (d.burgers, d.frank, d.point))
-    return b.cross(O).dot(m) * E.volume()
+    b, O, m = (flat_vector(f) for f in (d.burgers, d.frank, d.point))
+    return flat_dot(flat_cross(b, O), m) * E.volume()
 
 
 def test_parity_of_quadratic_and_triple_terms():

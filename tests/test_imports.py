@@ -82,7 +82,6 @@ KEEP = {
     "transform_connection": "frame covariance in orthonormal frames, checked by test_frame_transform_*",
     "transform_tensor": "frame covariance in orthonormal frames, checked by test_frame_transform_*",
     "contortion": "frame covariance in orthonormal frames, checked by test_frame_transform_*",
-    "disclination_balance_tensor": "the transcription that pins calibration.PROJECTION_*",
     "parse_scenario_file": "bench/spans.py names it and tests/util.py uses it",
     "depends_on": "ROADMAP item 2 builds on it",
     "sample_points": "the README quick start and the tests build point sets with it",

@@ -1,32 +1,29 @@
 """Kinematic balance residuals, the three-index tensor, curvature identities, extra matter."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from defectgeo import calibration
 from defectgeo.defects import DefectFields, extract_defects
-from defectgeo.fields import (
-    Point,
-    curl,
-    exterior_derivative,
-    hodge,
-    one_form_to_vector,
-    scalar_field,
-    symbolic,
-    zero_field,
-)
+from defectgeo.fields import Point, exterior_derivative, field_sum, scalar_field, symbolic, zero_field
 from defectgeo.forms import FRAME_INDICES
 from defectgeo.geometry import CoFrame, GaugeField, curvature, pure_gauge_connection
-from defectgeo.kinematics import (
-    curvature_identity_sides,
-    disclination_balance_tensor,
-    disclination_point_balance,
-    dislocation_balance,
-    extra_matter,
-)
+from defectgeo.kinematics import curvature_identity_sides, disclination_point_balance, dislocation_balance, extra_matter
 from defectgeo.sampling import batch_components, batch_groups, normalized_residual, normalized_residuals, sample_points
 
-from util import random_coframe, random_defects
+from util import (
+    disclination_balance_tensor,
+    flat_curl,
+    flat_disclination_point_balance,
+    flat_dislocation_balance,
+    flat_vector,
+    levi_civita_symbol,
+    max_abs_at,
+    random_coframe,
+    random_defects,
+)
 
 rng = np.random.default_rng(1234)
 PTS = sample_points(40, seed=17)
@@ -36,35 +33,56 @@ E = CoFrame.identity()
 def zero_defects():
     return DefectFields(zero_field(1), zero_field(1), zero_field(1), zero_field(0))
 
-
-def _eps(i, j, k):
-    return ((i - j) * (j - k) * (k - i)) / 2.0
+#: a proper rotation by 0.7 rad about the axis (1, 2, 2)/3 (Rodrigues' formula)
+_AXIS, _ANGLE = np.array([1.0, 2.0, 2.0]) / 3.0, 0.7
+_K = np.array([[0.0, -_AXIS[2], _AXIS[1]], [_AXIS[2], 0.0, -_AXIS[0]], [-_AXIS[1], _AXIS[0], 0.0]])
+ROTATION = np.eye(3) + np.sin(_ANGLE) * _K + (1.0 - np.cos(_ANGLE)) * (_K @ _K)
 
 
 # ---- dislocation balance -------------------------------------------------------
 
 
 def test_balance_zero_defects():
-    form_res, vec_res = dislocation_balance(zero_defects(), E)
+    form_res = dislocation_balance(zero_defects(), E)
     p = Point(0.5, -0.5, 0.5)
     assert all(form_res.entry(a).evaluate(p).max_abs() == 0.0 for a in FRAME_INDICES)
-    assert np.max(np.abs(vec_res.evaluate(p))) == 0.0
+    assert max_abs_at(flat_dislocation_balance(zero_defects()), [p]) == 0.0
 
 
 def test_balance_constant_burgers_only():
     d = DefectFields(symbolic(1, "0.7", "-0.3", "0.1"), zero_field(1), zero_field(1), zero_field(0))
-    form_res, vec_res = dislocation_balance(d, E)
+    form_res = dislocation_balance(d, E)
     p = Point(0.2, 0.4, 0.6)
     assert all(form_res.entry(a).evaluate(p).max_abs() <= 1e-15 for a in FRAME_INDICES)
-    assert np.max(np.abs(vec_res.evaluate(p))) <= 1e-15
+    assert max_abs_at(flat_dislocation_balance(d), [p]) <= 1e-15
+
+
+def _rotated(vector, rotation):
+    """Frame components R v of a vector of Cartesian 0-form fields."""
+    return [field_sum(vector[j] * rotation[a][j] for j in range(3)) for a in range(3)]
 
 
 def test_form_and_vector_representations_agree():
-    for seed in range(5):
+    # the frame rows against the flat oracle; on a constant rotation the frame
+    # rows are the rotated Cartesian vectors, and the bilinear constraint the
+    # rotated tensor R B R^T
+    for rotation, seed in itertools.product((np.eye(3), ROTATION), range(5)):
+        e = CoFrame(rotation.tolist())
         d = random_defects(np.random.default_rng(seed))
-        form_res, vec_res = dislocation_balance(d, E)
-        gap = [hodge(form_res.entry(a)) - vec_res.component(a) for a in FRAME_INDICES]
-        assert normalized_residual(gap, list(vec_res.comps), PTS) <= 1e-6
+        flat_curl_m, flat_beltrami, flat_bilinear = flat_disclination_point_balance(d)
+        columns = [_rotated([row[c] for row in flat_bilinear], rotation) for c in range(3)]
+        flat_bilinear = [_rotated(row, rotation) for row in zip(*columns)]
+
+        form_res = dislocation_balance(d, e)
+        point_curl, beltrami, bilinear = disclination_point_balance(d, e)
+        pairs = [
+            ([e.hodge(form_res.entry(a)) for a in FRAME_INDICES], _rotated(flat_dislocation_balance(d), rotation)),
+            (point_curl, _rotated(flat_curl_m, rotation)),
+            (beltrami, _rotated(flat_beltrami, rotation)),
+            (sum(bilinear, []), sum(flat_bilinear, [])),
+        ]
+        for rows, oracle in pairs:
+            assert normalized_residual([r - o for r, o in zip(rows, oracle)], oracle, PTS) <= 1e-12
 
 
 # ---- disclination / point-defect balance ------------------------------------------
@@ -73,8 +91,8 @@ def test_form_and_vector_representations_agree():
 def test_exact_point_covector_has_no_curl():
     phi = symbolic(0, "ln(1+x^2)")
     d = DefectFields(zero_field(1), zero_field(1), exterior_derivative(phi), zero_field(0))
-    point_curl, _, _ = disclination_point_balance(d)
-    assert normalized_residual(list(point_curl.comps), [d.point], PTS) <= 1e-6
+    point_curl, _, _ = disclination_point_balance(d, E)
+    assert normalized_residual(point_curl, [d.point], PTS) <= 1e-6
 
 
 def test_beltrami_profile_satisfies_disclination_balance():
@@ -84,15 +102,15 @@ def test_beltrami_profile_satisfies_disclination_balance():
         zero_field(1),
         scalar_field(2.0),
     )
-    _, beltrami, _ = disclination_point_balance(d)
-    assert normalized_residual(list(beltrami.comps), [d.frank], PTS) <= 1e-6
+    _, beltrami, _ = disclination_point_balance(d, E)
+    assert normalized_residual(beltrami, [d.frank], PTS) <= 1e-6
 
 
 def test_bilinear_constraint_vanishes_without_frank_density():
     d = DefectFields(
         symbolic(1, "x", "y*z", "1"), zero_field(1), zero_field(1), scalar_field(1.0)
     )
-    _, _, algebraic = disclination_point_balance(d)
+    _, _, algebraic = disclination_point_balance(d, E)
     flat = [f for row in algebraic for f in row]
     assert normalized_residual(flat, [d.burgers], PTS) <= 1e-15
 
@@ -114,38 +132,34 @@ def test_tensor_reduces_to_curl_terms_for_linear_frank_density():
         zero_field(1), symbolic(1, "0.2*y", "0.4*z", "0.1*x"), zero_field(1), zero_field(0)
     )
     tensor = disclination_balance_tensor(d)
-    O = one_form_to_vector(d.frank)
-    curl_O = curl(O)
+    O = flat_vector(d.frank)
+    curl_O = flat_curl(O)
 
     def expected(a, b, c):
         acc = zero_field(0)
         if a == c:
-            acc = acc - curl_O.component(b) * (9.0 / 20.0)
+            acc = acc - curl_O[b] * (9.0 / 20.0)
         if b == c:
-            acc = acc - curl_O.component(a) * (9.0 / 20.0)
+            acc = acc - curl_O[a] * (9.0 / 20.0)
         if a == b:
-            acc = acc + curl_O.component(c) * (3.0 / 10.0)
-        for k in FRAME_INDICES:
-            if _eps(k, b, c):
-                acc = acc + (O.component(k) * O.component(a)) * (81.0 / 50.0 * _eps(k, b, c))
-            if _eps(k, a, c):
-                acc = acc + (O.component(k) * O.component(b)) * (81.0 / 50.0 * _eps(k, a, c))
+            acc = acc + curl_O[c] * (3.0 / 10.0)
+        for k in range(3):
+            if levi_civita_symbol(k, b, c):
+                acc = acc + (O[k] * O[a]) * (81.0 / 50.0 * levi_civita_symbol(k, b, c))
+            if levi_civita_symbol(k, a, c):
+                acc = acc + (O[k] * O[b]) * (81.0 / 50.0 * levi_civita_symbol(k, a, c))
         return acc
 
-    gap = []
-    for a in FRAME_INDICES:
-        for b in FRAME_INDICES:
-            for c in FRAME_INDICES:
-                gap.append(tensor[a - 1][b - 1][c - 1] - expected(a, b, c))
+    gap = [tensor[a][b][c] - expected(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
     assert normalized_residual(gap, [d.frank], PTS) <= 1e-12
 
 
 def test_tensor_projections_reproduce_residuals_with_frozen_coefficients():
     d = random_defects(rng)
     tensor = disclination_balance_tensor(d)
-    point_curl, beltrami, algebraic = disclination_point_balance(d)
-    R1 = batch_components(list(point_curl.comps), PTS)
-    R2 = batch_components(list(beltrami.comps), PTS)
+    point_curl, beltrami, algebraic = disclination_point_balance(d, E)
+    R1 = batch_components(point_curl, PTS)
+    R2 = batch_components(beltrami, PTS)
 
     # delta^ab contraction -> curl of the point covector
     proj = []
@@ -180,7 +194,7 @@ def test_tensor_projections_reproduce_residuals_with_frozen_coefficients():
             acc = None
             for b in range(3):
                 for c in range(3):
-                    s = _eps(dd + 1, b + 1, c + 1)
+                    s = levi_civita_symbol(dd, b, c)
                     if s:
                         f = tensor[a][b][c] * s
                         acc = f if acc is None else acc + f
@@ -188,9 +202,9 @@ def test_tensor_projections_reproduce_residuals_with_frozen_coefficients():
             for vec, out in ((point_curl, epsR1), (beltrami, epsR2)):
                 acc2 = None
                 for b in range(3):
-                    s = _eps(dd + 1, a + 1, b + 1)
+                    s = levi_civita_symbol(dd, a, b)
                     if s:
-                        f = vec.comps[b] * s
+                        f = vec[b] * s
                         acc2 = f if acc2 is None else acc2 + f
                 out.append(acc2 if acc2 is not None else zero_field(0))
             R3.append(algebraic[a][dd])
@@ -259,7 +273,7 @@ def test_consistency_teleparallel_restriction():
     combo = d.point + d.burgers * 1.5
     assert normalized_residual([combo, d.frank, d.scalar], [d.point], PTS) <= 1e-9
 
-    form_res, _ = dislocation_balance(d, E)
+    form_res = dislocation_balance(d, E)
     assert normalized_residual(form_res.entries(), [d.burgers, d.point], PTS) <= 1e-9
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from defectgeo import expressions as ex
 from defectgeo.defects import DefectFields
 from defectgeo.errors import EvaluationError
-from defectgeo.fields import Point, symbolic
+from defectgeo.fields import Point, symbolic, zero_field
 from defectgeo.forms import BASIS, COMPONENT_COUNTS, KForm
 from defectgeo.geometry import CoFrame, TensorFormField
 
@@ -125,6 +125,119 @@ def oracle_wedge(alpha: KForm, beta: KForm) -> KForm:
             slot = BASIS[p + q].index(tuple(sorted(merged)))
             out[slot] += sign * alpha.components[i] * beta.components[j]
     return KForm(p + q, out)
+
+
+# ---- flat Cartesian oracle for the kinematic balance laws ----------------------
+#
+# The library states the balance laws in frame components, through the
+# coframe.  These transcriptions read the Cartesian coefficients of the defect
+# 1-forms as vectors and use the textbook curl, gradient, dot and cross
+# products, each partial derivative taken by expressions.differentiate, so they
+# share no Hodge or interior-product table with the library.  Both must agree
+# on the identity frame, and on a constant rotation once the Cartesian vectors
+# are rotated into the frame.  A vector is a list of three 0-form fields.
+
+
+def levi_civita_symbol(i, j, k):
+    return float((i - j) * (j - k) * (k - i)) / 2.0
+
+
+def flat_vector(alpha):
+    """The Cartesian coefficients of a 1-form field."""
+    return [symbolic(0, c) for c in alpha.comps]
+
+
+def flat_partial(f, var):
+    return symbolic(0, ex.differentiate(f.comps[0], var))
+
+
+def flat_grad(f):
+    return [flat_partial(f, var) for var in "xyz"]
+
+
+def flat_curl(v):
+    """(d_y v3 - d_z v2, d_z v1 - d_x v3, d_x v2 - d_y v1)."""
+    v1, v2, v3 = v
+    return [
+        flat_partial(v3, "y") - flat_partial(v2, "z"),
+        flat_partial(v1, "z") - flat_partial(v3, "x"),
+        flat_partial(v2, "x") - flat_partial(v1, "y"),
+    ]
+
+
+def flat_dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def flat_cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def flat_dislocation_balance(d: DefectFields):
+    """curl b + (1/3) rho b - 4 rho O - (2/3) grad rho + (2/9) rho m."""
+    b, O, m = (flat_vector(f) for f in (d.burgers, d.frank, d.point))
+    rho = d.scalar
+    curl_b, grad_rho = flat_curl(b), flat_grad(rho)
+    return [
+        curl_b[i] + b[i] * rho * (1.0 / 3.0) - O[i] * rho * 4.0 - grad_rho[i] * (2.0 / 3.0) + m[i] * rho * (2.0 / 9.0)
+        for i in range(3)
+    ]
+
+
+def flat_disclination_point_balance(d: DefectFields):
+    """(curl m, curl O - rho O, the bilinear 3x3 constraint on b and O)."""
+    b, O, m = (flat_vector(f) for f in (d.burgers, d.frank, d.point))
+    curl_O = flat_curl(O)
+    beltrami = [curl_O[i] - O[i] * d.scalar for i in range(3)]
+    OO, bO = flat_dot(O, O), flat_dot(b, O)
+    algebraic = [
+        [
+            (OO * 18.0 - bO * 5.0 if i == j else zero_field(0)) - O[i] * O[j] * 54.0 + (b[i] * O[j] + b[j] * O[i]) * 7.5
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+    return flat_curl(m), beltrami, algebraic
+
+
+def disclination_balance_tensor(d: DefectFields):
+    """The symmetrised three-index residual tensor S_(ab)c as 0-form fields,
+    indexed from 0.
+
+    Term-by-term transcription; its delta / epsilon contractions reproduce
+    the three residuals of the disclination/point-defect balance with the
+    fixed rational coefficients calibration.PROJECTION_*.
+    """
+    b, O, m = (flat_vector(f) for f in (d.burgers, d.frank, d.point))
+    rho = d.scalar
+    curl_O, curl_m = flat_curl(O), flat_curl(m)
+
+    def entry(a, bb, c):
+        acc = zero_field(0)
+        if a == c:
+            acc = acc - curl_O[bb] * (9.0 / 20.0)
+            acc = acc + O[bb] * rho * (9.0 / 20.0)
+        if bb == c:
+            acc = acc - curl_O[a] * (9.0 / 20.0)
+            acc = acc + O[a] * rho * (9.0 / 20.0)
+        if a == bb:
+            acc = acc + curl_O[c] * (3.0 / 10.0)
+            acc = acc + curl_m[c] * (1.0 / 3.0)
+            acc = acc - O[c] * rho * (3.0 / 10.0)
+        for k in range(3):
+            e_kbc = levi_civita_symbol(k, bb, c)
+            e_kac = levi_civita_symbol(k, a, c)
+            if e_kbc:
+                acc = acc - (b[k] * O[a]) * (9.0 / 40.0 * e_kbc)
+                acc = acc - (b[a] * O[k]) * (9.0 / 40.0 * e_kbc)
+                acc = acc + (O[k] * O[a]) * (81.0 / 50.0 * e_kbc)
+            if e_kac:
+                acc = acc - (b[k] * O[bb]) * (9.0 / 40.0 * e_kac)
+                acc = acc - (b[bb] * O[k]) * (9.0 / 40.0 * e_kac)
+                acc = acc + (O[k] * O[bb]) * (81.0 / 50.0 * e_kac)
+        return acc
+
+    return [[[entry(a, bb, c) for c in range(3)] for bb in range(3)] for a in range(3)]
 
 
 def fd_partial(fn, point: Point, var: str, h=1e-5):
