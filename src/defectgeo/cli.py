@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import sys
@@ -24,6 +23,17 @@ import time
 from dataclasses import replace
 
 import numpy as np
+
+# CPython's built-in SHA-256, the one hashlib falls back to: importing hashlib
+# loads OpenSSL's libcrypto, which adds 3.6 MB of resident memory to every call
+# to digest a scenario file of a few KB
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .defects import FRANK_SCALE, GENERALIZED_BURGERS_C1 as C1, GENERALIZED_BURGERS_C2 as C2
 from .defects import extract_defects, reconstruct_defect_geometry
@@ -72,7 +82,7 @@ def _run(args) -> int:
     with np.errstate(all="ignore"):
         checks, calib, samples, extras = _COMMANDS[args.command](scenario, args)
     elapsed = 0.0 if args.deterministic else time.perf_counter() - started
-    digest = hashlib.sha256(data).hexdigest()
+    digest = sha256(data).hexdigest()
     report = _assemble_report(args, scenario, digest, checks, calib, samples, extras, elapsed)
     bad = _first_non_finite(report)
     if bad is not None:

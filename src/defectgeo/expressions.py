@@ -16,10 +16,13 @@ derivative of abs is defined as sign, with sign(0) = 0.
 Nodes are immutable and interned (hash-consed): calling `Num`, `Var`,
 `Bin`, ... with the fields of an existing node returns that node, so
 structurally equal expressions are the same object and `is` is structural
-equality.  Numbers are keyed by value and by the sign of zero, children by
-identity.  Evaluation, differentiation, substitution and `depends_on` loop
-over one iterative post-order of the reachable nodes, so their depth is not
-limited by Python's recursion limit; nor is printing.  The parser recurses,
+equality.  Each tag (a Bin's operator, Neg, a Fun's name, a Pow's exponent,
+a Sample's source and slot) has its own table, keyed by the node's own
+`kids` tuple, which compares its children by identity; numbers are keyed by
+value and by the sign of zero, variables by name.  Evaluation,
+differentiation, substitution and `depends_on` loop over one iterative
+post-order of the reachable nodes, so their depth is not limited by
+Python's recursion limit; nor is printing.  The parser recurses,
 so it accepts at most MAX_NESTING nested parentheses, calls, unary minuses
 and '^' levels, and raises ParseError past that.  Evaluation
 drops each node's value once the last node that reads it has run, so only
@@ -66,9 +69,12 @@ MAX_NESTING = 100
 #: nesting cap for finite-difference derivatives (cost grows like 6^depth)
 MAX_FD_DEPTH = 3
 
-#: every node built so far, keyed by class and fields; it keeps each node's
-#: children alive, so keying them by id is safe
-_TABLE: dict[tuple, Expr] = {}
+#: every node built so far: one table per tag (the class and those of its
+#: fields that are not nodes), keyed by the node's own `kids` tuple, so a node
+#: costs one tuple and no ints.  Expr defines no __eq__ or __hash__, so a
+#: tuple of nodes hashes and compares its items by identity.  Num and Var
+#: have no kids and are keyed by value and by name.
+_TABLE: dict[object, dict[object, Expr]] = {}
 
 
 def _num_key(v):
@@ -76,15 +82,18 @@ def _num_key(v):
     return (v, math.copysign(1.0, v)) if v == v else ("nan",)
 
 
-def _intern(cls, key, kids, *fields):
-    """The node of `cls` under `key`, made from `fields` (in __slots__ order) if new."""
-    node = _TABLE.get(key)
+def _intern(cls, tag, key, kids, *fields):
+    """The node of `cls` under `key` in `tag`'s table, made from `fields` (in __slots__ order) if new."""
+    table = _TABLE.get(tag)
+    if table is None:
+        table = _TABLE[tag] = {}
+    node = table.get(key)
     if node is None:
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             object.__setattr__(node, name, value)
         object.__setattr__(node, "kids", kids)
-        _TABLE[key] = node
+        table[key] = node
     return node
 
 
@@ -108,21 +117,22 @@ class Num(Expr):
 
     def __new__(cls, value):
         value = float(value)
-        return _intern(cls, (cls, *_num_key(value)), (), value)
+        return _intern(cls, cls, _num_key(value), (), value)
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
     def __new__(cls, name):
-        return _intern(cls, (cls, name), (), name)
+        return _intern(cls, cls, name, (), name)
 
 
 class Bin(Expr):
     __slots__ = ("op", "lhs", "rhs")  # op is one of + - * /
 
     def __new__(cls, op, lhs, rhs):
-        return _intern(cls, (cls, op, id(lhs), id(rhs)), (lhs, rhs), op, lhs, rhs)
+        kids = (lhs, rhs)
+        return _intern(cls, (cls, op), kids, kids, op, lhs, rhs)
 
 
 class Pow(Expr):
@@ -130,21 +140,24 @@ class Pow(Expr):
 
     def __new__(cls, base, exponent):
         exponent = float(exponent)
-        return _intern(cls, (cls, id(base), *_num_key(exponent)), (base,), base, exponent)
+        kids = (base,)
+        return _intern(cls, (cls, *_num_key(exponent)), kids, kids, base, exponent)
 
 
 class Neg(Expr):
     __slots__ = ("arg",)
 
     def __new__(cls, arg):
-        return _intern(cls, (cls, id(arg)), (arg,), arg)
+        kids = (arg,)
+        return _intern(cls, cls, kids, kids, arg)
 
 
 class Fun(Expr):
     __slots__ = ("name", "arg")
 
     def __new__(cls, name, arg):
-        return _intern(cls, (cls, name, id(arg)), (arg,), name, arg)
+        kids = (arg,)
+        return _intern(cls, (cls, name), kids, kids, name, arg)
 
 
 class Sample(Expr):
@@ -154,7 +167,7 @@ class Sample(Expr):
 
     def __new__(cls, source, slot, args):
         args = tuple(args)
-        return _intern(cls, (cls, id(source), slot, *map(id, args)), args, source, slot)
+        return _intern(cls, (cls, source, slot), args, args, source, slot)
 
 
 class Sampler:

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, report schema, determinism, CSV export."""
 
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from defectgeo.cli import _build_parser, main
 
+from test_process import _python
 from util import point_array
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -45,12 +47,13 @@ def test_check_gauge_scenario_has_flatness_check(tmp_path):
 
 def test_report_schema_fields(tmp_path):
     report_path = tmp_path / "report.json"
-    run(["check", SCENARIOS / "default.toml", "--json", report_path, "--deterministic"])
+    path = SCENARIOS / "default.toml"
+    run(["check", path, "--json", report_path, "--deterministic"])
     report = json.loads(report_path.read_text())
     assert report["schema"] == "defectgeo-report-v2"
     assert list(report["settings"]) == ["tolerance", "grid_n", "grid_bounds", "deterministic"]
     assert report["command"] == "check"
-    assert len(report["scenario"]["sha256"]) == 64
+    assert report["scenario"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert report["timing_s"] == 0.0
     for check in report["checks"]:
         assert set(check) == {"name", "max_residual", "tolerance", "passed"}
@@ -407,6 +410,29 @@ def test_energy_memory_does_not_grow_with_the_dag_times_the_grid(tmp_path):
     assert code == 0
     # one 64^3 array (the fine integrand) is 2 MB
     assert peak < 20e6
+
+
+def test_check_memory_of_a_fresh_dag(tmp_path):
+    """The intern table's cost per node: `check` on FULL_TRIAD builds 36.4k nodes.
+
+    A fresh interpreter, because a table that already holds the DAG allocates
+    almost nothing.  Keyed by their kids tuples the nodes peak near 11 MB;
+    keyed by (class, op, id(lhs), id(rhs)) beside their kids, near 16 MB.
+    """
+    scenario = tmp_path / "full.toml"
+    scenario.write_text(FULL_TRIAD)
+    code = (
+        "import sys, tracemalloc\n"
+        "from defectgeo.cli import main\n"
+        "tracemalloc.start()\n"
+        f"code = main(['check', {str(scenario)!r}, '--json', {str(tmp_path / 'r.json')!r}])\n"
+        "print(code, tracemalloc.get_traced_memory()[1], file=sys.stderr)\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, peak = map(int, proc.stderr.split())
+    assert exit_code == 0
+    assert peak < 13e6
 
 
 # ---- the curvature identities on curved frames -------------------------------------

@@ -264,6 +264,21 @@ def test_nodes_are_interned():
     assert ex.Num(1) is ex.Num(1.0)
     assert ex.Num(0.0) is not ex.Num(-0.0)
     assert ex.Pow(ex.Var("x"), 2) is ex.pow_(ex.Var("x"), 2.0)
+    assert ex.Num(float("nan")) is ex.Num(-float("nan")) is ex.Num(np.nan)
+    # nodes that differ only in their tag, or only in their kids' order
+    x, y = ex.Var("x"), ex.Var("y")
+    source, other = ex.Sampler(lambda *c: np.stack(c), 1e-4), ex.Sampler(lambda *c: np.stack(c), 1e-4)
+    pairs = [
+        (ex.Bin("+", x, y), ex.Bin("-", x, y)),
+        (ex.Bin("+", x, y), ex.Bin("+", y, x)),
+        (ex.Neg(x), ex.Fun("abs", x)),
+        (ex.Neg(x), ex.Pow(x, -1)),
+        (ex.Fun("abs", x), ex.Pow(x, -1)),
+        (ex.Sample(source, 0, (x, y, x, y)), ex.Sample(source, 1, (x, y, x, y))),
+        (ex.Sample(source, 0, (x, y, x, y)), ex.Sample(other, 0, (x, y, x, y))),
+    ]
+    for a, b in pairs:
+        assert a is not b, (a, b)
 
 
 #: 1,500 distinct terms in one left-deep sum: far deeper than the recursion limit

@@ -57,6 +57,19 @@ def test_importing_the_cli_loads_no_command_module():
         assert f"defectgeo.{name}" not in loaded
 
 
+def test_a_check_call_loads_no_openssl(tmp_path):
+    """The scenario digest comes from CPython's own SHA-256: hashlib's OpenSSL costs 3.6 MB resident."""
+    code = (
+        "import json, sys\n"
+        "from defectgeo.cli import main\n"
+        f"assert main(['check', 'scenarios/default.toml', '--json', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert "_hashlib" not in json.loads(proc.stderr)
+
+
 def test_a_couplings_section_loads_no_elasticity():
     code = (
         "import json, sys\n"
