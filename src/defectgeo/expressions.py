@@ -9,9 +9,16 @@ Grammar (whitespace-insensitive):
                                                 must fold to a real constant
     atom   := NUMBER | 'pi' | 'euler' | VAR | FUN '(' expr ')' | '(' expr ')'
 
+A NUMBER is what float() reads: decimal digits with at most one '.', then
+an optional exponent ('1.', '.5', '2e-3'); '.' alone is not one.
 Variables: x y z t.  Functions: sin cos tan exp ln sqrt abs (arity 1);
 `sign` is accepted so printed derivatives of `abs` re-parse.  The
 derivative of abs is defined as sign, with sign(0) = 0.
+
+The constructors fold a node whose operands are numbers: + - * / and
+negation in Python floats, which round as numpy's do, a function or power
+by walking the node.  So a folded constant has the walk's bits, an
+overflow folds to inf or nan, and a node the walk raises on stays.
 
 Nodes are immutable and interned (hash-consed): calling `Num`, `Var`,
 `Bin`, ... with the fields of an existing node returns that node, so
@@ -53,6 +60,7 @@ label.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -282,34 +290,31 @@ def pow_(base: Expr, exponent: float) -> Expr:
         return ONE
     if exponent == 1.0:
         return base
-    if _is_num(base):
-        v = base.value
-        if v >= 0.0 or float(exponent).is_integer():
-            if not (v == 0.0 and exponent < 0.0):
-                return Num(float(v**exponent))
-    return Pow(base, float(exponent))
+    return _folded(Pow(base, exponent))
 
 
 def fun(name: str, arg: Expr) -> Expr:
     if name not in FUNCTIONS:
         raise ValueError(f"unknown function {name!r}")
-    if _is_num(arg):
-        v = arg.value
-        safe = {
-            "sin": math.sin,
-            "cos": math.cos,
-            "tan": math.tan,
-            "exp": math.exp,
-            "abs": abs,
-            "sign": lambda u: float(np.sign(u)),
-        }
-        if name in safe:
-            return Num(float(safe[name](v)))
-        if name == "ln" and v > 0.0:
-            return Num(math.log(v))
-        if name == "sqrt" and v >= 0.0:
-            return Num(math.sqrt(v))
-    return Fun(name, arg)
+    return _folded(Fun(name, arg))
+
+
+def _folded(node):
+    """The Num of `node`'s value if its kids are numbers and the walk gives one, else `node`."""
+    value = _fold_constant(node) if all(type(kid) is Num for kid in node.kids) else None
+    return node if value is None else Num(value)
+
+
+def _fold_constant(e):
+    """Value of a variable-free expression by the walk, or None if it has a
+    variable or the walk raises on it; an overflow gives inf or nan, as in the walk."""
+    if any(type(node) is Var for node in _postorder([e])):
+        return None
+    try:
+        with np.errstate(all="ignore"):
+            return float(evaluate(e, 0.0, 0.0, 0.0, 0.0))
+    except EvaluationError:
+        return None
 
 
 # ---- the walk ----------------------------------------------------------------
@@ -581,50 +586,36 @@ def _pieces(node):
 # ---- parser -----------------------------------------------------------------
 
 
+#: one token after optional whitespace: a number as float() reads it (decimal
+#: digits with at most one '.', then an optional exponent), a name, an operator
+#: or parenthesis, any other character (bad), or the end of the text
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d]\w*)"
+    r"|(?P<op>[-+*/^()])|(?P<bad>.)|(?P<eof>\Z))",
+    re.DOTALL,
+)
+
+
 class _Tokenizer:
+    """The tokens of `text` as (kind, lexeme, offset), scanned once; an operator's kind is itself."""
+
     def __init__(self, text):
-        self.text = text
-        self.pos = 0
+        self.tokens = []
+        for match in _TOKEN.finditer(text):
+            kind = match.lastgroup
+            lexeme, start = match[kind], match.start(kind)
+            if kind == "name" and not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                kind, lexeme = "bad", lexeme[0]  # a numeric character such as '½'; parsing stops at it
+            self.tokens.append((lexeme if kind == "op" else kind, lexeme, start))
+        self.next = 0
         self.depth = 0
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("eof", "", self.pos)
-        ch = self.text[self.pos]
-        if ch.isdigit() or ch == ".":
-            j = self.pos
-            seen_dot = False
-            while j < len(self.text) and (self.text[j].isdigit() or (self.text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or self.text[j] == "."
-                j += 1
-            # optional exponent part, e.g. 1.5e-3
-            if j < len(self.text) and self.text[j] in "eE":
-                k = j + 1
-                if k < len(self.text) and self.text[k] in "+-":
-                    k += 1
-                if k < len(self.text) and self.text[k].isdigit():
-                    while k < len(self.text) and self.text[k].isdigit():
-                        k += 1
-                    j = k
-            return ("number", self.text[self.pos:j], self.pos)
-        if ch.isalpha() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            return ("name", self.text[self.pos:j], self.pos)
-        if ch in "+-*/^()":
-            return (ch, ch, self.pos)
-        return ("bad", ch, self.pos)
+        return self.tokens[self.next]
 
     def take(self):
-        tok = self.peek()
-        self.pos = tok[2] + len(tok[1])
-        return tok
+        self.next += 1
+        return self.tokens[self.next - 1]
 
 
 def parse_expr(text: str) -> Expr:
@@ -689,16 +680,6 @@ def _parse_power(tz):
     if folded is None:
         raise ParseError(expo_pos, "a constant exponent")
     return pow_(base, folded)
-
-
-def _fold_constant(e):
-    """Value of a variable-free expression, or None."""
-    if any(isinstance(node, Var) for node in _postorder([e])):
-        return None
-    try:
-        return float(evaluate(e, 0.0, 0.0, 0.0, 0.0))
-    except EvaluationError:
-        return None
 
 
 def _parse_atom(tz):

@@ -276,7 +276,7 @@ def _assemble(sections, key_lines) -> Scenario:
 
 def validate_numerics(num: Numerics, names=None, lines=None):
     """Raise ScenarioError unless `num` is usable: every number finite, tolerance >= 0,
-    grid_n in 2..MAX_GRID_N and grid_min < grid_max.
+    grid_n in 2..MAX_GRID_N, grid_min < grid_max and their difference finite.
 
     A message calls a setting by `names[key]` (its command-line flag), else
     by its key, and names the file lines in `lines[key]`, where given.
@@ -298,6 +298,8 @@ def validate_numerics(num: Numerics, names=None, lines=None):
             fail(f"{names.get(key, key)} must be {what}", key)
     if not num.grid_min < num.grid_max:
         fail("grid_min must be below grid_max", "grid_min", "grid_max")
+    if not math.isfinite(num.grid_max - num.grid_min):
+        fail("grid_max - grid_min must be a finite number", "grid_min", "grid_max")
 
 
 def _covector(section: dict, stem: str, coframe: CoFrame) -> FormField:

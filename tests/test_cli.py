@@ -361,6 +361,17 @@ def test_kinematics_evaluates_all_its_checks_in_one_walk(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("scenario", ["mixed_defects.toml", "gauge_rotation.toml"])
+def test_defects_evaluates_its_check_and_its_samples_in_one_walk(monkeypatch, scenario):
+    from defectgeo import sampling
+
+    calls = []
+    original = sampling.batch_components
+    monkeypatch.setattr(sampling, "batch_components", lambda *a: calls.append(a) or original(*a))
+    assert run(["defects", SCENARIOS / scenario]) == 0
+    assert len(calls) == 1
+
+
 #: a full linear triad with quadratic defects and every coupling: a DAG large
 #: enough that one grid-sized array per live node would take ~100 MB at --grid 32
 FULL_TRIAD = """\
@@ -743,6 +754,25 @@ def test_unregistered_options_are_bad_input(capsys, args):
         run([args[0], SCENARIOS / "default.toml", *args[1:]])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(args[1:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "defects", "kinematics", "elastic", "energy", "calibrate"])
+@pytest.mark.parametrize("expr", ["exp(1000)", "10^400", "sin(1e400)", "."])
+def test_overflowing_constants_and_malformed_numbers_are_bad_input(tmp_path, capsys, command, expr):
+    """Each command reads h12 or b1: it reports the non-finite value at its point or
+    the text at its offset, and never exits 3."""
+    scenario = tmp_path / "s.toml"
+    scenario.write_text(
+        f'[coframe]\nh12 = "{expr}"\n[defects]\nb1 = "{expr}"\n[couplings]\nkappa1 = 1.0\n'
+        '[deformation]\nX1 = "x"\nX2 = "y"\nX3 = "z"\n[material]\nlambda = 1.0\nmu = 1.0\n'
+    )
+    assert run([command, scenario]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    if expr == ".":
+        assert err.startswith("error: bad expression for 'h12' in [coframe]: parse error at offset 0")
+    else:
+        assert err.startswith("error: non-finite field value ") and " at (" in err
 
 
 def test_fd_step_in_the_file_is_bad_input(tmp_path, capsys):

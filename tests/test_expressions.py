@@ -107,6 +107,10 @@ def test_left_associativity():
         ("x^y", 2),
         ("1 2", 2),
         ("", 0),
+        (".", 0),
+        ("1 + .", 4),
+        ("2²", 1),
+        ("1e²", 1),
     ],
 )
 def test_parse_error_offsets(text, offset):
@@ -114,6 +118,40 @@ def test_parse_error_offsets(text, offset):
         ex.parse_expr(text)
     assert err.value.offset == offset
     assert 0 <= err.value.offset <= len(text)
+
+
+#: seeded arguments of the fold-vs-walk tests, with the edge values
+FOLD_ARGS = np.concatenate([
+    np.random.default_rng(24).uniform(-30.0, 30.0, 1000),
+    np.random.default_rng(25).uniform(-1e3, 1e3, 200),
+    [0.0, -0.0, 1e-300, 709.0, 710.0, 1e308, np.inf, -np.inf, np.nan],
+])
+
+
+def _fold_mismatches(build, node):
+    """How many folds of `build(Num(v))` over FOLD_ARGS differ from the walk of `node` (a
+    function of x) at x = v, in value or sign (every NaN is one Num).  A node left
+    unfolded must be one the walk raises on."""
+    folded = [build(ex.Num(v)) for v in FOLD_ARGS]
+    is_num = np.array([type(f) is ex.Num for f in folded])
+    with np.errstate(all="ignore"):
+        walked = ex.evaluate(node, FOLD_ARGS[is_num], 0.0, 0.0, 0.0)
+        for v in FOLD_ARGS[~is_num]:
+            with pytest.raises(EvaluationError):
+                ex.evaluate(node, v, 0.0, 0.0, 0.0)
+    values = np.array([f.value for f in folded if type(f) is ex.Num])
+    nan = np.isnan(values) & np.isnan(walked)
+    return int(np.sum(~nan & ((values != walked) | (np.signbit(values) != np.signbit(walked)))))
+
+
+@pytest.mark.parametrize("name", ex.FUNCTIONS)
+def test_a_folded_function_has_the_bits_of_the_walk(name):
+    assert _fold_mismatches(lambda a: ex.fun(name, a), ex.Fun(name, ex.Var("x"))) == 0
+
+
+@pytest.mark.parametrize("exponent", [0.5, 2.0, 3.0, -1.0, -1.5, 2.2])
+def test_a_folded_power_has_the_bits_of_the_walk(exponent):
+    assert _fold_mismatches(lambda a: ex.pow_(a, exponent), ex.Pow(ex.Var("x"), exponent)) == 0
 
 
 def test_parse_error_expected_description():

@@ -2,13 +2,14 @@
 
 A derandomised Hypothesis strategy writes scenario files from
 `scenario._SCHEMA`: some of its sections and keys, expressions over x, y,
-z and t, triads near the identity or not, forward and inverse maps near the
-identity, and up to two faults: a malformed value, a stray or dropped line.
-Now and then a flag is out of range too.  Each file runs through `cli.main`
-under every command, and each run must keep the README's contract: exit 0,
-1 or 2, never 3; at most one line on stderr, and none on exit 0; a strict
-JSON report on exits 0 and 1; and on exit 2 a message that names a line, a
-key, a flag or a point.
+z and t with constants that may overflow (1000 under exp or ^400, 1e400),
+triads near the identity or not, forward and inverse maps near the
+identity, and up to two faults: a malformed value or number, a stray or
+dropped line.  Now and then a flag is out of range too.  Each file runs
+through `cli.main` under every command, and each run must keep the
+README's contract: exit 0, 1 or 2, never 3; at most one line on stderr, and
+none on exit 0; a strict JSON report on exits 0 and 1; and on exit 2 a
+message that names a line, a key, a flag or a point.
 """
 
 import contextlib
@@ -28,17 +29,17 @@ from defectgeo.scenario import _SCHEMA
 COMMANDS = ("check", "defects", "kinematics", "elastic", "energy", "calibrate")
 
 EXPRS = st.recursive(
-    st.sampled_from(["x", "y", "z", "t", "0", "1", "0.5", "-2", "pi"]),
+    st.sampled_from(["x", "y", "z", "t", "0", "1", "0.5", "-2", "pi", "1000", "1e400"]),
     lambda inner: st.one_of(
         st.builds("({} {} {})".format, inner, st.sampled_from("+-*/"), inner),
         st.builds("{}({})".format, st.sampled_from(FUNCTIONS), inner),
-        st.builds("({})^{}".format, inner, st.sampled_from(["2", "-1", "0.5"])),
+        st.builds("({})^{}".format, inner, st.sampled_from(["2", "-1", "0.5", "400"])),
     ),
     max_leaves=4,
 )
 
 #: values the schema rejects, one of each kind of fault
-BAD_VALUES = ['"1 +"', "x", '"x" + "y"', "nan", "-inf", "2.5", "600", "bogus", '"(("', "-1"]
+BAD_VALUES = ['"1 +"', "x", '"x" + "y"', "nan", "-inf", "2.5", "600", "bogus", '"(("', "-1", '"."', '"2²"']
 
 #: lines that are not a section header or a key of the section they are in
 BAD_LINES = ["[nosuch]", "nosuch = 1", "just words", '[defects]\nb1 = "1"\nb1 = "2"']

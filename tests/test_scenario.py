@@ -173,6 +173,8 @@ def test_numerics_validation():
         ("tolerance = -1e-9", "tolerance must be non-negative (line 3)"),
         ("grid_n = 1", "grid_n must be between 2 and 512 (line 3)"),
         ("grid_min = 1.0\ngrid_max = 1.0", "grid_min must be below grid_max (lines 3, 4)"),
+        # linspace would turn every check point into nan
+        ("grid_min = -1e308\ngrid_max = 1e308", "grid_max - grid_min must be a finite number (lines 3, 4)"),
     ],
 )
 def test_numerics_out_of_range_name_their_lines(numerics, message):
