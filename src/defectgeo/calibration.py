@@ -6,16 +6,15 @@ probe fields at the points the caller passes, no built-in point set) and
 frozen here.  A drift would mean a convention changed somewhere upstream, so
 a re-measurement fails loudly on it.
 
-The `calibrate` CLI command re-measures `FRANK_SCALE`, the two curvature
-factors and `ANSATZ_FLUX_FACTOR` at the scenario's check points, in its
-coframe, and checks that both piece-1 traces vanish.  The curvature factors
-are defined in `kinematics`, beside the identities whose rows apply them,
-and re-exported here; `calibrate` fits them by least squares on the probe
-defects, where both sides are well conditioned.  The piece-1 traces
-and the six quadratic-invariant deviations are `sampling.normalized_residual`
-values, the one residual scale of every check.  It only reports the
-invariants (tests assert four of them), and it does not measure the three
-`PROJECTION_*` tuples: `tests/test_kinematics.py` re-measures those.
+The `calibrate` CLI command re-measures `defects.FRANK_SCALE`, the two
+curvature factors and `ANSATZ_FLUX_FACTOR` at the scenario's check points,
+in its coframe, checks that both piece-1 traces vanish, and judges the six
+quadratic-invariant expansions.  The curvature factors are defined in
+`kinematics`, beside the identities whose rows apply them, and re-exported
+here; `calibrate` fits them by least squares on the probe defects, where
+both sides are well conditioned.  The piece-1 traces and the six invariant
+deviations are `sampling.normalized_residual` values, the one residual scale
+of every check.
 """
 
 from __future__ import annotations
@@ -41,23 +40,9 @@ from .kinematics import (  # the two curvature factors, re-exported under their 
 )
 from .sampling import batch_groups, normalized_residuals
 
-#: second-kind trace of the reconstruction ansatz is exactly 3x the Frank covector
-EXPECTED_FRANK_SCALE = 3.0
-
 #: the restricted-ansatz flux 2-forms satisfy N_a = 0.5 e_a ^ P; a literal
 #: piece2 = 0 reading would give 2/3 instead, so the factor is logged, not assumed
 ANSATZ_FLUX_FACTOR = 0.5
-
-#: projections of the symmetrised three-index balance tensor onto the
-#: (curl m, beltrami, bilinear) residuals
-PROJECTION_DELTA_AB = (1.0,)  # delta^ab S_(ab)c = 1.0 * (curl m)_c
-PROJECTION_DELTA_BC = (1.0 / 3.0, -3.0 / 2.0)  # onto (curl m, beltrami)
-PROJECTION_EPSILON = (1.0 / 3.0, 3.0 / 4.0, -9.0 / 100.0)  # onto (eps.curl m, eps.beltrami, bilinear)
-
-#: both transverse contractions of the leftover non-metricity piece vanish
-#: identically (measured ~1e-16 on random symmetric inputs)
-PIECE1_INTERIOR_TRACE = 0.0
-PIECE1_WEDGE_TRACE = 0.0
 
 
 def probe_defects() -> DefectFields:

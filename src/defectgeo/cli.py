@@ -37,8 +37,8 @@ except ImportError:
 
 from .defects import FRANK_SCALE, GENERALIZED_BURGERS_C1 as C1, GENERALIZED_BURGERS_C2 as C2
 from .defects import extract_defects, reconstruct_defect_geometry
-from .errors import DefectGeoError, ScenarioError
-from .fields import VectorField, evaluate_fields, matrix_multiply, scalar_field
+from .errors import DefectGeoError, EvaluationError, ScenarioError
+from .fields import evaluate_fields, matrix_multiply, scalar_field
 from .forms import FRAME_INDICES
 from .geometry import (
     bianchi_residuals,
@@ -51,7 +51,7 @@ from .geometry import (
     pure_gauge_connection,
     torsion,
 )
-from .sampling import batch_groups, check_points, grid_blocks, max_abs, normalized_residuals
+from .sampling import batch_groups, check_points, grid_blocks, normalized_residuals
 from .scenario import Scenario, decode_scenario, parse_scenario, validate_numerics
 
 SCHEMA = "defectgeo-report-v2"
@@ -139,11 +139,25 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, numerics=num)
 
 
-def _validated_points(scenario: Scenario):
-    """The scenario's check points, once its coframe is found nonsingular on them."""
+def _validated_points(scenario: Scenario, gauge=False):
+    """The scenario's check points, once each triad entry is found finite on them and
+    the coframe nonsingular; with `gauge`, the same of the gauge matrix, if given.
+
+    An entry is walked on its own, so an error names its key, `[coframe] h12` say.
+    """
     num = scenario.numerics
     points = check_points(num.grid_min, num.grid_max, num.grid_n)
-    scenario.coframe.validate(points)
+    matrices = [("coframe", "h", scenario.coframe)]
+    if gauge and scenario.gauge is not None:
+        matrices.append(("gauge", "g", scenario.gauge))
+    for section, stem, field in matrices:
+        for i, row in enumerate(field.matrix, start=1):
+            for j, entry in enumerate(row, start=1):
+                try:
+                    evaluate_fields([entry], *points.T)
+                except EvaluationError as exc:
+                    raise ScenarioError(f"[{section}] {stem}{i}{j}: {exc}") from exc
+        field.validate(points)
     return points
 
 
@@ -167,7 +181,7 @@ def _check(name, max_residual, tolerance):
 
 def _cmd_check(scenario: Scenario, args):
     tol = scenario.numerics.tolerance
-    points = _validated_points(scenario)
+    points = _validated_points(scenario, gauge=True)
     e = scenario.coframe
 
     gamma = levi_civita_connection(e)
@@ -196,7 +210,6 @@ def _cmd_check(scenario: Scenario, args):
         ("curvature-split", split.entries(), reference, tol),
     ]
     if scenario.gauge is not None:
-        scenario.gauge.validate(points)
         flat = pure_gauge_connection(scenario.gauge)
         table.append(("gauge-flatness", curvature(flat).entries(), flat.entries(), tol))
     return _residual_checks(table, points), None, None, {}
@@ -215,7 +228,7 @@ def _cmd_defects(scenario: Scenario, args):
     if not (scenario.has("defects") or (scenario.has("coframe") and scenario.has("gauge"))):
         raise ScenarioError("the defects command needs [defects] or [coframe]+[gauge]")
     tol = scenario.numerics.tolerance
-    points = _validated_points(scenario)
+    points = _validated_points(scenario, gauge=True)
     e = scenario.coframe
     omega = _build_connection(scenario)
     extracted = extract_defects(e, omega)
@@ -308,7 +321,6 @@ def _cmd_kinematics(scenario: Scenario, args):
 
 def _cmd_elastic(scenario: Scenario, args):
     from .elasticity import (
-        cauchy_motion_residual,
         check_invertible,
         deformation_gradients,
         euler_strain,
@@ -347,9 +359,6 @@ def _cmd_elastic(scenario: Scenario, args):
     )
 
     center = 0.5 * (scenario.numerics.grid_min + scenario.numerics.grid_max)
-    static = cauchy_motion_residual(
-        scalar_field(1.0), VectorField.zero(), VectorField.zero(), stress, e
-    )
     stress_fields = [stress.entry(a, b) for a in FRAME_INDICES for b in FRAME_INDICES]
     at = np.full(1, center)
     values = [float(v.components[0, 0]) for v in evaluate_fields(strain_fields + stress_fields, at, at, at)]
@@ -357,9 +366,6 @@ def _cmd_elastic(scenario: Scenario, args):
         "at": [center, center, center],
         "strain": [values[3 * a: 3 * a + 3] for a in range(3)],
         "stress": [values[9 + 3 * a: 12 + 3 * a] for a in range(3)],
-        # stress-divergence norm for the unforced static configuration;
-        # informational, a generic deformation is not in equilibrium
-        "static_momentum_residual_max": max_abs(static, points),
     }
     return checks, None, samples, {}
 
@@ -401,11 +407,11 @@ def _cmd_calibrate(scenario: Scenario, args):
 
     points = _validated_points(scenario)
     calib = calibration.run_calibration(scenario.coframe, points)
+    invariants = calib.pop("quadratic_invariants")
     checks = [
         _check(
             "frank-scale-regression",
-            abs(calib["frank_scale"] - calibration.EXPECTED_FRANK_SCALE)
-            / calibration.EXPECTED_FRANK_SCALE,
+            abs(calib["frank_scale"] - FRANK_SCALE) / FRANK_SCALE,
             1e-3,
         ),
         _check("frank-scale-position-independent", calib["frank_scale_rel_std"], 1e-3),
@@ -428,6 +434,7 @@ def _cmd_calibrate(scenario: Scenario, args):
         _check("piece1-interior-trace", calib["piece1_interior_trace"], 1e-10),
         _check("piece1-wedge-trace", calib["piece1_wedge_trace"], 1e-10),
     ]
+    checks += [_check(f"invariant-{name}", value, EXACT_TOL) for name, value in invariants.items()]
     return checks, calib, None, {}
 
 

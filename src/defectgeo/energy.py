@@ -176,10 +176,10 @@ def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, poi
     """{name: deviation} of the six trace-invariant expansions, each the
     `normalized_residual` of lhs - rhs against lhs.
 
-    Four expansions hold identically for the restricted (T, Q); tests assert
-    them.  The expansions of O^*O and b^*O involve a two-index coframe
-    factor whose intended reading is ambiguous; both are evaluated here
-    under the plain reading e_ac = e_a ^ e_c and only reported.
+    All six hold identically for the restricted (T, Q), and `calibrate`
+    judges each at the exact-identity tolerance.  The expansions of O^*O and
+    b^*O (`frank-square`, `burgers-frank`) read the two-index coframe factor
+    as e_ac = e_a ^ e_c.
     """
     trace_T, S = torsion_traces(T, e)
     trace_Q = nonmetricity_trace(Q)
@@ -210,7 +210,7 @@ def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, poi
     )
     sides.append(("torsion-scalar", lhs, rhs))
 
-    # second-kind trace squared: calibration mode (two-index coframe factor)
+    # second-kind trace squared (two-index coframe factor)
     lhs = wedge(P, star(P))
     rhs = field_sum(
         [wedge(Q.entry(a, b), star(Q.entry(a, b))) for a in FRAME_INDICES for b in FRAME_INDICES]
@@ -244,7 +244,7 @@ def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, poi
     )
     sides.append(("frank-point", lhs, rhs))
 
-    # torsion-trace / second-kind trace: calibration mode
+    # torsion-trace / second-kind trace (two-index coframe factor)
     lhs = wedge(trace_T, star(P))
     rhs = -field_sum(
         [

@@ -561,8 +561,13 @@ def to_text(e: Expr) -> str:
 def _pieces(node):
     """(pieces of the rendering, precedence above which it needs parentheses)."""
     if isinstance(node, Num):
+        if node.value != node.value:  # every NaN is one node, the one inf - inf folds to
+            return ["1e400 - 1e400"], _PREC["-"]
         v = abs(node.value)
-        text = repr(int(v)) if v.is_integer() and v < 1e16 else repr(v)
+        if v == math.inf:
+            text = "1e400"  # what float() reads as inf
+        else:
+            text = repr(int(v)) if v.is_integer() and v < 1e16 else repr(v)
         if math.copysign(1.0, node.value) < 0.0:  # -0 too, so it re-parses to Num(-0.0)
             return [f"-{text}"], _PREC["neg"] - 0.5
         return [text], math.inf

@@ -118,8 +118,6 @@ def test_elastic_accepts_diagonal_forward_map(tmp_path):
     samples = json.loads(report_path.read_text())["samples"]
     want = np.diag([(1.0 - 1.0 / s**2) / 2.0 for s in scales])
     assert np.max(np.abs(np.array(samples["strain"]) - want)) <= 1e-10
-    # a homogeneous deformation has constant stress, so the static residual vanishes
-    assert samples["static_momentum_residual_max"] <= 1e-12
 
 
 @pytest.mark.parametrize("grid_n", [2, 3, 5, 9, 24, 48])
@@ -207,7 +205,40 @@ def test_calibrate_passes(tmp_path):
     assert calib["dislocation_factor"] == pytest.approx(-2.0, abs=1e-9)
     assert calib["disclination_factor"] == pytest.approx(1.0, abs=1e-9)
     assert calib["ansatz_flux_factor"] == pytest.approx(0.5, abs=1e-9)
-    assert "quadratic_invariants" in calib
+    assert "quadratic_invariants" not in calib
+    invariants = [c["name"] for c in report["checks"] if c["name"].startswith("invariant-")]
+    assert invariants == [f"invariant-{name}" for name in INVARIANTS]
+
+
+#: the six quadratic-invariant rows of `calibrate`, in row order, each with a
+#: mutation of its own expansion in `energy.quadratic_invariants`: (text, replacement)
+INVARIANT_MUTATIONS = {
+    "torsion-trace": ("star(wedge(T.entry(b), e.e(a)))", "star(wedge(T.entry(a), e.e(b)))"),
+    "torsion-scalar": ("star(wedge(T.entry(b), e.e(b)))", "star(wedge(T.entry(b), e.e(a)))"),
+    "frank-square": ("* (5.0 / 9.0)", "* (1.0 / 2.0)"),
+    "frank-point": ("rhs = wedge(trace_Q, star(trace_Q)) * (2.0 / 3.0)", "rhs = wedge(trace_Q, star(trace_Q))"),
+    "burgers-frank": ("wedge(e.e(a), e.e(c))", "wedge(e.e(c), e.e(a))"),
+    "burgers-point": ('("burgers-point", lhs, rhs)', '("burgers-point", lhs, -rhs)'),
+}
+INVARIANTS = list(INVARIANT_MUTATIONS)
+
+
+@pytest.mark.parametrize("row", INVARIANTS)
+def test_each_invariant_row_fails_on_a_mutated_expansion(tmp_path, monkeypatch, row):
+    import inspect
+
+    from defectgeo import calibration, energy
+
+    text, replacement = INVARIANT_MUTATIONS[row]
+    source = inspect.getsource(energy.quadratic_invariants)
+    assert source.count(text) == 1
+    namespace = dict(vars(energy))
+    exec(compile(source.replace(text, replacement), energy.__file__, "exec"), namespace)
+    monkeypatch.setattr(calibration, "quadratic_invariants", namespace["quadratic_invariants"])
+    report_path = tmp_path / "calib.json"
+    assert run(["calibrate", SCENARIOS / "default.toml", "--json", report_path]) == 1
+    checks = json.loads(report_path.read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == [f"invariant-{row}"]
 
 
 @pytest.mark.parametrize(
@@ -264,6 +295,31 @@ def test_non_finite_values_are_bad_input_with_a_point(tmp_path, capsys, command)
     assert code == 2
     assert "non-finite field value" in err and " at (" in err
     assert "nan" not in out.lower() and "inf" not in out.lower()
+
+
+@pytest.mark.parametrize("command", ["check", "defects", "kinematics", "energy", "calibrate"])
+def test_a_non_finite_triad_entry_is_bad_input_naming_its_key_where_no_residual_reads_it(tmp_path, capsys, command):
+    """On this file the triad's determinant and the energy density fold h12 away;
+    `elastic` rejects the missing [deformation] first."""
+    path = tmp_path / "triad.toml"
+    path.write_text('[coframe]\nh12 = "exp(1000)"\n[defects]\nrho = "x"\n[couplings]\nkappa2 = 1.0\n')
+    assert run([command, path]) == 2
+    assert capsys.readouterr().err == "error: [coframe] h12: non-finite field value inf at (-1.0, -1.0, -1.0, 0.0)\n"
+
+
+@pytest.mark.parametrize("command", ["check", "defects"])
+@pytest.mark.parametrize(
+    "gauge,message",
+    [
+        ('g11 = "1e-9*(2 + x)"', "gauge matrix determinant 1.000e-09 below 1e-08 at Point(x=-1.0, y=-1.0, z=-1.0, t=0.0)"),
+        ('g12 = "exp(1000)"', "[gauge] g12: non-finite field value inf at (-1.0, -1.0, -1.0, 0.0)"),
+    ],
+)
+def test_every_command_that_reads_the_gauge_validates_it(tmp_path, capsys, command, gauge, message):
+    path = tmp_path / "gauge.toml"
+    path.write_text(f'[coframe]\nh11 = "1"\n[gauge]\n{gauge}\n')
+    assert run([command, path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_deeply_nested_density_is_a_parse_error(tmp_path, capsys):
@@ -341,33 +397,39 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert err == "internal error: RuntimeError: boom\n"
 
 
-def test_check_evaluates_all_its_residuals_in_one_walk(monkeypatch):
-    from defectgeo import sampling
+def _walks_after_validation(monkeypatch):
+    """The `sampling.batch_components` calls of a run once `cli._validated_points` has
+    checked its triad and gauge, which walks each entry and determinant on its own."""
+    from defectgeo import cli, sampling
 
     calls = []
-    original = sampling.batch_components
+    original, validated = sampling.batch_components, cli._validated_points
+
+    def validated_then_counted(*args, **kwargs):
+        points = validated(*args, **kwargs)
+        calls.clear()
+        return points
+
     monkeypatch.setattr(sampling, "batch_components", lambda *a: calls.append(a) or original(*a))
+    monkeypatch.setattr(cli, "_validated_points", validated_then_counted)
+    return calls
+
+
+def test_check_evaluates_all_its_residuals_in_one_walk(monkeypatch):
+    calls = _walks_after_validation(monkeypatch)
     assert run(["check", SCENARIOS / "default.toml"]) == 0
     assert len(calls) == 1
 
 
 def test_kinematics_evaluates_all_its_checks_in_one_walk(monkeypatch):
-    from defectgeo import sampling
-
-    calls = []
-    original = sampling.batch_components
-    monkeypatch.setattr(sampling, "batch_components", lambda *a: calls.append(a) or original(*a))
+    calls = _walks_after_validation(monkeypatch)
     assert run(["kinematics", SCENARIOS / "mixed_defects.toml"]) == 1
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("scenario", ["mixed_defects.toml", "gauge_rotation.toml"])
 def test_defects_evaluates_its_check_and_its_samples_in_one_walk(monkeypatch, scenario):
-    from defectgeo import sampling
-
-    calls = []
-    original = sampling.batch_components
-    monkeypatch.setattr(sampling, "batch_components", lambda *a: calls.append(a) or original(*a))
+    calls = _walks_after_validation(monkeypatch)
     assert run(["defects", SCENARIOS / scenario]) == 0
     assert len(calls) == 1
 
@@ -772,7 +834,7 @@ def test_overflowing_constants_and_malformed_numbers_are_bad_input(tmp_path, cap
     if expr == ".":
         assert err.startswith("error: bad expression for 'h12' in [coframe]: parse error at offset 0")
     else:
-        assert err.startswith("error: non-finite field value ") and " at (" in err
+        assert err.startswith("error: [coframe] h12: non-finite field value ") and " at (" in err
 
 
 def test_fd_step_in_the_file_is_bad_input(tmp_path, capsys):
@@ -874,6 +936,6 @@ def test_triangular_forward_map_agrees_with_its_inverse_in_as_many_walks(tmp_pat
     for a, b in zip(fwd["checks"], inv["checks"]):
         assert a["passed"] and abs(a["max_residual"] - b["max_residual"]) <= 1e-12
     assert fwd["samples"]["at"] == inv["samples"]["at"]
-    for key in ("strain", "stress", "static_momentum_residual_max"):
+    for key in ("strain", "stress"):
         assert np.max(np.abs(np.subtract(fwd["samples"][key], inv["samples"][key]))) <= 1e-12
     assert np.max(np.abs(fwd["samples"]["strain"])) > 1e-3

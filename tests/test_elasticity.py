@@ -35,7 +35,7 @@ from defectgeo.fields import (
 )
 from defectgeo.forms import FRAME_INDICES
 from defectgeo.geometry import CoFrame
-from defectgeo.sampling import batch_components, normalized_residual, sample_points
+from defectgeo.sampling import batch_components, check_points, max_abs, normalized_residual, sample_points
 
 from util import fd_partial, point_array, random_points, random_scalar_field
 
@@ -409,6 +409,28 @@ def test_cauchy_static_uniform_stress():
     )
     p = Point(0.2, 0.2, 0.2)
     assert all(r.evaluate(p).max_abs() == 0.0 for r in res)
+
+
+def _static_residual(kind, maps, mat):
+    """The momentum residual of the unforced static body under the Hooke stress of `maps`."""
+    stress = isotropic_stress(euler_strain(DeformationMap(maps, kind=kind), E), mat, E)
+    return cauchy_motion_residual(scalar_field(1.0), VectorField.zero(), VectorField.zero(), stress, E)
+
+
+def test_cauchy_static_homogeneous_forward_map():
+    # a homogeneous deformation has constant stress, so the static residual vanishes
+    res = _static_residual("forward", ("1.2*x", "0.9*y", "1.1*z"), MaterialConstants(lam=1.0, mu=1.5))
+    assert max_abs(res, check_points(-1.0, 1.0, 3)) <= 1e-12
+
+
+def test_cauchy_static_triangular_forward_map_matches_its_inverse():
+    # x1 = X1 + 0.1 X2^2, whose inverse is X1 = x1 - 0.1 x2^2: the forward chart's
+    # second derivatives reach the stress divergence
+    mat, points = MaterialConstants(lam=1.0, mu=1.0, kappa=0.0), check_points(-0.5, 1.0, 9)
+    forward = batch_components(_static_residual("forward", ("x+0.1*y^2", "y", "z"), mat), points)
+    inverse = batch_components(_static_residual("inverse", ("x-0.1*y^2", "y", "z"), mat), points)
+    assert np.max(np.abs(forward - inverse)) <= 1e-12
+    assert np.max(np.abs(inverse)) > 0.1
 
 
 def test_cauchy_hydrostatic_balance():

@@ -171,7 +171,7 @@ def test_tensor_projections_reproduce_residuals_with_frozen_coefficients():
         proj.append(acc)
     coefficient, relative_residual = calibration.fit_scale(batch_components(proj, PTS), R1)
     assert relative_residual <= 1e-12
-    assert coefficient == pytest.approx(calibration.PROJECTION_DELTA_AB[0], abs=1e-12)
+    assert coefficient == pytest.approx(1.0, abs=1e-12)
 
     # delta^bc contraction -> combination of curl-m and the beltrami residual
     proj2 = []
@@ -184,7 +184,7 @@ def test_tensor_projections_reproduce_residuals_with_frozen_coefficients():
     target = batch_components(proj2, PTS).ravel()
     basis = np.vstack([R1.ravel(), R2.ravel()]).T
     coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    assert np.allclose(coef, calibration.PROJECTION_DELTA_BC, atol=1e-9)
+    assert np.allclose(coef, (1.0 / 3.0, -3.0 / 2.0), atol=1e-9)
     assert np.linalg.norm(basis @ coef - target) <= 1e-9 * max(1.0, np.linalg.norm(target))
 
     # epsilon contraction -> all three residuals
@@ -213,7 +213,7 @@ def test_tensor_projections_reproduce_residuals_with_frozen_coefficients():
         [batch_components(epsR1, PTS).ravel(), batch_components(epsR2, PTS).ravel(), batch_components(R3, PTS).ravel()]
     ).T
     coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    assert np.allclose(coef, calibration.PROJECTION_EPSILON, atol=1e-9)
+    assert np.allclose(coef, (1.0 / 3.0, 3.0 / 4.0, -9.0 / 100.0), atol=1e-9)
 
 
 # ---- curvature identities --------------------------------------------------------------

@@ -205,8 +205,8 @@ def disclination_balance_tensor(d: DefectFields):
     indexed from 0.
 
     Term-by-term transcription; its delta / epsilon contractions reproduce
-    the three residuals of the disclination/point-defect balance with the
-    fixed rational coefficients calibration.PROJECTION_*.
+    the three residuals of the disclination/point-defect balance with fixed
+    rational coefficients (see tests/test_kinematics.py).
     """
     b, O, m = (flat_vector(f) for f in (d.burgers, d.frank, d.point))
     rho = d.scalar
