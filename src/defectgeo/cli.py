@@ -38,6 +38,7 @@ except ImportError:
 from .defects import FRANK_SCALE, GENERALIZED_BURGERS_C1 as C1, GENERALIZED_BURGERS_C2 as C2
 from .defects import extract_defects, reconstruct_defect_geometry
 from .errors import DefectGeoError, EvaluationError, ScenarioError
+from .expressions import Expr
 from .fields import evaluate_fields, matrix_multiply, scalar_field
 from .forms import FRAME_INDICES
 from .geometry import (
@@ -140,30 +141,32 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 
 def _validated_points(scenario: Scenario, gauge=False):
-    """The scenario's check points, once each triad entry is found finite on them and
-    the coframe nonsingular; with `gauge`, the same of the gauge matrix, if given.
+    """The scenario's check points, once each expression the file gives is found finite on
+    them and the coframe nonsingular; with `gauge`, the gauge matrix too, if given.
 
-    An entry is walked on its own, so an error names its key, `[coframe] h12` say.
+    An expression is walked on its own, in file order, so an error names its key,
+    `[coframe] h12` say, whether or not the command reads it.
     """
     num = scenario.numerics
     points = check_points(num.grid_min, num.grid_max, num.grid_n)
-    matrices = [("coframe", "h", scenario.coframe)]
-    if gauge and scenario.gauge is not None:
-        matrices.append(("gauge", "g", scenario.gauge))
-    for section, stem, field in matrices:
-        for i, row in enumerate(field.matrix, start=1):
-            for j, entry in enumerate(row, start=1):
+    for section, values in scenario.sections.items():
+        for key, value in values.items():
+            if isinstance(value, Expr):
                 try:
-                    evaluate_fields([entry], *points.T)
+                    evaluate_fields([scalar_field(value)], *points.T)
                 except EvaluationError as exc:
-                    raise ScenarioError(f"[{section}] {stem}{i}{j}: {exc}") from exc
-        field.validate(points)
+                    raise ScenarioError(f"[{section}] {key}: {exc}") from exc
+    scenario.coframe.validate(points)
+    if gauge and scenario.gauge is not None:
+        scenario.gauge.validate(points)
     return points
 
 
-def _residual_checks(table, points):
-    """`_check` rows of (name, residual_fields, reference_fields, tolerance) entries, from one walk."""
-    values = normalized_residuals([(res, ref) for _, res, ref, _ in table], points)
+def _residual_checks(table, points, e):
+    """`_check` rows of (name, residual_fields, reference_fields, tolerance) entries, from one
+    walk, each field read in the frame components of the coframe `e`."""
+    pairs = [([e.in_frame(f) for f in res], [e.in_frame(f) for f in ref]) for _, res, ref, _ in table]
+    values = normalized_residuals(pairs, points)
     return [_check(name, value, tol) for (name, _, _, tol), value in zip(table, values)]
 
 
@@ -199,7 +202,7 @@ def _cmd_check(scenario: Scenario, args):
     ]
 
     first, second, third = bianchi_residuals(e, omega)
-    split = curvature_split_residual(e, T, Q)
+    split = curvature_split_residual(gamma, L, omega)
     reference = omega.entries() + frame
     table = [
         ("levi-civita-contract", contract, frame + gamma.entries(), tol),
@@ -212,7 +215,7 @@ def _cmd_check(scenario: Scenario, args):
     if scenario.gauge is not None:
         flat = pure_gauge_connection(scenario.gauge)
         table.append(("gauge-flatness", curvature(flat).entries(), flat.entries(), tol))
-    return _residual_checks(table, points), None, None, {}
+    return _residual_checks(table, points, e), None, None, {}
 
 
 def _build_connection(scenario: Scenario):
@@ -233,23 +236,19 @@ def _cmd_defects(scenario: Scenario, args):
     omega = _build_connection(scenario)
     extracted = extract_defects(e, omega)
 
+    # every value reported, the CSV's too, is a frame component
     sampled = {
-        "burgers": extracted.burgers,
-        "frank": extracted.frank,
-        "point": extracted.point,
-        "rho": extracted.scalar,
-        "generalized_burgers": extracted.generalized_burgers,
+        "burgers": e.in_frame(extracted.burgers),
+        "frank": e.in_frame(extracted.frank),
+        "point": e.in_frame(extracted.point),
+        "rho": e.in_frame(extracted.scalar),
+        "generalized_burgers": e.in_frame(extracted.generalized_burgers),
     }
     groups = [[f] for f in sampled.values()]
     if scenario.gauge is None:
         given = scenario.defects
-        residual = [
-            extracted.burgers - given.burgers,
-            extracted.frank - given.frank,
-            extracted.point - given.point,
-            extracted.scalar - given.scalar,
-        ]
-        reference = [given.burgers, given.frank, given.point, given.scalar]
+        reference = [e.in_frame(f) for f in (given.burgers, given.frank, given.point, given.scalar)]
+        residual = [x - g for x, g in zip(sampled.values(), reference)]
         round_trip, *values = normalized_residuals([(residual, reference)], points, groups=groups)
         checks = [_check("extraction-round-trip", round_trip, tol)]
     else:
@@ -257,16 +256,15 @@ def _cmd_defects(scenario: Scenario, args):
     samples = {"field_max_abs": {name: float(np.max(np.abs(v))) for name, v in zip(sampled, values)}}
     extras = {}
     if args.csv:
-        _write_defect_csv(args.csv, scenario, extracted)
+        _write_defect_csv(args.csv, scenario, list(sampled.values()))
         extras["csv"] = args.csv
     calib = {"frank_scale": FRANK_SCALE, "c1": C1, "c2": C2}
     return checks, calib, samples, extras
 
 
-def _write_defect_csv(path, scenario: Scenario, d):
+def _write_defect_csv(path, scenario: Scenario, fields):
     """The five defect fields on the scenario grid, one row per node, block by block."""
     num = scenario.numerics
-    fields = [d.burgers, d.frank, d.point, d.scalar, d.generalized_burgers]
     header = "x,y,z,b1,b2,b3,O1,O2,O3,m1,m2,m3,rho,B1,B2,B3"
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -310,7 +308,7 @@ def _cmd_kinematics(scenario: Scenario, args):
         ("dislocation-curvature-identity", dislocation_gap, A + B, EXACT_TOL),
         ("disclination-curvature-identity", disclination_gap, C + R_sym, EXACT_TOL),
     ]
-    checks = _residual_checks(table, points)
+    checks = _residual_checks(table, points, e)
     calib = {
         "dislocation_curvature_factor": DISLOCATION_CURVATURE_FACTOR,
         "disclination_curvature_factor": DISCLINATION_CURVATURE_FACTOR,
@@ -356,6 +354,7 @@ def _cmd_elastic(scenario: Scenario, args):
             ("stress-paths-agree", path_gap, strain_fields, EXACT_TOL),
         ],
         points,
+        e,
     )
 
     center = 0.5 * (scenario.numerics.grid_min + scenario.numerics.grid_max)
@@ -381,7 +380,7 @@ def _cmd_energy(scenario: Scenario, args):
 
     form = lagrangian_form(d, k, e)
     gap = [form - lagrangian_vector(d, k, e)]
-    checks = _residual_checks([("lagrangian-representations-agree", gap, [form], EXACT_TOL)], points)
+    checks = _residual_checks([("lagrangian-representations-agree", gap, [form], EXACT_TOL)], points, e)
     estimate = total_free_energy_estimate(
         d,
         k,

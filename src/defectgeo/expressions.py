@@ -708,7 +708,7 @@ def _parse_atom(tz):
             if k3 != ")":
                 raise ParseError(p3, "')'", l3)
             tz.take()
-            return Fun(lexeme, arg)
+            return fun(lexeme, arg)
         raise ParseError(pos, "a variable, constant or function name", lexeme)
     if kind == "(":
         tz.take()

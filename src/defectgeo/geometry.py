@@ -86,7 +86,8 @@ class _MatrixField:
 
 
 class CoFrame(_MatrixField):
-    """Orthonormal coframe e^a = h^a_b dx^b for a triad matrix h."""
+    """Orthonormal coframe e^a = h^a_b dx^b for a triad matrix h; `in_frame` reads a
+    form in its e-frame components, the coordinate scalars every command reports."""
 
     def __init__(self, triad):
         super().__init__(triad)
@@ -106,6 +107,11 @@ class CoFrame(_MatrixField):
             acc = acc + hinv[b - 1][a - 1] * interior(b, alpha)
         return acc
 
+    def in_frame(self, alpha: FormField) -> FormField:
+        """`alpha` with its components on the e-frame basis (alpha itself on the identity
+        frame): unlike its Cartesian coefficients, they do not move with the coordinates."""
+        return alpha if self.is_identity else substitute_basis(alpha, self.inverse_matrix)
+
     def hodge(self, alpha: FormField) -> FormField:
         """Hodge dual for the metric in which this coframe is orthonormal.
 
@@ -113,9 +119,7 @@ class CoFrame(_MatrixField):
         """
         if self.is_identity:
             return hodge(alpha)
-        to_frame = [[self.inverse_matrix[j][a] for a in range(3)] for j in range(3)]
-        from_frame = [[self.matrix[a][b] for b in range(3)] for a in range(3)]
-        return substitute_basis(hodge(substitute_basis(alpha, to_frame)), from_frame)
+        return substitute_basis(hodge(self.in_frame(alpha)), self.matrix)
 
     def volume(self) -> FormField:
         """The invariant volume 3-form *1."""
@@ -370,15 +374,14 @@ def bianchi_residuals(e: CoFrame, omega: TensorFormField):
     return first, second, third
 
 
-def curvature_split_residual(e: CoFrame, T: TensorFormField, Q: TensorFormField) -> TensorFormField:
+def curvature_split_residual(gamma: TensorFormField, L: TensorFormField, omega: TensorFormField) -> TensorFormField:
     """R(gamma + L) - [R(gamma) + D(gamma)L + L ^ L]; vanishes identically.
 
-    D(gamma) is the Levi-Civita covariant exterior derivative of the
-    one-up/one-down matrix L^a_b.
+    Takes the connections its caller built: the Levi-Civita gamma, the
+    defect one-form L and omega = connection_with(gamma, L).  D(gamma) is
+    the Levi-Civita covariant exterior derivative of the one-up/one-down
+    matrix L^a_b.
     """
-    gamma = levi_civita_connection(e)
-    L = defect_one_form(T, Q, e)
-    omega = connection_with(gamma, L)
     R_full = curvature(omega)
     R_riem = curvature(gamma)
     L_ud = TensorFormField.build(("u", "d"), 1, lambda a, b: L.entry(a, b))

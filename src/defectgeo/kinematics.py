@@ -11,9 +11,10 @@ frame index a,
 equivalently *db = -(1/3) rho b + 4 rho O + (2/3) drho - (2/9) rho m, and
 the disclination/point-defect balance splits into *dm = 0, the generalized
 Beltrami equation *dO = rho O, and an algebraic bilinear constraint on b
-and O.  Every Hodge dual is the coframe's, and the disclination and
-point-defect residuals are read in frame components i_a(.), since the paper
-states the theory in orthonormal frames.
+and O.  Every Hodge dual is the coframe's, and the `kinematics` command
+reads each residual and reference these builders return in frame components
+(CoFrame.in_frame), since the paper states the theory in orthonormal frames:
+every value it reports is a coordinate scalar.
 
 For curved connections (generic defect fields) the same combinations equal
 fixed multiples of curvature contractions instead of zero.

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .defects import DefectFields
@@ -100,7 +100,8 @@ class Scenario:
     material: MaterialConstants | None
     couplings: Couplings | None
     numerics: Numerics
-    sections: frozenset = field(default_factory=frozenset)
+    #: the parsed values of each section the file gives, by key, in file order
+    sections: dict
 
     def has(self, section: str) -> bool:
         return section in self.sections
@@ -270,7 +271,7 @@ def _assemble(sections, key_lines) -> Scenario:
         material=material,
         couplings=couplings,
         numerics=numerics,
-        sections=frozenset(sections),
+        sections=sections,
     )
 
 

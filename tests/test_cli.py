@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, report schema, determinism, CSV export."""
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectgeo.cli import _build_parser, main
 
@@ -305,6 +308,36 @@ def test_a_non_finite_triad_entry_is_bad_input_naming_its_key_where_no_residual_
     path.write_text('[coframe]\nh12 = "exp(1000)"\n[defects]\nrho = "x"\n[couplings]\nkappa2 = 1.0\n')
     assert run([command, path]) == 2
     assert capsys.readouterr().err == "error: [coframe] h12: non-finite field value inf at (-1.0, -1.0, -1.0, 0.0)\n"
+
+
+#: a file whose deformation map is infinite everywhere, though its gradients are finite
+INFINITE_MAP = '[deformation]\nkind = {kind}\nX1 = "x + 1e400"\nX2 = "y"\nX3 = "z"\n[material]\nlambda = 1.0\nmu = 1.0\n'
+
+
+@pytest.mark.parametrize(
+    "text,commands,message",
+    [
+        (INFINITE_MAP.format(kind="inverse"), ["check", "elastic", "calibrate"], "[deformation] X1: non-finite field value inf"),
+        (INFINITE_MAP.format(kind="forward"), ["check", "elastic", "calibrate"], "[deformation] X1: non-finite field value inf"),
+        (
+            '[defects]\nb1 = "x + 1e400"\n[couplings]\nkappa2 = 1.0\n',
+            ["check", "defects", "kinematics", "energy", "calibrate"],
+            "[defects] b1: non-finite field value inf",
+        ),
+    ],
+)
+def test_every_given_expression_is_bad_input_naming_its_key_under_every_command(tmp_path, capsys, text, commands, message):
+    """Each expression the file gives is walked where it enters, whether or not the
+    command reads it; the other commands first reject a missing section."""
+    path = tmp_path / "bad.toml"
+    path.write_text(text)
+    for command in ("check", "defects", "kinematics", "elastic", "energy", "calibrate"):
+        assert run([command, path]) == 2, command
+        err = capsys.readouterr().err
+        if command in commands:
+            assert err == f"error: {message} at (-1.0, -1.0, -1.0, 0.0)\n", command
+        else:
+            assert "missing required section" in err or "needs [defects]" in err, command
 
 
 @pytest.mark.parametrize("command", ["check", "defects"])
@@ -619,6 +652,9 @@ def test_disclination_and_point_defect_rows_are_frame_components(tmp_path):
     # read on the Cartesian coefficients, these two rows give 0.166 and 12.31
     assert checks["disclination-beltrami"]["max_residual"] <= 1e-12
     assert checks["bilinear-constraint"]["max_residual"] == pytest.approx(12.0, abs=1e-12)
+    # and the dislocation balance 2.684: a 3-form's coefficient is det h times its frame value
+    assert original["dislocation-balance"]["max_residual"] == 2.6666666666666665
+    assert checks["dislocation-balance"]["max_residual"] == pytest.approx(2.6666666666666665, rel=1e-12)
 
     # each rewritten row can still fail on the curved frame
     _, checks = _kinematics_checks(tmp_path, PULLED_BACK_BELTRAMI.replace('rho = "2"', 'rho = "2.02"'))
@@ -628,6 +664,113 @@ def test_disclination_and_point_defect_rows_are_frame_components(tmp_path):
     perturbed = PULLED_BACK_FAMILIES["a"].replace('m1 = "z + 0.1*x"', 'm1 = "z + 0.1*x + 0.01*y"')
     _, checks = _kinematics_checks(tmp_path, PULLBACK_COFRAME + perturbed)
     assert not checks["point-defect-curl"]["passed"]
+
+
+#: the map phi of PULLBACK_COFRAME
+PHI = ("x + 0.1*y^2", "y + 0.05*z*x", "z + 0.1*x")
+
+#: the two families of PULLED_BACK_FAMILIES on the identity frame
+FAMILIES = {
+    "a": '[defects]\nb1 = "3.6*y"\nb2 = "3.6*x"\nb3 = "3.6*z"\nomega1 = "y"\nomega2 = "x"\nomega3 = "z"\n'
+    'm1 = "z"\nm3 = "x"\nrho = "0"\n',
+    "b": '[defects]\nb1 = "sin(2*z)"\nb2 = "cos(2*z)"\nrho = "-6"\n',
+}
+
+
+def _given_values(text, points):
+    """The triad entries and defect fields of a scenario text, on `points`."""
+    from defectgeo.sampling import batch_components
+    from defectgeo.scenario import parse_scenario
+
+    scenario = parse_scenario(text)
+    d = scenario.defects
+    return batch_components([f for row in scenario.coframe.matrix for f in row] + [d.burgers, d.frank, d.point, d.scalar], points)
+
+
+def test_the_inline_curved_scenarios_are_pull_backs_along_phi():
+    from defectgeo.sampling import sample_points
+
+    from util import pull_back
+
+    points = sample_points(30, seed=5)
+    pairs = [(PULLED_BACK_BELTRAMI, pull_back((SCENARIOS / "beltrami.toml").read_text(), PHI))]
+    pairs += [(PULLBACK_COFRAME + PULLED_BACK_FAMILIES[k], pull_back(FAMILIES[k], PHI)) for k in FAMILIES]
+    for inline, generated in pairs:
+        assert np.allclose(_given_values(inline, points), _given_values(generated, points), rtol=0.0, atol=1e-14)
+
+
+KINEMATICS_ROWS = (
+    "dislocation-balance",
+    "point-defect-curl",
+    "disclination-beltrami",
+    "bilinear-constraint",
+    "dislocation-curvature-identity",
+    "disclination-curvature-identity",
+)
+
+
+@functools.lru_cache(maxsize=4)
+def _kinematics_pairs(text):
+    """The (residual, reference) field lists of each `kinematics` row on a scenario
+    text, as the command hands them to its one walk (which is skipped)."""
+    from unittest import mock
+
+    from defectgeo import cli
+    from defectgeo.scenario import parse_scenario
+
+    pairs = []
+    with mock.patch.object(cli, "normalized_residuals", lambda rows, points: pairs.extend(rows) or [0.0] * len(rows)):
+        cli._cmd_kinematics(parse_scenario(text), None)
+    assert len(pairs) == len(KINEMATICS_ROWS)
+    return pairs
+
+
+#: a polynomial map near the identity: each coordinate plus up to three small monomials
+NEAR_IDENTITY = st.tuples(
+    *(
+        st.lists(
+            st.tuples(st.sampled_from(["x", "y", "z", "x^2", "y^2", "z^2", "x*y", "y*z", "z*x"]), st.integers(-5, 5)),
+            max_size=3,
+        ).map(lambda terms, var=var: var + "".join(f" + ({k / 100})*{m}" for m, k in terms))
+        for var in "xyz"
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(name=st.sampled_from(["bench-curved", "beltrami"]), phi=NEAR_IDENTITY)
+def test_every_kinematics_row_is_a_frame_scalar_under_a_pull_back(name, phi):
+    """A frame component is a coordinate scalar: at each point u of the pull-back along
+    phi, every row's residual and reference read what the original's read at phi(u)."""
+    from defectgeo import expressions as ex
+    from defectgeo.sampling import batch_components, sample_points
+
+    from util import pull_back
+
+    text = BENCH_CURVED if name == "bench-curved" else (SCENARIOS / "beltrami.toml").read_text()
+    points = sample_points(20, seed=11)
+    at_phi = points.copy()
+    at_phi[:, :3] = np.stack(ex.evaluate_many([ex.parse_expr(p) for p in phi], *points.T)).T
+    for row, (res, ref), (res0, ref0) in zip(KINEMATICS_ROWS, _kinematics_pairs(pull_back(text, phi)), _kinematics_pairs(text)):
+        got, want = batch_components(res + ref, points), batch_components(res0 + ref0, at_phi)
+        gap = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        assert gap <= 1e-12, (row, gap)
+
+
+def test_defect_csv_columns_are_the_files_own_frame_components(tmp_path):
+    """On a curved triad each CSV column is the value the file gives, b1..rho, at the grid node."""
+    from defectgeo import expressions as ex
+
+    scenario, csv_path = tmp_path / "curved.toml", tmp_path / "grid.csv"
+    scenario.write_text(BENCH_CURVED)
+    assert run(["defects", scenario, "--grid", "4", "--csv", csv_path]) == 0
+    table = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    given = dict(re.findall(r'^(\w+) = "(.*)"$', BENCH_CURVED.split("[defects]")[1], flags=re.M))
+    keys = ["b1", "b2", "b3", "omega1", "omega2", "omega3", "m1", "m2", "m3", "rho"]
+    want = ex.evaluate_many([ex.parse_expr(given[k]) for k in keys], *table[:, :3].T, np.zeros(len(table)))
+    b, O, m = (np.array(want[i:i + 3]) for i in (0, 3, 6))
+    want = np.vstack([b, O, m, want[9:], b - 3.0 * O + (2.0 / 3.0) * m])
+    assert np.allclose(table[:, 3:].T, want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("scenario", ["beltrami", "full-triad"])
@@ -668,12 +811,21 @@ def test_no_check_residual_subtracts_a_node_from_itself(tmp_path, monkeypatch, s
     from defectgeo import cli
     from defectgeo import expressions as ex
 
+    from defectgeo.geometry import CoFrame
+
     pending, rows = [], []  # residuals awaiting their row's name; (name, residual)
+    built = {}  # id of a field read in frame components -> (that field, the field it reads)
+
+    def in_frame(self, alpha):
+        framed = original_in_frame(self, alpha)
+        built[id(framed)] = (framed, alpha)
+        return framed
 
     def recording(original):
         def normalized_residuals(pairs, *args):
             pairs = list(pairs)
-            pending.extend(res for res, _ in pairs)
+            # each residual as the command built it, before it is read in frame components
+            pending.extend([built.get(id(f), (f, f))[1] for f in res] for res, _ in pairs)
             return original(pairs, *args)
 
         return normalized_residuals
@@ -683,6 +835,8 @@ def test_no_check_residual_subtracts_a_node_from_itself(tmp_path, monkeypatch, s
             rows.append((name, pending.pop(0)))
         return original_check(name, *args)
 
+    original_in_frame = CoFrame.in_frame
+    monkeypatch.setattr(CoFrame, "in_frame", in_frame)
     monkeypatch.setattr(cli, "normalized_residuals", recording(cli.normalized_residuals))
     original_check = cli._check
     monkeypatch.setattr(cli, "_check", check)

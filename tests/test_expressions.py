@@ -504,3 +504,11 @@ def test_scalar_evaluation_matches_a_one_element_walk_bit_for_bit(roots, coords)
         assert np.array_equal(point, walk) and np.array_equal(np.signbit(point), np.signbit(walk))
     else:
         assert isinstance(point, EvaluationError) and point.point == coords
+
+
+def test_a_function_of_constants_folds_where_it_is_parsed():
+    # the parser builds through fun(), as every other builder does
+    assert ex.parse_expr("exp(1000)") is ex.fun("exp", ex.Num(1000.0)) is ex.Num(math.inf)
+    assert ex.parse_expr("sin(0.5)") is ex.Num(float(np.sin(0.5)))
+    # so the derivative of a constant is 0, not inf - inf
+    assert ex.to_text(ex.differentiate(ex.parse_expr("exp(1000)*x"), "x")) == "1e400"

@@ -9,9 +9,9 @@ dropped line.  Now and then a flag is out of range too.  Each file runs
 through `cli.main` under every command, and each run must keep the
 README's contract: exit 0, 1 or 2, never 3; at most one line on stderr, and
 none on exit 0; a strict JSON report on exits 0 and 1; on exit 2 a message
-that names a line, a key, a flag or a point; and on exit 0 every triad
-entry, and for a command that reads the gauge every gauge entry, is finite
-at the check points.
+that names a line, a key, a flag or a point; and on exit 0 every expression
+the file gives is finite at the check points, whether or not the command
+reads it.
 
 The same expressions, and their derivatives, print as text that parses
 back to the same node.
@@ -28,13 +28,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from defectgeo.cli import main
-from defectgeo.expressions import FUNCTIONS, VARIABLES, differentiate, parse_expr, to_text
-from defectgeo.sampling import batch_components, check_points
+from defectgeo.expressions import FUNCTIONS, VARIABLES, Expr, differentiate, parse_expr, to_text
+from defectgeo.fields import evaluate_fields, scalar_field
+from defectgeo.sampling import check_points
 from defectgeo.scenario import _SCHEMA, parse_scenario
 
 COMMANDS = ("check", "defects", "kinematics", "elastic", "energy", "calibrate")
-#: the commands that read [gauge]
-GAUGE_COMMANDS = ("check", "defects")
 
 EXPRS = st.recursive(
     st.sampled_from(["x", "y", "z", "t", "0", "1", "0.5", "-2", "pi", "1000", "1e400"]),
@@ -113,16 +112,13 @@ def _strict(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-def _entries(text, flags, command):
-    """The triad entries of a scenario text, and the gauge entries if `command` reads them,
-    with the check points of the run."""
+def _given_expressions(text, flags):
+    """Every expression a scenario text gives, as 0-form fields, with the check points of the run."""
     scenario = parse_scenario(text)
     num = scenario.numerics
     grid = int(flags[1]) if flags[:1] == ["--grid"] else num.grid_n
-    matrices = [scenario.coframe]
-    if command in GAUGE_COMMANDS and scenario.gauge is not None:
-        matrices.append(scenario.gauge)
-    return [f for m in matrices for row in m.matrix for f in row], check_points(num.grid_min, num.grid_max, grid)
+    given = [scalar_field(v) for values in scenario.sections.values() for v in values.values() if isinstance(v, Expr)]
+    return given, check_points(num.grid_min, num.grid_max, grid)
 
 
 def _names_a_place(message):
@@ -153,7 +149,8 @@ def test_every_command_keeps_the_exit_contract_on_generated_scenarios(text, flag
                 assert not report.exists()
                 assert _names_a_place(message), message
             if code == 0:
-                batch_components(*_entries(text, flags, command))  # raises on a value that is not finite
+                given, points = _given_expressions(text, flags)
+                evaluate_fields(given, *points.T)  # raises on a value that is not finite
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

@@ -463,7 +463,8 @@ def test_curvature_split_zero_defect():
     e = random_coframe(rng, amplitude=0.1)
     T = TensorFormField.zero(("u",), 2)
     Q = TensorFormField.zero(("d", "d"), 1)
-    res = curvature_split_residual(e, T, Q)
+    gamma, L = levi_civita_connection(e), defect_one_form(T, Q, e)
+    res = curvature_split_residual(gamma, L, connection_with(gamma, L))
     assert normalized_residual(res.entries(), [e.e(a) for a in FRAME_INDICES], PTS) <= 1e-10
 
 
@@ -472,6 +473,7 @@ def test_curvature_split_random_restricted():
     e = random_coframe(rnd, amplitude=0.1)
     d = random_defects(rnd)
     T, Q = reconstruct_defect_geometry(d, e)
-    res = curvature_split_residual(e, T, Q)
+    gamma, L = levi_civita_connection(e), defect_one_form(T, Q, e)
+    res = curvature_split_residual(gamma, L, connection_with(gamma, L))
     reference = T.entries() + Q.entries() + [e.e(a) for a in FRAME_INDICES]
     assert normalized_residual(res.entries(), reference, PTS) <= 1e-8

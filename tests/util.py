@@ -5,7 +5,9 @@ wedge oracle expands basis products with its own permutation-sign routine,
 and derivatives are checked against plain central differences.
 """
 
+import functools
 import operator
+import re
 
 import numpy as np
 
@@ -330,10 +332,38 @@ def two_walk_normalized_residual(residual_fields, reference_fields, points):
     return float(np.max(res.max(axis=0) / scale))
 
 
+def pull_back(text, phi):
+    """Scenario `text` pulled back along the map phi, three expression strings in x, y, z.
+
+    The triad becomes (h o phi) . D(phi), so the coframe is the pull-back
+    phi^* e^a, and each [defects] expression is composed with phi, since a
+    frame component is a scalar.  Every other line is copied as it is; the
+    text's [coframe] lines are replaced by the new triad.
+    """
+    from defectgeo.scenario import parse_scenario
+
+    maps = [ex.parse_expr(p) for p in phi]
+    at_phi = dict(zip("xyz", maps))
+    h = [[ex.substitute(f.comps[0], at_phi) for f in row] for row in parse_scenario(text).coframe.matrix]
+    jacobian = [[ex.differentiate(p, var) for var in "xyz"] for p in maps]
+    triad = [[functools.reduce(ex.add, (ex.mul(h[a][b], jacobian[b][c]) for b in range(3))) for c in range(3)] for a in range(3)]
+    lines = ["[coframe]"] + [f'h{a + 1}{c + 1} = "{ex.to_text(triad[a][c])}"' for a in range(3) for c in range(3)]
+    section = None
+    for line in text.splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        section = header.group(1) if header else section
+        entry = re.fullmatch(r'(\w+) = "(.*)"', line.strip())
+        if section == "defects" and entry:
+            line = f'{entry.group(1)} = "{ex.to_text(ex.substitute(ex.parse_expr(entry.group(2)), at_phi))}"'
+        if section != "coframe":
+            lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 def unblocked_defect_csv(scenario_path, csv_path, grid_n):
     """`defectgeo defects --grid grid_n --csv csv_path` written from one walk over
-    every grid node at once, the grid built by meshgrid: the oracle for the
-    bytes of the blocked writer."""
+    every grid node at once, the grid built by meshgrid, each field read in
+    frame components: the oracle for the bytes of the blocked writer."""
     from dataclasses import replace
 
     from defectgeo.cli import _build_connection
@@ -345,7 +375,7 @@ def unblocked_defect_csv(scenario_path, csv_path, grid_n):
     d = extract_defects(scenario.coframe, _build_connection(scenario))
     axis = np.linspace(num.grid_min, num.grid_max, num.grid_n)
     xs, ys, zs = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
-    fields = [d.burgers, d.frank, d.point, d.scalar, d.generalized_burgers]
+    fields = [scenario.coframe.in_frame(f) for f in (d.burgers, d.frank, d.point, d.scalar, d.generalized_burgers)]
     values = ex.evaluate_many([c for f in fields for c in f.comps], xs, ys, zs, np.zeros(xs.size))
     table = np.column_stack([xs, ys, zs] + [np.broadcast_to(v, xs.shape) for v in values])
     with open(csv_path, "w", encoding="utf-8") as fh:
