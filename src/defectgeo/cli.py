@@ -37,7 +37,7 @@ except ImportError:
 
 from .defects import FRANK_SCALE, GENERALIZED_BURGERS_C1 as C1, GENERALIZED_BURGERS_C2 as C2
 from .defects import extract_defects, reconstruct_defect_geometry
-from .errors import DefectGeoError, EvaluationError, ScenarioError
+from .errors import DefectGeoError, EvaluationError, ScenarioError, SingularGauge, SingularTriad
 from .expressions import Expr
 from .fields import evaluate_fields, matrix_multiply, scalar_field
 from .forms import FRAME_INDICES
@@ -52,7 +52,7 @@ from .geometry import (
     pure_gauge_connection,
     torsion,
 )
-from .sampling import batch_groups, check_points, grid_blocks, normalized_residuals
+from .sampling import batch_groups, check_points, grid_blocks, normalized_residuals, require_nonsingular
 from .scenario import Scenario, decode_scenario, parse_scenario, validate_numerics
 
 SCHEMA = "defectgeo-report-v2"
@@ -140,9 +140,9 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return replace(scenario, numerics=num)
 
 
-def _validated_points(scenario: Scenario, gauge=False):
+def _validated_points(scenario: Scenario):
     """The scenario's check points, once each expression the file gives is found finite on
-    them and the coframe nonsingular; with `gauge`, the gauge matrix too, if given.
+    them and the coframe and the gauge matrix, if given, nonsingular.
 
     An expression is walked on its own, in file order, so an error names its key,
     `[coframe] h12` say, whether or not the command reads it.
@@ -156,9 +156,9 @@ def _validated_points(scenario: Scenario, gauge=False):
                     evaluate_fields([scalar_field(value)], *points.T)
                 except EvaluationError as exc:
                     raise ScenarioError(f"[{section}] {key}: {exc}") from exc
-    scenario.coframe.validate(points)
-    if gauge and scenario.gauge is not None:
-        scenario.gauge.validate(points)
+    require_nonsingular(scenario.coframe.determinant, points, SingularTriad, "coframe triad")
+    if scenario.gauge is not None:
+        require_nonsingular(scenario.gauge.determinant, points, SingularGauge, "gauge matrix")
     return points
 
 
@@ -184,7 +184,7 @@ def _check(name, max_residual, tolerance):
 
 def _cmd_check(scenario: Scenario, args):
     tol = scenario.numerics.tolerance
-    points = _validated_points(scenario, gauge=True)
+    points = _validated_points(scenario)
     e = scenario.coframe
 
     gamma = levi_civita_connection(e)
@@ -231,7 +231,7 @@ def _cmd_defects(scenario: Scenario, args):
     if not (scenario.has("defects") or (scenario.has("coframe") and scenario.has("gauge"))):
         raise ScenarioError("the defects command needs [defects] or [coframe]+[gauge]")
     tol = scenario.numerics.tolerance
-    points = _validated_points(scenario, gauge=True)
+    points = _validated_points(scenario)
     e = scenario.coframe
     omega = _build_connection(scenario)
     extracted = extract_defects(e, omega)

@@ -24,7 +24,7 @@ from .errors import EvaluationError, InvalidMaterial
 from .fields import FormField, VectorField, component_field, field_sum, wedge, zero_field
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, TensorFormField
-from .sampling import grid_blocks, grid_counts, normalized_residuals
+from .sampling import grid_counts, grid_sum, normalized_residuals
 
 if TYPE_CHECKING:
     from .elasticity import MaterialConstants
@@ -139,10 +139,8 @@ def total_free_energy(d: DefectFields, k: Couplings, bounds_min, bounds_max, res
     density = component_field(lagrangian_form(d, k, e), 1, 2, 3)
     counts = (n,) * 3
     cell = np.prod([(hi - lo) / n for lo, hi in zip(bounds_min, bounds_max)])
-    blocks = grid_blocks(bounds_min, bounds_max, counts, midpoints=True)
-    # one sum over the whole grid: the same summation order as an unblocked walk
-    vals = np.concatenate([density.evaluate_batch(*block.T).components[0] for block in blocks])
-    total = float(np.sum(vals) * cell)
+    midpoint_sum = grid_sum(lambda block: density.evaluate_batch(*block.T).components[0], bounds_min, bounds_max, counts)
+    total = float(midpoint_sum * cell)
     if not np.isfinite(total):
         raise EvaluationError(
             f"free-energy quadrature at resolution {counts[0]} over the box {tuple(bounds_min)} to "

@@ -18,7 +18,8 @@ derivative of abs is defined as sign, with sign(0) = 0.
 The constructors fold a node whose operands are numbers: + - * / and
 negation in Python floats, which round as numpy's do, a function or power
 by walking the node.  So a folded constant has the walk's bits, an
-overflow folds to inf or nan, and a node the walk raises on stays.
+overflow folds to inf or nan, and a node the walk raises on stays.  But a
+zero absorbs any factor other than a finite number: 0 * inf folds to 0.
 
 Nodes are immutable and interned (hash-consed): calling `Num`, `Var`,
 `Bin`, ... with the fields of an existing node returns that node, so
@@ -225,6 +226,10 @@ def _is_num(e, value=None):
     return type(e) is Num and (value is None or e.value == value)  # Num has no subclasses
 
 
+def _is_finite(e):
+    return type(e) is Num and math.isfinite(e.value)
+
+
 # ---- folding constructors ------------------------------------------------
 
 
@@ -249,10 +254,11 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
+    # a zero absorbs any factor but a finite number, whose product keeps the sign of zero
+    if _is_num(a, 0.0) and not _is_finite(b) or _is_num(b, 0.0) and not _is_finite(a):
+        return ZERO
     if _is_num(a) and _is_num(b):
         return Num(a.value * b.value)
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return ZERO
     if _is_num(a, 1.0):
         return b
     if _is_num(b, 1.0):

@@ -30,7 +30,6 @@ import functools
 import itertools
 
 from . import expressions as ex
-from .errors import SingularGauge, SingularTriad
 from .fields import (
     FormField,
     VectorField,
@@ -47,7 +46,6 @@ from .fields import (
     zero_field,
 )
 from .forms import FRAME_INDICES
-from .sampling import require_nonsingular
 
 
 def _is_identity_matrix(m):
@@ -79,10 +77,6 @@ class _MatrixField:
     @functools.cached_property
     def determinant(self) -> FormField:
         return matrix_determinant(self.matrix)
-
-    def _check_invertible(self, points, error_cls, what):
-        if not self.is_identity:
-            require_nonsingular(self.determinant, points, error_cls, what)
 
 
 class CoFrame(_MatrixField):
@@ -125,19 +119,12 @@ class CoFrame(_MatrixField):
         """The invariant volume 3-form *1."""
         return self.hodge(scalar_field(1.0))
 
-    def validate(self, points):
-        """Raise SingularTriad if |det h| drops below 1e-8 at any sampled point."""
-        self._check_invertible(points, SingularTriad, "coframe triad")
-
 
 class GaugeField(_MatrixField):
     """Invertible 3x3 matrix of scalar fields; generates flat connections."""
 
     def entry(self, a: int, b: int) -> FormField:
         return self.matrix[a - 1][b - 1]
-
-    def validate(self, points):
-        self._check_invertible(points, SingularGauge, "gauge matrix")
 
 
 class TensorFormField:

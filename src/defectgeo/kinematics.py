@@ -39,7 +39,7 @@ from .geometry import (
     defect_one_form,
     levi_civita_connection,
 )
-from .sampling import grid_blocks, grid_counts
+from .sampling import grid_counts, grid_sum
 
 
 # ---- balance laws ---------------------------------------------------------------
@@ -185,12 +185,14 @@ def extra_matter(
 
     cx, cy, cz = center
     cell = (2.0 * radius / n) ** 3
-    vals = []
-    for block in grid_blocks([c - radius for c in center], [c + radius for c in center], (n,) * 3, midpoints=True):
+
+    def in_ball(block):
         x, y, z, _ = block.T
         inside = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2 <= radius**2
-        vals.append(np.where(inside, density.evaluate_batch(*block.T).components[0], 0.0))
-    volume_total = float(np.sum(np.concatenate(vals)) * cell)
+        return np.where(inside, density.evaluate_batch(*block.T).components[0], 0.0)
+
+    lo, hi = [c - radius for c in center], [c + radius for c in center]
+    volume_total = float(grid_sum(in_ball, lo, hi, (n,) * 3) * cell)
 
     thetas = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
     phis = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)

@@ -4,9 +4,9 @@ A point set is one float array of shape (n, 4) with rows (x, y, z, t), so
 `len(points)` counts its points.  Only this module builds them, all at
 t = 0, so their rows are (x, y, z, 0): seeded random points
 (`sample_points`), strided grid nodes (`check_points`) and whole grids in
-blocks of at most BLOCK rows (`grid_blocks`).  Every `points` argument takes
-one, and none has a default; `fields.Point` is for evaluating a field at one
-point.
+blocks of at most BLOCK rows (`grid_blocks` for nodes, `grid_sum` for a sum
+over cell centres).  Every `points` argument takes one, and none has a
+default; `fields.Point` is for evaluating a field at one point.
 """
 
 from __future__ import annotations
@@ -42,14 +42,15 @@ def check_points(lo, hi, n):
 
 def batch_components(fields, points):
     """Stack the signed components of several fields at several points: shape (n_values, n_points)."""
-    return np.vstack([np.atleast_2d(v.components) for v in evaluate_fields(fields, *points.T)])
+    values = [np.atleast_2d(v.components) for v in evaluate_fields(fields, *points.T)]
+    return np.vstack([np.empty((0, len(points)))] + values)
 
 
 def batch_groups(groups, points):
     """`[batch_components(g, points) for g in groups]`, from one walk over all the fields."""
     groups = [list(g) for g in groups]
     fields = [f for g in groups for f in g]
-    stacked = batch_components(fields, points) if fields else np.empty((0, len(points)))
+    stacked = batch_components(fields, points)
     bounds = np.cumsum([0] + [sum(COMPONENT_COUNTS[f.degree] for f in g) for g in groups])
     return [stacked[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -90,24 +91,36 @@ def require_nonsingular(det, points, error, what):
         raise error(f"{what} determinant {vals[worst]:.3e} below {DET_FLOOR} at {Point(*map(float, points[worst]))}")
 
 
-def grid_blocks(bounds_min, bounds_max, counts, midpoints=False):
-    """Axis-aligned grid in `ij` order, as point sets of at most BLOCK rows.
+def _grid_rows(axes, counts, lo, hi):
+    """Rows lo..hi-1 of the grid on `axes` in `ij` order, read from the axes by flat index."""
+    return _point_set(*(axis[i] for axis, i in zip(axes, np.unravel_index(np.arange(lo, hi), counts))))
 
-    `midpoints=True` gives cell centres (midpoint quadrature).  Each block's
-    coordinates are read from the axes by flat index, so no array of the
-    whole grid is built.
-    """
-    axes = []
-    for lo, hi, n in zip(bounds_min, bounds_max, counts):
-        if midpoints:
-            edges = np.linspace(lo, hi, n + 1)
-            axes.append(0.5 * (edges[:-1] + edges[1:]))
-        else:
-            axes.append(np.linspace(lo, hi, n))
+
+def grid_blocks(bounds_min, bounds_max, counts):
+    """The nodes of an axis-aligned grid in `ij` order, as point sets of at most BLOCK rows."""
+    axes = [np.linspace(lo, hi, n) for lo, hi, n in zip(bounds_min, bounds_max, counts)]
     total = int(np.prod(counts))
     for lo in range(0, total, BLOCK):
-        index = np.unravel_index(np.arange(lo, min(lo + BLOCK, total)), counts)
-        yield _point_set(*(axis[i] for axis, i in zip(axes, index)))
+        yield _grid_rows(axes, counts, lo, min(lo + BLOCK, total))
+
+
+def grid_sum(values, bounds_min, bounds_max, counts) -> float:
+    """Sum of `values(points)` over a grid's cell centres, at most BLOCK points at a time.
+
+    The index ranges follow numpy's pairwise summation (a range splits after half its
+    length rounded down to a multiple of 8; each leaf is one `np.add.reduce`), so the
+    sum has the bits of one `np.sum` over every value.
+    """
+    edges = [np.linspace(lo, hi, n + 1) for lo, hi, n in zip(bounds_min, bounds_max, counts)]
+    axes = [0.5 * (e[:-1] + e[1:]) for e in edges]
+
+    def pairwise(lo, hi):
+        if hi - lo <= BLOCK:
+            return float(np.add.reduce(values(_grid_rows(axes, counts, lo, hi))))
+        mid = lo + (hi - lo) // 2 // 8 * 8
+        return pairwise(lo, mid) + pairwise(mid, hi)
+
+    return pairwise(0, int(np.prod(counts)))
 
 
 def grid_counts(name, value, counts):

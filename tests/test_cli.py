@@ -340,7 +340,14 @@ def test_every_given_expression_is_bad_input_naming_its_key_under_every_command(
             assert "missing required section" in err or "needs [defects]" in err, command
 
 
-@pytest.mark.parametrize("command", ["check", "defects"])
+#: every section some command needs, so that each command reaches the input gate
+ALL_SECTIONS = (
+    '[defects]\nrho = "x"\n[couplings]\nkappa2 = 1.0\n'
+    '[deformation]\nX1 = "x"\nX2 = "y"\nX3 = "z"\n[material]\nlambda = 1.0\nmu = 1.0\n'
+)
+
+
+@pytest.mark.parametrize("command", ["check", "defects", "kinematics", "elastic", "energy", "calibrate"])
 @pytest.mark.parametrize(
     "gauge,message",
     [
@@ -349,8 +356,9 @@ def test_every_given_expression_is_bad_input_naming_its_key_under_every_command(
     ],
 )
 def test_every_command_that_reads_the_gauge_validates_it(tmp_path, capsys, command, gauge, message):
+    """A given gauge is checked under every command, whether or not the command reads it."""
     path = tmp_path / "gauge.toml"
-    path.write_text(f'[coframe]\nh11 = "1"\n[gauge]\n{gauge}\n')
+    path.write_text(f'[coframe]\nh11 = "1"\n[gauge]\n{gauge}\n{ALL_SECTIONS}')
     assert run([command, path]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

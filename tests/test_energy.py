@@ -20,7 +20,7 @@ from defectgeo.fields import Point, scalar_field, symbolic, wedge, zero_field
 from defectgeo.geometry import CoFrame
 from defectgeo.sampling import normalized_residual, sample_points
 
-from util import flat_cross, flat_dot, flat_vector, random_defects
+from util import flat_cross, flat_dot, flat_vector, random_coframe, random_defects, unblocked_total_free_energy
 
 rng = np.random.default_rng(909)
 PTS = sample_points(30, seed=60)
@@ -275,6 +275,14 @@ def test_total_energy_quadratic_integrand():
     assert est.error_estimate <= 0.01 * third
     # Richardson estimate brackets the true coarse-grid error direction
     assert abs(est.fine - third) < abs(est.coarse - third)
+
+
+def test_total_energy_on_many_blocks_equals_one_unblocked_sum():
+    rng = np.random.default_rng(31)
+    d, e = random_defects(rng), random_coframe(rng)
+    k = Couplings(kappa1=1.0, kappa2=0.5, kappa3=2.0, kappa4=0.3, kappa5=-0.2, kappa6=0.1, kappa7=0.4)
+    box = ((-1.0, -0.5, 0.0), (1.0, 0.5, 2.0))
+    assert total_free_energy(d, k, *box, 48, e) == unblocked_total_free_energy(d, k, *box, 48, e)
 
 
 def test_total_energy_resolution_validation():

@@ -512,3 +512,14 @@ def test_a_function_of_constants_folds_where_it_is_parsed():
     assert ex.parse_expr("sin(0.5)") is ex.Num(float(np.sin(0.5)))
     # so the derivative of a constant is 0, not inf - inf
     assert ex.to_text(ex.differentiate(ex.parse_expr("exp(1000)*x"), "x")) == "1e400"
+
+
+def test_a_zero_factor_absorbs_a_non_finite_number():
+    # so the derivative of an overflowing constant is 0, not inf * 0 = nan
+    assert ex.mul(ex.Num(math.inf), ex.ZERO) is ex.ZERO
+    assert ex.mul(ex.ZERO, ex.Num(math.nan)) is ex.ZERO
+    assert ex.mul(ex.Num(-math.inf), ex.Num(-0.0)) is ex.ZERO
+    assert ex.to_text(ex.differentiate(ex.parse_expr("exp(1000)*x*y"), "y")) == "1e400 * x"
+    # a finite product still folds in Python floats, sign of zero included
+    assert ex.mul(ex.Num(-0.0), ex.Num(5.0)) is ex.Num(-0.0)
+    assert ex.mul(ex.Num(2.0), ex.Num(math.inf)) is ex.Num(math.inf)

@@ -26,7 +26,7 @@ from defectgeo.geometry import (
     transform_connection,
     transform_tensor,
 )
-from defectgeo.sampling import normalized_residual, normalized_residuals, sample_points
+from defectgeo.sampling import normalized_residual, normalized_residuals, require_nonsingular, sample_points
 
 from util import connection, point_array, random_coframe, random_defects
 
@@ -224,14 +224,15 @@ def test_pure_gauge_flatness_random():
 
 def test_singular_gauge_detection():
     gauge = GaugeField([["x", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-    with pytest.raises(SingularGauge):
-        gauge.validate(point_array(Point(0.0, 0.0, 0.0)))
+    with pytest.raises(SingularGauge, match=r"gauge matrix determinant 0\.000e\+00 below 1e-08 at Point\(x=0\.0"):
+        require_nonsingular(gauge.determinant, point_array(Point(0.0, 0.0, 0.0)), SingularGauge, "gauge matrix")
 
 
 def test_singular_triad_detection():
     e = CoFrame([["x", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
-    with pytest.raises(SingularTriad):
-        e.validate(point_array(Point(1.0, 0, 0), Point(0.0, 0, 0)))
+    points = point_array(Point(1.0, 0, 0), Point(0.0, 0, 0))
+    with pytest.raises(SingularTriad, match=r"coframe triad determinant 0\.000e\+00 below 1e-08 at Point\(x=0\.0"):
+        require_nonsingular(e.determinant, points, SingularTriad, "coframe triad")
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -160,3 +160,44 @@ def test_the_scan_finds_a_defaulted_caller_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_public_function_defaults_a_coframe_points_or_time(path):
     assert defaulted_caller_parameters(path.read_text()) == []
+
+
+def sampling_imports(source: str):
+    """(line, name) for each name `source` imports from `.sampling`, or the module itself."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "sampling":
+                found += [(node.lineno, a.name) for a in node.names]
+            elif node.module is None:
+                found += [(node.lineno, a.name) for a in node.names if a.name == "sampling"]
+    return found
+
+
+def reads_name(source: str, name: str) -> bool:
+    """Whether `source` imports `name` or reads it as a name or an attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
+            return True
+        if isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+    return False
+
+
+def test_the_layering_scans_find_an_import_and_a_read():
+    source = "from . import fields, sampling\nfrom .sampling import grid_sum as s\n\ndef f():\n    return sampling.grid_blocks\n"
+    assert sampling_imports(source) == [(1, "sampling"), (2, "grid_sum")]
+    assert reads_name(source, "grid_blocks") and not reads_name(source, "grid_counts")
+    assert reads_name("from .sampling import grid_blocks\n", "grid_blocks")
+
+
+@pytest.mark.parametrize("name", ["geometry", "defects"])
+def test_geometry_and_defects_take_no_point_sets(name):
+    """Geometry and defect constructions return fields; the caller chooses where to sample them."""
+    assert sampling_imports((PACKAGE / f"{name}.py").read_text()) == []
+
+
+def test_only_sampling_and_cli_walk_whole_grids_of_nodes():
+    """A sum over a grid goes through `sampling.grid_sum`; `grid_blocks` is for writing nodes."""
+    readers = [path.stem for path in MODULES if reads_name(path.read_text(), "grid_blocks")]
+    assert set(readers) <= {"sampling", "cli"}

@@ -1,13 +1,15 @@
 """One-walk reductions: grouped batches, residual tables and the determinant floor."""
 
+import re
+
 import numpy as np
 import pytest
 
 from defectgeo import sampling
+from defectgeo.cli import main
 from defectgeo.errors import SingularTriad
 from defectgeo.fields import Point, scalar_field, symbolic
-from defectgeo.geometry import CoFrame
-from defectgeo.sampling import batch_components, batch_groups, normalized_residuals, sample_points
+from defectgeo.sampling import batch_components, batch_groups, max_abs, normalized_residuals, sample_points
 
 from util import point_array, random_defects, random_form_field, two_walk_normalized_residual
 
@@ -30,6 +32,12 @@ def test_batch_groups_equals_per_group_batches():
         assert values.shape == want.shape
         assert np.array_equal(values, want)
     assert [g.shape for g in batch_groups([[], []], points)] == [(0, 17), (0, 17)]
+
+
+def test_no_fields_give_no_values():
+    points = sample_points(5, seed=1)
+    assert batch_components([], points).shape == (0, 5)
+    assert max_abs([], points) == 0.0
 
 
 def test_normalized_residuals_equal_the_two_walk_reference():
@@ -70,9 +78,17 @@ def test_point_set_constructors_match_point_lists():
     assert got.dtype == float and got.shape == (125, 4)
     assert np.array_equal(got, point_array(*nodes[:: len(nodes) // 125][:125]))
 
-    cells = _grid_point_list(-1.0, 1.0, 21, midpoints=True)
-    blocks = list(sampling.grid_blocks((-1.0,) * 3, (1.0,) * 3, (21,) * 3, midpoints=True))
+    nodes = _grid_point_list(-1.0, 1.0, 21)
+    blocks = list(sampling.grid_blocks((-1.0,) * 3, (1.0,) * 3, (21,) * 3))
     assert [len(b) for b in blocks] == [sampling.BLOCK, 21**3 - sampling.BLOCK]
+    assert all(b.dtype == float and b.shape[1] == 4 for b in blocks)
+    assert np.array_equal(np.vstack(blocks), point_array(*nodes))
+
+    # grid_sum hands its callable the cell centres, in pairwise halves of at most BLOCK rows
+    cells = _grid_point_list(-1.0, 1.0, 21, midpoints=True)
+    blocks = []
+    sampling.grid_sum(lambda block: blocks.append(block) or block[:, 0], (-1.0,) * 3, (1.0,) * 3, (21,) * 3)
+    assert [len(b) for b in blocks] == [4624, 21**3 - 4624]
     assert all(b.dtype == float and b.shape[1] == 4 for b in blocks)
     assert np.array_equal(np.vstack(blocks), point_array(*cells))
 
@@ -88,8 +104,31 @@ def test_require_nonsingular_names_the_smallest_determinant():
     sampling.require_nonsingular(det, point_array(), SingularTriad, "probe")
 
 
-def test_coframe_validation_uses_the_shared_floor():
-    e = CoFrame([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "x"]])
-    points = np.vstack([sample_points(10, seed=2), point_array(Point(0.0, 0.5, 0.5))])
-    with pytest.raises(SingularTriad, match=r"coframe triad determinant 0\.000e\+00 below 1e-08 at"):
-        e.validate(points)
+def test_coframe_validation_uses_the_shared_floor(tmp_path, capsys):
+    # the 5^3 check grid has nodes at x = 0, where det h = x vanishes
+    path = tmp_path / "singular.toml"
+    path.write_text('[coframe]\nh33 = "x"\n[numerics]\ngrid_n = 5\n')
+    assert main(["check", str(path)]) == 2
+    assert re.fullmatch(
+        r"error: coframe triad determinant 0\.000e\+00 below 1e-08 at Point\(x=0\.0, .*\)\n", capsys.readouterr().err
+    )
+
+
+BLOCK = sampling.BLOCK
+
+
+@pytest.mark.parametrize(
+    "counts", [(BLOCK - 1, 1, 1), (BLOCK, 1, 1), (1, BLOCK + 1, 1), (1, 1, 3 * BLOCK + 5), (48,) * 3, (64,) * 3]
+)
+def test_grid_sum_has_the_bits_of_one_np_sum(counts):
+    """If numpy's pairwise summation order changes, this fails before a golden drifts."""
+
+    def values(points):
+        x, y, z, _ = points.T
+        return np.exp(9.0 * x) * np.sin(1e3 * y + 1e2 * z + x)
+
+    lo, hi = (-1.0, -0.5, 0.25), (1.0, 2.0, 0.75)
+    axes = [np.linspace(a, b, n + 1) for a, b, n in zip(lo, hi, counts)]
+    cells = np.meshgrid(*(0.5 * (a[:-1] + a[1:]) for a in axes), indexing="ij")
+    want = np.sum(values(np.column_stack([c.ravel() for c in cells] + [np.zeros(cells[0].size)])))
+    assert sampling.grid_sum(values, lo, hi, counts) == want

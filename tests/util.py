@@ -382,3 +382,17 @@ def unblocked_defect_csv(scenario_path, csv_path, grid_n):
         fh.write("x,y,z,b1,b2,b3,O1,O2,O3,m1,m2,m3,rho,B1,B2,B3\n")
         for row in table:
             fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def unblocked_total_free_energy(d, k, bounds_min, bounds_max, n, e):
+    """`energy.total_free_energy` from one walk over every cell centre at once, the
+    grid built by meshgrid and summed by one `np.sum`: the oracle for the blocked sum."""
+    from defectgeo.energy import lagrangian_form
+    from defectgeo.fields import component_field
+
+    density = component_field(lagrangian_form(d, k, e), 1, 2, 3)
+    axes = [np.linspace(lo, hi, n + 1) for lo, hi in zip(bounds_min, bounds_max)]
+    xs, ys, zs = (a.ravel() for a in np.meshgrid(*(0.5 * (a[:-1] + a[1:]) for a in axes), indexing="ij"))
+    (values,) = ex.evaluate_many(density.comps, xs, ys, zs, np.zeros(xs.size))
+    cell = np.prod([(hi - lo) / n for lo, hi in zip(bounds_min, bounds_max)])
+    return float(np.sum(np.broadcast_to(values, xs.shape)) * cell)
