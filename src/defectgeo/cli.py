@@ -52,7 +52,7 @@ from .geometry import (
     pure_gauge_connection,
     torsion,
 )
-from .sampling import batch_groups, check_points, grid_blocks, normalized_residuals, require_nonsingular
+from .sampling import check_points, grid_blocks, normalized_residuals, require_nonsingular
 from .scenario import Scenario, decode_scenario, parse_scenario, validate_numerics
 
 SCHEMA = "defectgeo-report-v2"
@@ -81,7 +81,12 @@ def _run(args) -> int:
     scenario = _apply_overrides(parse_scenario(decode_scenario(data)), args)
     # non-finite values are reported as errors below, so numpy's warnings are noise
     with np.errstate(all="ignore"):
-        checks, calib, samples, extras = _COMMANDS[args.command](scenario, args)
+        points, rows, calib, samples, extras = _COMMANDS[args.command](scenario, args)
+        checks, field_max_abs = _judge(rows, points, scenario.coframe)
+        if field_max_abs:
+            samples = {"field_max_abs": field_max_abs}
+        if extras.get("csv"):  # after the judge, so a bad value at a check point leaves no grid
+            _write_defect_csv(extras["csv"], scenario, [value[0][0] for _, value, tol in rows if tol is None])
     elapsed = 0.0 if args.deterministic else time.perf_counter() - started
     digest = sha256(data).hexdigest()
     report = _assemble_report(args, scenario, digest, checks, calib, samples, extras, elapsed)
@@ -162,12 +167,19 @@ def _validated_points(scenario: Scenario):
     return points
 
 
-def _residual_checks(table, points, e):
-    """`_check` rows of (name, residual_fields, reference_fields, tolerance) entries, from one
-    walk, each field read in the frame components of the coframe `e`."""
-    pairs = [([e.in_frame(f) for f in res], [e.in_frame(f) for f in ref]) for _, res, ref, _ in table]
-    values = normalized_residuals(pairs, points)
-    return [_check(name, value, tol) for (name, _, _, tol), value in zip(table, values)]
+def _judge(rows, points, e):
+    """The `_check` dicts of a command's (name, value, tolerance) rows, and {name: value}
+    of its rows without a tolerance, from one walk.
+
+    A value is a number or a (residual fields, reference fields) pair, which reads
+    `normalized_residual` with each field in the frame components of the coframe `e`;
+    against no reference fields that is max |residual|.
+    """
+    pairs = [[[e.in_frame(f) for f in side] for side in value] for _, value, _ in rows if isinstance(value, tuple)]
+    walked = iter(normalized_residuals(pairs, points))
+    values = [next(walked) if isinstance(value, tuple) else value for _, value, _ in rows]
+    checks = [_check(name, value, tol) for (name, _, tol), value in zip(rows, values) if tol is not None]
+    return checks, {name: value for (name, _, tol), value in zip(rows, values) if tol is None}
 
 
 def _check(name, max_residual, tolerance):
@@ -204,18 +216,18 @@ def _cmd_check(scenario: Scenario, args):
     first, second, third = bianchi_residuals(e, omega)
     split = curvature_split_residual(gamma, L, omega)
     reference = omega.entries() + frame
-    table = [
-        ("levi-civita-contract", contract, frame + gamma.entries(), tol),
-        ("defect-round-trip", round_trip, T.entries() + Q.entries(), tol),
-        ("bianchi-curvature", first.entries(), reference, tol),
-        ("bianchi-torsion", second.entries(), reference, tol),
-        ("bianchi-nonmetricity", third.entries(), reference, tol),
-        ("curvature-split", split.entries(), reference, tol),
+    rows = [
+        ("levi-civita-contract", (contract, frame + gamma.entries()), tol),
+        ("defect-round-trip", (round_trip, T.entries() + Q.entries()), tol),
+        ("bianchi-curvature", (first.entries(), reference), tol),
+        ("bianchi-torsion", (second.entries(), reference), tol),
+        ("bianchi-nonmetricity", (third.entries(), reference), tol),
+        ("curvature-split", (split.entries(), reference), tol),
     ]
     if scenario.gauge is not None:
         flat = pure_gauge_connection(scenario.gauge)
-        table.append(("gauge-flatness", curvature(flat).entries(), flat.entries(), tol))
-    return _residual_checks(table, points, e), None, None, {}
+        rows.append(("gauge-flatness", (curvature(flat).entries(), flat.entries()), tol))
+    return points, rows, None, None, {}
 
 
 def _build_connection(scenario: Scenario):
@@ -232,39 +244,30 @@ def _cmd_defects(scenario: Scenario, args):
         raise ScenarioError("the defects command needs [defects] or [coframe]+[gauge]")
     tol = scenario.numerics.tolerance
     points = _validated_points(scenario)
-    e = scenario.coframe
-    omega = _build_connection(scenario)
-    extracted = extract_defects(e, omega)
-
-    # every value reported, the CSV's too, is a frame component
+    extracted = extract_defects(scenario.coframe, _build_connection(scenario))
+    # a row of no tolerance is a `field_max_abs` sample and a group of CSV columns
     sampled = {
-        "burgers": e.in_frame(extracted.burgers),
-        "frank": e.in_frame(extracted.frank),
-        "point": e.in_frame(extracted.point),
-        "rho": e.in_frame(extracted.scalar),
-        "generalized_burgers": e.in_frame(extracted.generalized_burgers),
+        "burgers": extracted.burgers,
+        "frank": extracted.frank,
+        "point": extracted.point,
+        "rho": extracted.scalar,
+        "generalized_burgers": extracted.generalized_burgers,
     }
-    groups = [[f] for f in sampled.values()]
+    rows = [(name, ([f], []), None) for name, f in sampled.items()]
     if scenario.gauge is None:
         given = scenario.defects
-        reference = [e.in_frame(f) for f in (given.burgers, given.frank, given.point, given.scalar)]
+        reference = [given.burgers, given.frank, given.point, given.scalar]
         residual = [x - g for x, g in zip(sampled.values(), reference)]
-        round_trip, *values = normalized_residuals([(residual, reference)], points, groups=groups)
-        checks = [_check("extraction-round-trip", round_trip, tol)]
-    else:
-        checks, values = [], batch_groups(groups, points)
-    samples = {"field_max_abs": {name: float(np.max(np.abs(v))) for name, v in zip(sampled, values)}}
-    extras = {}
-    if args.csv:
-        _write_defect_csv(args.csv, scenario, list(sampled.values()))
-        extras["csv"] = args.csv
+        rows.insert(0, ("extraction-round-trip", (residual, reference), tol))
     calib = {"frank_scale": FRANK_SCALE, "c1": C1, "c2": C2}
-    return checks, calib, samples, extras
+    return points, rows, calib, None, {"csv": args.csv} if args.csv else {}
 
 
 def _write_defect_csv(path, scenario: Scenario, fields):
-    """The five defect fields on the scenario grid, one row per node, block by block."""
+    """The five defect fields on the scenario grid in frame components, one row per node,
+    block by block."""
     num = scenario.numerics
+    fields = [scenario.coframe.in_frame(f) for f in fields]
     header = "x,y,z,b1,b2,b3,O1,O2,O3,m1,m2,m3,rho,B1,B2,B3"
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -300,21 +303,20 @@ def _cmd_kinematics(scenario: Scenario, args):
     A, B, C, R_sym = curvature_identity_sides(d, e)
     dislocation_gap = [a - b * DISLOCATION_CURVATURE_FACTOR for a, b in zip(A, B)]
     disclination_gap = [c - r * DISCLINATION_CURVATURE_FACTOR for c, r in zip(C, R_sym)]
-    table = [
-        ("dislocation-balance", A, reference, tol),
-        ("point-defect-curl", point_curl, reference, tol),
-        ("disclination-beltrami", beltrami, reference, tol),
-        ("bilinear-constraint", [f for row in algebraic for f in row], reference, tol),
-        ("dislocation-curvature-identity", dislocation_gap, A + B, EXACT_TOL),
-        ("disclination-curvature-identity", disclination_gap, C + R_sym, EXACT_TOL),
+    rows = [
+        ("dislocation-balance", (A, reference), tol),
+        ("point-defect-curl", (point_curl, reference), tol),
+        ("disclination-beltrami", (beltrami, reference), tol),
+        ("bilinear-constraint", ([f for row in algebraic for f in row], reference), tol),
+        ("dislocation-curvature-identity", (dislocation_gap, A + B), EXACT_TOL),
+        ("disclination-curvature-identity", (disclination_gap, C + R_sym), EXACT_TOL),
     ]
-    checks = _residual_checks(table, points, e)
     calib = {
         "dislocation_curvature_factor": DISLOCATION_CURVATURE_FACTOR,
         "disclination_curvature_factor": DISCLINATION_CURVATURE_FACTOR,
         "frank_scale": FRANK_SCALE,
     }
-    return checks, calib, None, {}
+    return points, rows, calib, None, {}
 
 
 def _cmd_elastic(scenario: Scenario, args):
@@ -346,16 +348,11 @@ def _cmd_elastic(scenario: Scenario, args):
         stress.entry(a, b) - stress_c.entry(a, b) for a in FRAME_INDICES for b in FRAME_INDICES
     ]
     strain_fields = [strain.entry(a, b) for a in FRAME_INDICES for b in FRAME_INDICES]
-    volume_gap = [volume_relation_residual(dm, e)]
-    checks = _residual_checks(
-        [
-            ("gradient-inverse", gap, push_fields, 1e-10),
-            ("volume-relation", volume_gap, push_fields, max(tol, 1e-8)),
-            ("stress-paths-agree", path_gap, strain_fields, EXACT_TOL),
-        ],
-        points,
-        e,
-    )
+    rows = [
+        ("gradient-inverse", (gap, push_fields), 1e-10),
+        ("volume-relation", ([volume_relation_residual(dm, e)], push_fields), max(tol, 1e-8)),
+        ("stress-paths-agree", (path_gap, strain_fields), EXACT_TOL),
+    ]
 
     center = 0.5 * (scenario.numerics.grid_min + scenario.numerics.grid_max)
     stress_fields = [stress.entry(a, b) for a in FRAME_INDICES for b in FRAME_INDICES]
@@ -366,7 +363,7 @@ def _cmd_elastic(scenario: Scenario, args):
         "strain": [values[3 * a: 3 * a + 3] for a in range(3)],
         "stress": [values[9 + 3 * a: 12 + 3 * a] for a in range(3)],
     }
-    return checks, None, samples, {}
+    return points, rows, None, samples, {}
 
 
 def _cmd_energy(scenario: Scenario, args):
@@ -379,8 +376,6 @@ def _cmd_energy(scenario: Scenario, args):
     d, k = scenario.defects, scenario.couplings
 
     form = lagrangian_form(d, k, e)
-    gap = [form - lagrangian_vector(d, k, e)]
-    checks = _residual_checks([("lagrangian-representations-agree", gap, [form], EXACT_TOL)], points, e)
     estimate = total_free_energy_estimate(
         d,
         k,
@@ -389,8 +384,10 @@ def _cmd_energy(scenario: Scenario, args):
         num.grid_n,
         e=e,
     )
-    scale = max(abs(estimate.fine), 1e-8)
-    checks.append(_check("richardson-consistent", estimate.error_estimate / scale, 0.01))
+    rows = [
+        ("lagrangian-representations-agree", ([form - lagrangian_vector(d, k, e)], [form]), EXACT_TOL),
+        ("richardson-consistent", estimate.error_estimate / max(abs(estimate.fine), 1e-8), 0.01),
+    ]
     samples = {
         "resolution": [num.grid_n, 2 * num.grid_n],
         "coarse": estimate.coarse,
@@ -398,7 +395,7 @@ def _cmd_energy(scenario: Scenario, args):
         "extrapolated": estimate.extrapolated,
         "error_estimate": estimate.error_estimate,
     }
-    return checks, None, samples, {}
+    return points, rows, None, samples, {}
 
 
 def _cmd_calibrate(scenario: Scenario, args):
@@ -407,34 +404,26 @@ def _cmd_calibrate(scenario: Scenario, args):
     points = _validated_points(scenario)
     calib = calibration.run_calibration(scenario.coframe, points)
     invariants = calib.pop("quadratic_invariants")
-    checks = [
-        _check(
-            "frank-scale-regression",
-            abs(calib["frank_scale"] - FRANK_SCALE) / FRANK_SCALE,
-            1e-3,
-        ),
-        _check("frank-scale-position-independent", calib["frank_scale_rel_std"], 1e-3),
-        _check(
+    rows = [
+        ("frank-scale-regression", abs(calib["frank_scale"] - FRANK_SCALE) / FRANK_SCALE, 1e-3),
+        ("frank-scale-position-independent", calib["frank_scale_rel_std"], 1e-3),
+        (
             "dislocation-factor-regression",
             abs(calib["dislocation_factor"] - calibration.DISLOCATION_CURVATURE_FACTOR),
             1e-6,
         ),
-        _check("dislocation-fit-residual", calib["dislocation_fit_residual"], FIT_RESIDUAL_TOL),
-        _check(
+        ("dislocation-fit-residual", calib["dislocation_fit_residual"], FIT_RESIDUAL_TOL),
+        (
             "disclination-factor-regression",
             abs(calib["disclination_factor"] - calibration.DISCLINATION_CURVATURE_FACTOR),
             1e-6,
         ),
-        _check(
-            "flux-factor-regression",
-            abs(calib["ansatz_flux_factor"] - calibration.ANSATZ_FLUX_FACTOR),
-            1e-6,
-        ),
-        _check("piece1-interior-trace", calib["piece1_interior_trace"], 1e-10),
-        _check("piece1-wedge-trace", calib["piece1_wedge_trace"], 1e-10),
+        ("flux-factor-regression", abs(calib["ansatz_flux_factor"] - calibration.ANSATZ_FLUX_FACTOR), 1e-6),
+        ("piece1-interior-trace", calib["piece1_interior_trace"], 1e-10),
+        ("piece1-wedge-trace", calib["piece1_wedge_trace"], 1e-10),
     ]
-    checks += [_check(f"invariant-{name}", value, EXACT_TOL) for name, value in invariants.items()]
-    return checks, calib, None, {}
+    rows += [(f"invariant-{name}", value, EXACT_TOL) for name, value in invariants.items()]
+    return points, rows, calib, None, {}
 
 
 _COMMANDS = {

@@ -187,9 +187,12 @@ def extra_matter(
     cell = (2.0 * radius / n) ** 3
 
     def in_ball(block):
+        # evaluated inside the ball only: a density finite there may overflow outside it
         x, y, z, _ = block.T
         inside = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2 <= radius**2
-        return np.where(inside, density.evaluate_batch(*block.T).components[0], 0.0)
+        values = np.zeros(len(block))
+        values[inside] = density.evaluate_batch(*block[inside].T).components[0]
+        return values
 
     lo, hi = [c - radius for c in center], [c + radius for c in center]
     volume_total = float(grid_sum(in_ball, lo, hi, (n,) * 3) * cell)

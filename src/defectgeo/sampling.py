@@ -59,17 +59,16 @@ def max_abs(fields, points) -> float:
     return float(np.max(np.abs(batch_components(fields, points)), initial=0.0))
 
 
-def normalized_residuals(pairs, points, groups=()) -> list:
-    """`normalized_residual` of each (residual_fields, reference_fields) pair, then the
-    `batch_groups` values of each field group in `groups`, all from one walk."""
+def normalized_residuals(pairs, points) -> list:
+    """`normalized_residual` of each (residual_fields, reference_fields) pair, all from one walk."""
     pairs = [(list(res), list(ref)) for res, ref in pairs]
-    blocks = iter(batch_groups([g for pair in pairs for g in pair] + list(groups), points))
+    blocks = iter(batch_groups([g for pair in pairs for g in pair], points))
     out = []
     for _, ref in pairs:
         res_vals, ref_vals = np.abs(next(blocks)), np.abs(next(blocks))
         scale = 1.0 + ref_vals.max(axis=0) if ref else 1.0
         out.append(float(np.max(res_vals.max(axis=0) / scale)))
-    return out + list(blocks)
+    return out
 
 
 def normalized_residual(residual_fields, reference_fields, points) -> float:

@@ -19,6 +19,7 @@ from util import point_array
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 README = SCENARIOS.parent / "README.md"
+COMMANDS = ("check", "defects", "kinematics", "elastic", "energy", "calibrate")
 
 
 def run(args):
@@ -402,7 +403,7 @@ def test_a_non_finite_check_value_is_bad_input_and_writes_no_report(tmp_path, mo
     from defectgeo import cli
 
     def infinite(scenario, args):
-        return [cli._check("overflowing-row", float("inf"), 1.0)], None, None, {}
+        return cli._validated_points(scenario), [("overflowing-row", float("inf"), 1.0)], None, None, {}
 
     monkeypatch.setitem(cli._COMMANDS, "check", infinite)
     report_path = tmp_path / "r.json"
@@ -720,17 +721,15 @@ KINEMATICS_ROWS = (
 @functools.lru_cache(maxsize=4)
 def _kinematics_pairs(text):
     """The (residual, reference) field lists of each `kinematics` row on a scenario
-    text, as the command hands them to its one walk (which is skipped)."""
-    from unittest import mock
-
+    text, read in frame components as the command's one walk reads them."""
     from defectgeo import cli
     from defectgeo.scenario import parse_scenario
 
-    pairs = []
-    with mock.patch.object(cli, "normalized_residuals", lambda rows, points: pairs.extend(rows) or [0.0] * len(rows)):
-        cli._cmd_kinematics(parse_scenario(text), None)
-    assert len(pairs) == len(KINEMATICS_ROWS)
-    return pairs
+    scenario = parse_scenario(text)
+    _, rows, *_ = cli._COMMANDS["kinematics"](scenario, None)
+    assert [name for name, _, _ in rows] == list(KINEMATICS_ROWS)
+    e = scenario.coframe
+    return [([e.in_frame(f) for f in res], [e.in_frame(f) for f in ref]) for _, (res, ref), _ in rows]
 
 
 #: a polynomial map near the identity: each coordinate plus up to three small monomials
@@ -812,59 +811,89 @@ FULL_TRIAD_ELASTIC = FULL_TRIAD + (SCENARIOS / "dilation.toml").read_text().spli
 TRANSCRIPTION_ROWS = {"curvature-split", "lagrangian-representations-agree"}
 
 
+@functools.lru_cache(maxsize=32)
+def _command_rows(text, command):
+    """A command's (name, value, tolerance) rows on a scenario text, unevaluated, or
+    None when the scenario lacks a section the command needs."""
+    from defectgeo import cli
+    from defectgeo.errors import ScenarioError
+    from defectgeo.scenario import parse_scenario
+
+    try:
+        return tuple(cli._COMMANDS[command](parse_scenario(text), _build_parser().parse_args([command, "s.toml"]))[1])
+    except ScenarioError as exc:
+        if "missing required section" in str(exc) or "command needs" in str(exc):
+            return None
+        raise
+
+
 @pytest.mark.parametrize("scenario", sorted(p.stem for p in SCENARIOS.glob("*.toml")) + ["full-triad"])
-def test_no_check_residual_subtracts_a_node_from_itself(tmp_path, monkeypatch, scenario):
+def test_no_check_residual_subtracts_a_node_from_itself(scenario):
     """Nodes are interned, so a residual component `Bin("-", X, X)` reads 0
     whatever X is: a check that nothing can fail."""
-    from defectgeo import cli
     from defectgeo import expressions as ex
 
-    from defectgeo.geometry import CoFrame
-
-    pending, rows = [], []  # residuals awaiting their row's name; (name, residual)
-    built = {}  # id of a field read in frame components -> (that field, the field it reads)
-
-    def in_frame(self, alpha):
-        framed = original_in_frame(self, alpha)
-        built[id(framed)] = (framed, alpha)
-        return framed
-
-    def recording(original):
-        def normalized_residuals(pairs, *args):
-            pairs = list(pairs)
-            # each residual as the command built it, before it is read in frame components
-            pending.extend([built.get(id(f), (f, f))[1] for f in res] for res, _ in pairs)
-            return original(pairs, *args)
-
-        return normalized_residuals
-
-    def check(name, *args):
-        if pending:  # the rows of a table are checked in its order, before any other row
-            rows.append((name, pending.pop(0)))
-        return original_check(name, *args)
-
-    original_in_frame = CoFrame.in_frame
-    monkeypatch.setattr(CoFrame, "in_frame", in_frame)
-    monkeypatch.setattr(cli, "normalized_residuals", recording(cli.normalized_residuals))
-    original_check = cli._check
-    monkeypatch.setattr(cli, "_check", check)
-    path = SCENARIOS / f"{scenario}.toml"
-    if scenario == "full-triad":
-        path = tmp_path / "full.toml"
-        path.write_text(FULL_TRIAD_ELASTIC)
-    for command in ("check", "defects", "kinematics", "elastic", "energy", "calibrate"):
-        run([command, path, "--json", tmp_path / "r.json"])
-        assert pending == []
-    assert rows
+    text = FULL_TRIAD_ELASTIC if scenario == "full-triad" else (SCENARIOS / f"{scenario}.toml").read_text()
+    rows = [row for command in COMMANDS for row in _command_rows(text, command) or ()]
+    residuals = [(name, value[0]) for name, value, tol in rows if isinstance(value, tuple) and tol is not None]
+    assert residuals
     tautologies = [
         name
-        for name, residual in rows
+        for name, residual in residuals
         if scenario == "full-triad" or name not in TRANSCRIPTION_ROWS
         for field in residual
         for c in field.comps
         if type(c) is ex.Bin and c.op == "-" and c.lhs is c.rhs
     ]
     assert tautologies == []
+
+
+#: rows that measure physics against the file's densities, not an identity
+BALANCE_ROWS = set(KINEMATICS_ROWS[:4])
+
+
+def test_every_identity_row_reads_exactly_zero_at_a_rational_point():
+    """In exact rational arithmetic every identity row holds to the last digit on a
+    generic polynomial triad, where a float walk rounds and so cannot tell a fault
+    of 1e-10 from rounding."""
+    from fractions import Fraction
+
+    from defectgeo.scenario import parse_scenario
+
+    from util import exact_normalized_residual
+
+    point = (Fraction(1, 3), Fraction(-2, 7), Fraction(3, 5), Fraction(0))
+    e = parse_scenario(FULL_TRIAD_ELASTIC).coframe
+    read = {}
+    for command in COMMANDS:
+        for name, value, tol in _command_rows(FULL_TRIAD_ELASTIC, command):
+            if isinstance(value, tuple) and tol is not None and name not in BALANCE_ROWS:
+                res, ref = ([e.in_frame(f) for f in side] for side in value)
+                read[name] = exact_normalized_residual(res, ref, point)
+    assert len(read) == 13
+    assert {name: float(v) for name, v in read.items() if v != 0} == {}
+
+
+#: the [gauge] section of the reference gauge scenario, a rotation about z
+GAUGE = "[gauge]" + (SCENARIOS / "gauge_rotation.toml").read_text().split("[gauge]")[1].split("[defects]")[0]
+
+
+def row_names():
+    """{command: the name of every row it can emit}, from its rows on the full triad
+    with and without a [gauge], in the order the command builds them."""
+    names = {command: [] for command in COMMANDS}
+    for text in (FULL_TRIAD_ELASTIC, FULL_TRIAD_ELASTIC + GAUGE):
+        for command in COMMANDS:
+            names[command] += [name for name, _, _ in _command_rows(text, command) if name not in names[command]]
+    return names
+
+
+def test_readme_names_every_row_of_every_command():
+    cli_section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1].split("\n## ")[0]
+    named = set(re.findall(r"`([\w-]+)`", cli_section))
+    names = row_names()
+    assert "gauge-flatness" in names["check"] and "extraction-round-trip" in names["defects"]
+    assert {command: [n for n in rows if n not in named] for command, rows in names.items()} == {c: [] for c in COMMANDS}
 
 
 DEFECT_GRID = """\

@@ -201,3 +201,35 @@ def test_only_sampling_and_cli_walk_whole_grids_of_nodes():
     """A sum over a grid goes through `sampling.grid_sum`; `grid_blocks` is for writing nodes."""
     readers = [path.stem for path in MODULES if reads_name(path.read_text(), "grid_blocks")]
     assert set(readers) <= {"sampling", "cli"}
+
+
+def command_reads(source: str, names):
+    """(function, name) for each of `names` that a module-level `_cmd_*` function of `source` reads."""
+    return [
+        (node.name, name)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+        for name in names
+        if reads_name(ast.unparse(node), name)
+    ]
+
+
+def call_count(source: str, name: str) -> int:
+    """How many calls in `source` call `name`, as a name or an attribute."""
+    return sum(
+        isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == name
+        for n in ast.walk(ast.parse(source))
+    )
+
+
+def test_the_command_scans_find_a_read_and_count_calls():
+    source = "def _cmd_a(s):\n    return _check(s)\n\ndef _judge(r):\n    return sampling.f(r) + f(r) + f\n"
+    assert command_reads(source, ["_check", "f"]) == [("_cmd_a", "_check")]
+    assert call_count(source, "f") == 2 and call_count(source, "_check") == 1
+
+
+def test_commands_return_rows_and_cli_judges_them_in_one_call():
+    """A command builds its rows; only `cli`'s one judge evaluates and checks them."""
+    source = (PACKAGE / "cli.py").read_text()
+    assert command_reads(source, ["normalized_residuals", "batch_groups", "_check"]) == []
+    assert call_count(source, "normalized_residuals") == 1

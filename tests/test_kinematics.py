@@ -311,6 +311,13 @@ def test_extra_matter_totals_from_bounded_blocks(monkeypatch):
     assert len(blocks) == 5
 
 
+def test_extra_matter_evaluates_the_density_inside_the_ball_only():
+    # finite for r^2 <= 1, infinite at the box corners (r^2 = 2.3 at the first cell centre)
+    report = extra_matter(symbolic(0, "exp(350*(x^2+y^2+z^2))"), volume_resolution=8, sphere_resolution=(8, 16))
+    assert np.isfinite(report.volume_total) and report.volume_total > 0.0
+    assert np.isfinite(report.flux_total) and report.flux_total > 0.0
+
+
 def test_extra_matter_rejects_bad_radius():
     for radius in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="radius must be positive and finite"):

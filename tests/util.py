@@ -8,6 +8,7 @@ and derivatives are checked against plain central differences.
 import functools
 import operator
 import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -285,6 +286,10 @@ def random_expr(rng, depth=4):
     return f"sqrt(1+({a})^2)"
 
 
+#: the four `Bin` operators
+BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def reference_evaluate(e, env):
     """Plain recursive, unmemoised evaluation of an expression node: the oracle
     for `expressions.evaluate_many`.
@@ -303,7 +308,7 @@ def reference_evaluate(e, env):
         a, b = reference_evaluate(e.lhs, env), reference_evaluate(e.rhs, env)
         if e.op == "/" and np.any(np.asarray(b) == 0.0):
             raise EvaluationError("division by zero")
-        return {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[e.op](a, b)
+        return BIN_OPS[e.op](a, b)
     if isinstance(e, ex.Sample):
         coords = [np.asarray(reference_evaluate(kid, env), dtype=float) for kid in e.kids]
         return e.source.values(*np.broadcast_arrays(*coords))[e.slot]
@@ -319,6 +324,36 @@ def reference_evaluate(e, env):
     if (e.name == "ln" and np.any(arr <= 0.0)) or (e.name == "sqrt" and np.any(arr < 0.0)):
         raise EvaluationError(f"{e.name} outside its domain")
     return (np.log if e.name == "ln" else getattr(np, e.name))(arr)
+
+
+def exact_values(exprs, point):
+    """Each expression of `exprs` at `point`, four Fractions (x, y, z, t), in exact
+    rational arithmetic over `expressions._postorder`: a `Num` reads as the nearest
+    fraction of denominator at most 10**9, a `Pow` takes integer exponents only, and
+    `Fun` and `Sample` nodes have no exact value."""
+    env = dict(zip(ex.VARIABLES, point))
+    value = {}
+    for node in ex._postorder(exprs):
+        if isinstance(node, ex.Num):
+            value[node] = Fraction(node.value).limit_denominator(10**9)
+        elif isinstance(node, ex.Var):
+            value[node] = env[node.name]
+        elif isinstance(node, ex.Bin):
+            value[node] = BIN_OPS[node.op](value[node.lhs], value[node.rhs])
+        elif isinstance(node, ex.Pow) and node.exponent.is_integer():
+            value[node] = value[node.base] ** int(node.exponent)
+        elif isinstance(node, ex.Neg):
+            value[node] = -value[node.arg]
+        else:
+            raise TypeError(f"no exact value for {ex.to_text(node)}")
+    return [value[e] for e in exprs]
+
+
+def exact_normalized_residual(residual_fields, reference_fields, point):
+    """max|residual| / (1 + max|reference|) at one point, from `exact_values`."""
+    res, ref = ([c for f in fields for c in f.comps] for fields in (residual_fields, reference_fields))
+    values = exact_values(res + ref, point)
+    return max(map(abs, values[:len(res)])) / (1 + max(map(abs, values[len(res):]), default=0))
 
 
 def two_walk_normalized_residual(residual_fields, reference_fields, points):
