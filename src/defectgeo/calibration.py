@@ -8,13 +8,13 @@ a re-measurement fails loudly on it.
 
 The `calibrate` CLI command re-measures `defects.FRANK_SCALE`, the two
 curvature factors and `ANSATZ_FLUX_FACTOR` at the scenario's check points,
-in its coframe, checks that both piece-1 traces vanish, and judges the six
-quadratic-invariant expansions.  The curvature factors are defined in
-`kinematics`, beside the identities whose rows apply them, and re-exported
-here; `calibrate` fits them by least squares on the probe defects, where
-both sides are well conditioned.  The piece-1 traces and the six invariant
-deviations are `sampling.normalized_residual` values, the one residual scale
-of every check.
+reading every field in the frame components of its coframe.  The curvature
+factors are defined in `kinematics`, beside the identities whose rows apply
+them, and re-exported here; `calibrate` fits them by least squares on the
+probe defects, where both sides are well conditioned.  The two piece-1
+traces and the six quadratic-invariant expansions are not evaluated here:
+they are (residual fields, reference fields) pairs, which `cli._judge`
+reads like every other residual row.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .kinematics import (  # the two curvature factors, re-exported under their 
     DISLOCATION_CURVATURE_FACTOR as DISLOCATION_CURVATURE_FACTOR,
     curvature_identity_sides,
 )
-from .sampling import batch_groups, normalized_residuals
+from .sampling import batch_groups
 
 #: the restricted-ansatz flux 2-forms satisfy N_a = 0.5 e_a ^ P; a literal
 #: piece2 = 0 reading would give 2/3 instead, so the factor is logged, not assumed
@@ -55,10 +55,15 @@ def probe_defects() -> DefectFields:
     )
 
 
-def _ratio_statistics(numerators, denominators, points):
-    """(mean, relative std) of numerator / denominator, component by component
-    at every point where |denominator| > 1e-9."""
-    num, den = batch_groups([numerators, denominators], points)
+def _frame_groups(groups, e: CoFrame, points):
+    """`batch_groups` of `groups` with each field read in the frame components of `e`."""
+    return batch_groups([[e.in_frame(f) for f in g] for g in groups], points)
+
+
+def _ratio_statistics(numerators, denominators, e: CoFrame, points):
+    """(mean, relative std) of numerator / denominator, frame component by frame
+    component at every point where |denominator| > 1e-9."""
+    num, den = _frame_groups([numerators, denominators], e, points)
     keep = np.abs(den) > 1e-9
     ratios = num[keep] / den[keep]
     mean = float(np.mean(ratios))
@@ -76,18 +81,18 @@ def measure_frank_scale(e: CoFrame, points):
     """(mean, relative std) of second-kind-trace(reconstruct(O, 0)) / O pointwise."""
     frank = probe_defects().frank
     P, _ = nonmetricity_second_trace(reconstruct_nonmetricity(frank, ff.zero_field(1), e), e)
-    return _ratio_statistics([P], [frank], points)
+    return _ratio_statistics([P], [frank], e, points)
 
 
 def measure_flux_factor(e: CoFrame, points):
     """(mean, relative std) of the factor c in N_a = c * e_a ^ P on the ansatz."""
     frank = probe_defects().frank
     P, flux = nonmetricity_second_trace(reconstruct_nonmetricity(frank, ff.zero_field(1), e), e)
-    return _ratio_statistics(flux.entries(), [ff.wedge(e.e(a), P) for a in FRAME_INDICES], points)
+    return _ratio_statistics(flux.entries(), [ff.wedge(e.e(a), P) for a in FRAME_INDICES], e, points)
 
 
-def measure_piece1_contractions(Q, e: CoFrame, points):
-    """`normalized_residual`s of i^a piece1_ab and e^a ^ piece1_ab against Q."""
+def piece1_contractions(Q, e: CoFrame):
+    """The (residual, reference) pairs of i^a piece1_ab and e^a ^ piece1_ab against Q."""
     piece1 = nonmetricity_pieces(Q, e).piece1.entry
     interior_fields = [
         ff.field_sum(e.interior(a, piece1(a, b)) for a in FRAME_INDICES) for b in FRAME_INDICES
@@ -95,30 +100,31 @@ def measure_piece1_contractions(Q, e: CoFrame, points):
     wedge_fields = [
         ff.field_sum(ff.wedge(e.e(a), piece1(a, b)) for a in FRAME_INDICES) for b in FRAME_INDICES
     ]
-    return normalized_residuals([(interior_fields, Q.entries()), (wedge_fields, Q.entries())], points)
+    return (interior_fields, Q.entries()), (wedge_fields, Q.entries())
 
 
-def run_calibration(e: CoFrame, points) -> dict:
-    """Measure every frozen constant once; returned dict feeds reports and tests."""
+def run_calibration(e: CoFrame, points):
+    """(constants, pairs): every frozen constant measured once at `points`, and
+    {row name: (residual fields, reference fields)} of the two piece-1 traces and
+    the six quadratic-invariant expansions, unevaluated."""
     d = probe_defects()
     frank_scale, frank_std = measure_frank_scale(e, points)
     flux_factor, flux_std = measure_flux_factor(e, points)
-    T, Q = reconstruct_defect_geometry(d, e)
-    piece1_interior, piece1_wedge = measure_piece1_contractions(Q, e, points)
-    A, B, C, R_sym = batch_groups(curvature_identity_sides(d, e), points)
+    A, B, C, R_sym = _frame_groups(curvature_identity_sides(d, e), e, points)
     dislocation_factor, dislocation_residual = fit_scale(A, B)
     disclination_factor, disclination_residual = fit_scale(C, R_sym)
-    return {
+    constants = {
         "frank_scale": frank_scale,
         "frank_scale_rel_std": frank_std,
         "frank_scale_frozen": FRANK_SCALE,
         "ansatz_flux_factor": flux_factor,
         "ansatz_flux_factor_rel_std": flux_std,
-        "piece1_interior_trace": piece1_interior,
-        "piece1_wedge_trace": piece1_wedge,
         "dislocation_factor": dislocation_factor,
         "dislocation_fit_residual": dislocation_residual,
         "disclination_factor": disclination_factor,
         "disclination_fit_residual": disclination_residual,
-        "quadratic_invariants": quadratic_invariants(T, Q, e, points),
     }
+    T, Q = reconstruct_defect_geometry(d, e)
+    pairs = dict(zip(("piece1-interior-trace", "piece1-wedge-trace"), piece1_contractions(Q, e)))
+    pairs.update((f"invariant-{name}", pair) for name, pair in quadratic_invariants(T, Q, e).items())
+    return constants, pairs

@@ -24,7 +24,7 @@ from .errors import EvaluationError, InvalidMaterial
 from .fields import FormField, VectorField, component_field, field_sum, wedge, zero_field
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, TensorFormField
-from .sampling import grid_counts, grid_sum, normalized_residuals
+from .sampling import grid_counts, grid_sum
 
 if TYPE_CHECKING:
     from .elasticity import MaterialConstants
@@ -170,14 +170,14 @@ def total_free_energy_estimate(d, k, bounds_min, bounds_max, resolution, e: CoFr
 # ---- quadratic invariants ----------------------------------------------------------
 
 
-def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, points) -> dict:
-    """{name: deviation} of the six trace-invariant expansions, each the
-    `normalized_residual` of lhs - rhs against lhs.
+def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame) -> dict:
+    """{name: ([lhs - rhs], [lhs])} of the six trace-invariant expansions, unevaluated:
+    each a (residual fields, reference fields) pair in coordinate components.
 
     All six hold identically for the restricted (T, Q), and `calibrate`
-    judges each at the exact-identity tolerance.  The expansions of O^*O and
-    b^*O (`frank-square`, `burgers-frank`) read the two-index coframe factor
-    as e_ac = e_a ^ e_c.
+    judges each at the exact-identity tolerance, in frame components.  The
+    expansions of O^*O and b^*O (`frank-square`, `burgers-frank`) read the
+    two-index coframe factor as e_ac = e_a ^ e_c.
     """
     trace_T, S = torsion_traces(T, e)
     trace_Q = nonmetricity_trace(Q)
@@ -274,8 +274,7 @@ def quadratic_invariants(T: TensorFormField, Q: TensorFormField, e: CoFrame, poi
     )
     sides.append(("burgers-point", lhs, rhs))
 
-    values = normalized_residuals([([lhs - rhs], [lhs]) for _, lhs, rhs in sides], points)
-    return {name: value for (name, _, _), value in zip(sides, values)}
+    return {name: ([lhs - rhs], [lhs]) for name, lhs, rhs in sides}
 
 
 # ---- dislocation strain-energy coefficients -----------------------------------------

@@ -870,8 +870,66 @@ def test_every_identity_row_reads_exactly_zero_at_a_rational_point():
             if isinstance(value, tuple) and tol is not None and name not in BALANCE_ROWS:
                 res, ref = ([e.in_frame(f) for f in side] for side in value)
                 read[name] = exact_normalized_residual(res, ref, point)
-    assert len(read) == 13
+    assert len(read) == 21
     assert {name: float(v) for name, v in read.items() if v != 0} == {}
+
+
+def test_each_calibrate_pair_row_reads_its_fields_in_frame_components(tmp_path):
+    """`calibrate`'s piece-1 and invariant rows are judged like every other row: on the
+    curved full triad each reads the residual scale of its fields in frame components."""
+    from defectgeo.sampling import check_points
+    from defectgeo.scenario import parse_scenario
+
+    from util import two_walk_normalized_residual
+
+    scenario_path, report_path = tmp_path / "full.toml", tmp_path / "calib.json"
+    scenario_path.write_text(FULL_TRIAD)
+    assert run(["calibrate", scenario_path, "--json", report_path]) == 0
+    checks = {c["name"]: c["max_residual"] for c in json.loads(report_path.read_text())["checks"]}
+    scenario = parse_scenario(FULL_TRIAD)
+    e, num = scenario.coframe, scenario.numerics
+    points = check_points(num.grid_min, num.grid_max, num.grid_n)
+    pairs = [(name, value) for name, value, _ in _command_rows(FULL_TRIAD, "calibrate") if isinstance(value, tuple)]
+    assert len(pairs) == 8
+    for name, (res, ref) in pairs:
+        frame = ([e.in_frame(f) for f in side] for side in (res, ref))
+        assert checks[name] == two_walk_normalized_residual(*frame, points), name
+
+
+def test_calibration_constants_hold_exactly_at_a_rational_point():
+    """On the probe defects, at a rational point of the curved full triad, each constant
+    that `calibrate` measures holds to the last digit in frame components: P = 3 O,
+    N_a = e_a ^ P / 2, A = -2 B and C = R_(ab)."""
+    from fractions import Fraction
+
+    from defectgeo import calibration
+    from defectgeo.defects import nonmetricity_second_trace, reconstruct_nonmetricity
+    from defectgeo.fields import wedge, zero_field
+    from defectgeo.forms import FRAME_INDICES
+    from defectgeo.kinematics import curvature_identity_sides
+    from defectgeo.scenario import parse_scenario
+
+    from util import exact_values
+
+    point = (Fraction(1, 3), Fraction(-2, 7), Fraction(3, 5), Fraction(0))
+    e = parse_scenario(FULL_TRIAD).coframe
+    d = calibration.probe_defects()
+
+    def frame_values(fields):
+        return exact_values([c for f in fields for c in e.in_frame(f).comps], point)
+
+    def ratios(numerators, denominators):
+        """{n / m} over the frame components where m is not 0; n is 0 wherever m is."""
+        pairs = list(zip(frame_values(numerators), frame_values(denominators)))
+        assert all(n == 0 for n, m in pairs if m == 0)
+        return {n / m for n, m in pairs if m != 0}
+
+    P, flux = nonmetricity_second_trace(reconstruct_nonmetricity(d.frank, zero_field(1), e), e)
+    assert ratios([P], [d.frank]) == {Fraction(3)}
+    assert ratios(flux.entries(), [wedge(e.e(a), P) for a in FRAME_INDICES]) == {Fraction(1, 2)}
+    A, B, C, R_sym = (frame_values(group) for group in curvature_identity_sides(d, e))
+    assert any(B) and A == [-2 * b for b in B]
+    assert any(R_sym) and C == R_sym
 
 
 #: the [gauge] section of the reference gauge scenario, a rotation about z

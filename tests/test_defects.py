@@ -198,7 +198,7 @@ def test_nonmetricity_pieces_sum():
 def test_piece1_transverse_contractions_match_frozen_regression():
     # the paper-level claim that both contractions vanish holds identically
     Q = random_symmetric_tensor(np.random.default_rng(123))
-    interior_norm, wedge_norm = calibration.measure_piece1_contractions(Q, E, PTS)
+    interior_norm, wedge_norm = (normalized_residual(*pair, PTS) for pair in calibration.piece1_contractions(Q, E))
     assert interior_norm <= 1e-10
     assert wedge_norm <= 1e-10
 

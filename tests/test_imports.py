@@ -222,10 +222,20 @@ def call_count(source: str, name: str) -> int:
     )
 
 
+def calling_functions(source: str, name: str):
+    """The module-level functions of `source` that call `name`, as a name or an attribute."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and call_count(ast.unparse(node), name)
+    ]
+
+
 def test_the_command_scans_find_a_read_and_count_calls():
     source = "def _cmd_a(s):\n    return _check(s)\n\ndef _judge(r):\n    return sampling.f(r) + f(r) + f\n"
     assert command_reads(source, ["_check", "f"]) == [("_cmd_a", "_check")]
     assert call_count(source, "f") == 2 and call_count(source, "_check") == 1
+    assert calling_functions(source, "f") == ["_judge"] and calling_functions(source, "_check") == ["_cmd_a"]
 
 
 def test_commands_return_rows_and_cli_judges_them_in_one_call():
@@ -233,3 +243,13 @@ def test_commands_return_rows_and_cli_judges_them_in_one_call():
     source = (PACKAGE / "cli.py").read_text()
     assert command_reads(source, ["normalized_residuals", "batch_groups", "_check"]) == []
     assert call_count(source, "normalized_residuals") == 1
+
+
+def test_only_sampling_and_the_judge_call_normalized_residuals():
+    """`sampling` owns the residual rule, and `cli._judge` is its one caller outside it:
+    every other module returns its residual fields unevaluated, as row pairs."""
+    sources = {path.stem: path.read_text() for path in MODULES}
+    counts = {module: call_count(source, "normalized_residuals") for module, source in sources.items()}
+    assert {module: n for module, n in counts.items() if n} == {"cli": 1, "sampling": 1}
+    assert calling_functions(sources["cli"], "normalized_residuals") == ["_judge"]
+    assert calling_functions(sources["sampling"], "normalized_residuals") == ["normalized_residual"]
