@@ -35,8 +35,8 @@ _EXPORTS = {
     "forms": "KForm",
     "geometry": "CoFrame GaugeField TensorFormField bianchi_residuals connection_with contortion"
     " covariant_exterior_derivative curvature curvature_split_residual defect_one_form"
-    " levi_civita_connection nonmetricity pure_gauge_connection torsion transform_coframe"
-    " transform_connection transform_tensor",
+    " levi_civita_connection nonmetricity pure_gauge_connection symmetric_part torsion"
+    " transform_coframe transform_connection transform_tensor",
     "kinematics": "ExtraMatterReport curvature_identity_sides disclination_point_balance"
     " dislocation_balance extra_matter",
     "scenario": "Numerics Scenario parse_scenario parse_scenario_file",

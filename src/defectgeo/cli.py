@@ -5,8 +5,8 @@
     defectgeo defects scenario.toml [--csv PATH] ...
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 the scenario
-could not be parsed or validated, or a field or report value is not finite,
-3 an unexpected internal error.  The first failure detail goes to stderr, on
+could not be parsed or validated, a field or report value is not finite, or
+an output path cannot be written, 3 an unexpected internal error.  The first failure detail goes to stderr, on
 one line.  JSON reports have a fixed key order and hold finite numbers only;
 with --deterministic the timing field is zeroed so byte-identical inputs give
 byte-identical reports.
@@ -474,14 +474,16 @@ def _first_non_finite(value, key="report"):
 
 
 def _emit(report, args):
-    for c in report["checks"]:
-        status = "PASS" if c["passed"] else "FAIL"
-        print(f"[{status}] {c['name']}: max_residual={c['max_residual']:.3e} tolerance={c['tolerance']:.3e}")
+    """Write the report file, if asked for, before anything goes to stdout: a path that
+    cannot be written exits 2 with stdout empty."""
     text = json.dumps(report, indent=2, allow_nan=False)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
+    for c in report["checks"]:
+        status = "PASS" if c["passed"] else "FAIL"
+        print(f"[{status}] {c['name']}: max_residual={c['max_residual']:.3e} tolerance={c['tolerance']:.3e}")
+    if not args.json:
         print(text)
 
 

@@ -115,6 +115,12 @@ def _traceless_part(Q: TensorFormField, trace: FormField) -> TensorFormField:
     )
 
 
+def _symmetric_traceless(X: FormField, e: CoFrame, a: int, b: int) -> FormField:
+    """X_a e_b + X_b e_a - (2/3) delta_ab X for a 1-form X with frame components X_a = i_a X."""
+    acc = wedge(e.interior(a, X), e.e(b)) + wedge(e.interior(b, X), e.e(a))
+    return acc - X * (2.0 / 3.0) if a == b else acc
+
+
 def nonmetricity_second_trace(Q: TensorFormField, e: CoFrame):
     """(P, N_a): the second-kind trace 1-form and the flux 2-forms of Q-bar."""
     trace = nonmetricity_trace(Q)
@@ -141,14 +147,8 @@ def nonmetricity_pieces(Q: TensorFormField, e: CoFrame) -> NonmetricityPieces:
             acc = acc - P * (2.0 / 3.0)
         return acc * (-1.0 / 3.0)
 
-    def piece3_entry(a, b):
-        acc = wedge(e.interior(a, P), e.e(b)) + wedge(e.interior(b, P), e.e(a))
-        if a == b:
-            acc = acc - P * (2.0 / 3.0)
-        return acc * (2.0 / 15.0)
-
     piece2 = TensorFormField.build(("d", "d"), 1, piece2_entry)
-    piece3 = TensorFormField.build(("d", "d"), 1, piece3_entry)
+    piece3 = TensorFormField.build(("d", "d"), 1, lambda a, b: _symmetric_traceless(P, e, a, b) * (2.0 / 15.0))
     piece4 = TensorFormField.build(
         ("d", "d"), 1, lambda a, b: trace * (1.0 / 3.0) if a == b else zero_field(1)
     )
@@ -167,15 +167,8 @@ def reconstruct_nonmetricity(frank: FormField, point: FormField, e: CoFrame) -> 
     """
 
     def entry(a, b):
-        Oa = e.interior(a, frank)
-        Ob = e.interior(b, frank)
-        acc = wedge(Oa, e.e(b)) + wedge(Ob, e.e(a))
-        if a == b:
-            acc = acc - frank * (2.0 / 3.0)
-        acc = acc * (9.0 / 10.0)
-        if a == b:
-            acc = acc + point * (1.0 / 3.0)
-        return acc
+        acc = _symmetric_traceless(frank, e, a, b) * (9.0 / 10.0)
+        return acc + point * (1.0 / 3.0) if a == b else acc
 
     return TensorFormField.build(("d", "d"), 1, entry)
 

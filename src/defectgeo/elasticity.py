@@ -57,11 +57,10 @@ from .fields import (
     quotient,
     scalar_field,
     time_derivative,
-    wedge,
     zero_field,
 )
 from .forms import FRAME_INDICES
-from .geometry import CoFrame, levi_civita_connection
+from .geometry import CoFrame, TensorFormField, covariant_exterior_derivative, levi_civita_connection
 from .sampling import require_nonsingular
 
 _NEWTON_MAX_ITER = 50
@@ -236,9 +235,10 @@ class DeformationMap:
         return [SymbolicFormField(0, [ex.Sample(self._chart, B, coords)]) for B in range(3)]
 
 
-def _partial(f: FormField, axis: int) -> FormField:
-    """d f / d x^axis for a scalar field, axis in 1..3."""
-    return component_field(exterior_derivative(f), axis)
+def _coordinate_push_forward(dm: DeformationMap):
+    """dX^A/dx^a, rows body indices A, columns coordinate indices a."""
+    X = dm.inverse_fields()
+    return [[component_field(exterior_derivative(X[A]), a) for a in FRAME_INDICES] for A in range(3)]
 
 
 def deformation_gradients(dm: DeformationMap, e: CoFrame):
@@ -248,9 +248,7 @@ def deformation_gradients(dm: DeformationMap, e: CoFrame):
     With an identity spatial coframe both coincide with the coordinate
     gradients of the inverse map and its matrix inverse.
     """
-    X = dm.inverse_fields()
-    push_coord = [[_partial(X[A], a) for a in FRAME_INDICES] for A in range(3)]
-    push = matrix_multiply(push_coord, e.inverse_matrix)
+    push = matrix_multiply(_coordinate_push_forward(dm), e.inverse_matrix)
     pull = matrix_inverse(push)
     return pull, push
 
@@ -399,39 +397,22 @@ def cauchy_motion_residual(
     Levi-Civita covariant exterior derivative of the supplied coframe.
     """
     gamma = levi_civita_connection(e)
-    vol = e.volume()
-    mass = rho_m * vol
-
-    def Dv(a):
-        acc = exterior_derivative(v.component(a))
-        for b in FRAME_INDICES:
-            acc = acc + gamma.entry(a, b) * v.component(b)
-        return acc
-
-    def Dtau(a):
-        acc = exterior_derivative(stress.tau[a - 1])
-        for b in FRAME_INDICES:
-            acc = acc + wedge(gamma.entry(a, b), stress.tau[b - 1])
-        return acc
+    mass = rho_m * e.volume()
+    Dv = covariant_exterior_derivative(TensorFormField.build(("u",), 0, v.component), gamma)
+    Dtau = covariant_exterior_derivative(TensorFormField.build(("u",), 2, lambda a: stress.tau[a - 1]), gamma)
 
     out = []
     for a in FRAME_INDICES:
         accel = time_derivative(v.component(a))
-        Dva = Dv(a)
         for b in FRAME_INDICES:
-            accel = accel + v.component(b) * e.interior(b, Dva)
-        residual = mass * accel - mass * f.component(a) - Dtau(a)
-        out.append(residual)
+            accel = accel + v.component(b) * e.interior(b, Dv.entry(a))
+        out.append(mass * accel - mass * f.component(a) - Dtau.entry(a))
     return out
 
 
 def volume_relation_residual(dm: DeformationMap, e: CoFrame) -> FormField:
     """det(F^a_A) minus the ratio of the spatial to pulled-back body volume forms."""
-    pull, push = deformation_gradients(dm, e)
-    det_pull = matrix_determinant(pull)
-    X = dm.inverse_fields()
-    push_coord = [[_partial(X[A], a) for a in FRAME_INDICES] for A in range(3)]
-    det_push_coord = matrix_determinant(push_coord)
-    ratio = quotient(component_field(e.volume(), 1, 2, 3), det_push_coord)
-    return det_pull - ratio
+    pull, _ = deformation_gradients(dm, e)
+    det_push_coord = matrix_determinant(_coordinate_push_forward(dm))
+    return matrix_determinant(pull) - quotient(component_field(e.volume(), 1, 2, 3), det_push_coord)
 

@@ -419,16 +419,18 @@ def matrix_inverse(matrix):
         row = []
         for j in range(3):
             # adjugate: cofactor of (j, i)
-            r = [k for k in range(3) if k != j]
-            c = [k for k in range(3) if k != i]
-            minor = ex.sub(
-                ex.mul(e[r[0]][c[0]], e[r[1]][c[1]]),
-                ex.mul(e[r[0]][c[1]], e[r[1]][c[0]]),
-            )
+            minor = _minor(e, [k for k in range(3) if k != j], [k for k in range(3) if k != i])
             cof = minor if (i + j) % 2 == 0 else ex.neg(minor)
             row.append(SymbolicFormField(0, [ex.div(cof, det)]))
         out.append(row)
     return out
+
+
+def _minor(e, rows, cols):
+    """The 2x2 minor of a matrix of expressions on rows (r, s) and columns (c, d):
+    e_rc e_sd - e_rd e_sc."""
+    (r, s), (c, d) = rows, cols
+    return ex.sub(ex.mul(e[r][c], e[s][d]), ex.mul(e[r][d], e[s][c]))
 
 
 def quotient(numerator: FormField, denominator: FormField) -> FormField:
@@ -471,10 +473,6 @@ def substitute_basis(alpha: FormField, matrix) -> FormField:
     for (a, b) in BASIS[2]:
         acc = ex.ZERO
         for i, (j, k) in enumerate(BASIS[2]):
-            minor = ex.sub(
-                ex.mul(a_expr[j - 1][a - 1], a_expr[k - 1][b - 1]),
-                ex.mul(a_expr[j - 1][b - 1], a_expr[k - 1][a - 1]),
-            )
-            acc = ex.add(acc, ex.mul(c[i], minor))
+            acc = ex.add(acc, ex.mul(c[i], _minor(a_expr, (j - 1, k - 1), (a - 1, b - 1))))
         out.append(acc)
     return SymbolicFormField(2, out)

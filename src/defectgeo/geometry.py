@@ -227,13 +227,14 @@ def torsion(e: CoFrame, omega: TensorFormField) -> TensorFormField:
     return TensorFormField.build(("u",), 2, entry)
 
 
+def symmetric_part(X: TensorFormField) -> TensorFormField:
+    """X_(ab) = (X_ab + X_ba) / 2 of a two-slot tensor of forms, of X's degree."""
+    return TensorFormField.build(("d", "d"), X.degree, lambda a, b: (X.entry(a, b) + X.entry(b, a)) * 0.5)
+
+
 def nonmetricity(omega: TensorFormField) -> TensorFormField:
     """Q_ab = omega_(ab); symmetric by construction."""
-
-    def entry(a, b):
-        return (omega.entry(a, b) + omega.entry(b, a)) * 0.5
-
-    return TensorFormField.build(("d", "d"), 1, entry)
+    return symmetric_part(omega)
 
 
 def curvature(omega: TensorFormField) -> TensorFormField:
@@ -265,19 +266,17 @@ def covariant_exterior_derivative(X: TensorFormField, omega: TensorFormField) ->
 
 
 def defect_one_form(T: TensorFormField, Q: TensorFormField, e: CoFrame) -> TensorFormField:
-    """Non-Riemannian part L_ab of a connection with torsion T and non-metricity Q.
+    """Non-Riemannian part L_ab = K_ab(T) + D_ab(Q) of a connection with torsion T and
+    non-metricity Q, the contortion K = contortion(e, T) plus the disformation
 
-    L_ab = (1/2)[i_a T_b - i_b T_a - (i_a i_b T_c) e^c]   (contortion)
-         + (i_b Q_ac - i_a Q_bc) e^c + Q_ab               (disformation)
+    D_ab = (i_b Q_ac - i_a Q_bc) e^c + Q_ab.
     """
+    K = contortion(e, T)
 
     def entry(a, b):
-        acc = (e.interior(a, T.entry(b)) - e.interior(b, T.entry(a))) * 0.5
+        acc = K.entry(a, b)
         for c in FRAME_INDICES:
-            coeff = e.interior(a, e.interior(b, T.entry(c))) * 0.5
-            acc = acc - wedge(coeff, e.e(c))
-            disf = e.interior(b, Q.entry(a, c)) - e.interior(a, Q.entry(b, c))
-            acc = acc + wedge(disf, e.e(c))
+            acc = acc + wedge(e.interior(b, Q.entry(a, c)) - e.interior(a, Q.entry(b, c)), e.e(c))
         return acc + Q.entry(a, b)
 
     return TensorFormField.build(("d", "d"), 1, entry)
@@ -352,12 +351,8 @@ def bianchi_residuals(e: CoFrame, omega: TensorFormField):
 
     second = TensorFormField.build(("u",), 3, second_entry)
     DQ = covariant_exterior_derivative(Q, omega)
-
-    def third_entry(a, b):
-        sym = (R.entry(a, b) + R.entry(b, a)) * 0.5
-        return DQ.entry(a, b) - sym
-
-    third = TensorFormField.build(("d", "d"), 2, third_entry)
+    R_sym = symmetric_part(R)
+    third = TensorFormField.build(("d", "d"), 2, lambda a, b: DQ.entry(a, b) - R_sym.entry(a, b))
     return first, second, third
 
 

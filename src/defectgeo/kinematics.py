@@ -38,6 +38,7 @@ from .geometry import (
     curvature,
     defect_one_form,
     levi_civita_connection,
+    symmetric_part,
 )
 from .sampling import grid_counts, grid_sum
 
@@ -117,8 +118,7 @@ def curvature_identity_sides(d: DefectFields, e: CoFrame):
 
     A = dislocation_balance(d, e).entries()
     B = [field_sum(wedge(R.entry(a, b), e.e(b)) for b in FRAME_INDICES) for a in FRAME_INDICES]
-    R_sym = [(R.entry(a, b) + R.entry(b, a)) * 0.5 for a in FRAME_INDICES for b in FRAME_INDICES]
-    return A, B, _disclination_combination(d, e, T, Q, omega), R_sym
+    return A, B, _disclination_combination(d, e, T, Q, omega), symmetric_part(R).entries()
 
 
 def _disclination_combination(d, e: CoFrame, T: TensorFormField, Q: TensorFormField, omega: TensorFormField):

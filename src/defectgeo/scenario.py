@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from .defects import DefectFields
 from .errors import ParseError, ScenarioError
-from .expressions import parse_expr
+from .expressions import ONE, ZERO, parse_expr
 from .fields import FormField, SymbolicFormField, zero_field
 from .forms import FRAME_INDICES
 from .geometry import CoFrame, GaugeField
@@ -201,31 +201,22 @@ def decode_scenario(data: bytes) -> str:
         raise ScenarioError(f"scenario file is not UTF-8: byte {data[exc.start]:#04x} cannot be decoded", [line]) from exc
 
 
-def _expr_or(section: dict, key, default):
-    return section.get(key, parse_expr(default))
+def _matrix(section: dict, stem: str):
+    """The 3x3 of expressions `{stem}11`..`{stem}33` of a section, the identity's entry
+    where a key is left out."""
+    return [[section.get(f"{stem}{i}{j}", ONE if i == j else ZERO) for j in (1, 2, 3)] for i in (1, 2, 3)]
 
 
 def _assemble(sections, key_lines) -> Scenario:
-    cof = sections.get("coframe", {})
-    triad = [
-        [_expr_or(cof, f"h{i}{j}", "1" if i == j else "0") for j in (1, 2, 3)]
-        for i in (1, 2, 3)
-    ]
-    coframe = CoFrame(triad)
-
-    gauge = None
-    if "gauge" in sections:
-        g = sections["gauge"]
-        gauge = GaugeField(
-            [[_expr_or(g, f"g{i}{j}", "1" if i == j else "0") for j in (1, 2, 3)] for i in (1, 2, 3)]
-        )
+    coframe = CoFrame(_matrix(sections.get("coframe", {}), "h"))
+    gauge = GaugeField(_matrix(sections["gauge"], "g")) if "gauge" in sections else None
 
     dfs = sections.get("defects", {})
     defects = DefectFields(
         burgers=_covector(dfs, "b", coframe),
         frank=_covector(dfs, "omega", coframe),
         point=_covector(dfs, "m", coframe),
-        scalar=SymbolicFormField(0, [dfs.get("rho", parse_expr("0"))]),
+        scalar=SymbolicFormField(0, [dfs.get("rho", ZERO)]),
     )
 
     deformation = None
@@ -305,7 +296,7 @@ def validate_numerics(num: Numerics, names=None, lines=None):
 
 def _covector(section: dict, stem: str, coframe: CoFrame) -> FormField:
     """1-form with quoted orthonormal components against the scenario coframe."""
-    comps = [section.get(f"{stem}{i}", parse_expr("0")) for i in (1, 2, 3)]
+    comps = [section.get(f"{stem}{i}", ZERO) for i in (1, 2, 3)]
     acc = zero_field(1)
     for a, comp in zip(FRAME_INDICES, comps):
         acc = acc + SymbolicFormField(0, [comp]) * coframe.e(a)

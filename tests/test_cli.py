@@ -76,6 +76,15 @@ def test_missing_file_exit_code(capsys):
     assert run(["check", "/nonexistent/scenario.toml"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_an_output_path_that_cannot_be_written_is_bad_input_with_stdout_empty(tmp_path, capsys, flag):
+    # the report file is written before the status lines are printed
+    assert run(["defects", SCENARIOS / "mixed_defects.toml", flag, tmp_path / "missing" / "out"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: [Errno 2] ") and len(err.splitlines()) == 1
+
+
 def test_singular_coframe_exit_code(tmp_path, capsys):
     bad = tmp_path / "singular.toml"
     bad.write_text('[coframe]\nh11 = "x"\n')
@@ -606,6 +615,7 @@ m3 = "0.312164 - 0.851660*x + 0.826121*y + 0.705882*z + 0.541029*x*x - 0.827577*
 rho = "0.642501 + 0.540650*x - 0.347142*y - 0.453453*z - 0.337946*x*x - 0.352878*x*y - 0.437459*x*z - 0.807531*y*y + 0.681711*y*z + 0.419434*z*z"
 """
 
+#: rows that measure physics against the file's densities, not an identity
 BALANCE_ROWS = {"dislocation-balance", "point-defect-curl", "disclination-beltrami", "bilinear-constraint"}
 
 #: scenarios/beltrami.toml pulled back along phi: O = (sin 2z, cos 2z, 0) with
@@ -848,10 +858,6 @@ def test_no_check_residual_subtracts_a_node_from_itself(scenario):
     assert tautologies == []
 
 
-#: rows that measure physics against the file's densities, not an identity
-BALANCE_ROWS = set(KINEMATICS_ROWS[:4])
-
-
 def test_every_identity_row_reads_exactly_zero_at_a_rational_point():
     """In exact rational arithmetic every identity row holds to the last digit on a
     generic polynomial triad, where a float walk rounds and so cannot tell a fault
@@ -872,6 +878,64 @@ def test_every_identity_row_reads_exactly_zero_at_a_rational_point():
                 read[name] = exact_normalized_residual(res, ref, point)
     assert len(read) == 21
     assert {name: float(v) for name, v in read.items() if v != 0} == {}
+
+
+def test_the_exact_oracle_sees_a_fault_in_the_shared_antisymmetric_builder(tmp_path, monkeypatch):
+    """The Levi-Civita connection and the contortion share `_antisymmetric_from`.  Scaled
+    by (1 + 1e-9) there, float `check` still passes at 1e-6, while in exact arithmetic
+    the two rows that can see a wrong connection read non-zero and every other reads 0."""
+    from fractions import Fraction
+
+    from defectgeo import geometry
+    from defectgeo.scenario import parse_scenario
+
+    from util import exact_normalized_residual
+
+    builder = geometry._antisymmetric_from
+
+    def scaled(e, two_forms):
+        A = builder(e, two_forms)
+        return geometry.TensorFormField.build(A.variance, A.degree, lambda a, b: A.entry(a, b) * (1.0 + 1e-9))
+
+    monkeypatch.setattr(geometry, "_antisymmetric_from", scaled)
+    point = (Fraction(1, 3), Fraction(-2, 7), Fraction(3, 5), Fraction(0))
+    e = parse_scenario(FULL_TRIAD_ELASTIC).coframe
+    read = {}
+    for name, (res, ref), _ in _command_rows.__wrapped__(FULL_TRIAD_ELASTIC, "check"):
+        read[name] = exact_normalized_residual([e.in_frame(f) for f in res], [e.in_frame(f) for f in ref], point)
+    nonzero = {name: float(v) for name, v in read.items() if v != 0}
+    assert set(nonzero) == {"levi-civita-contract", "defect-round-trip"}
+    assert all(1e-11 < v < 1e-9 for v in nonzero.values()), nonzero
+    scenario = tmp_path / "full.toml"
+    scenario.write_text(FULL_TRIAD_ELASTIC)
+    assert run(["check", scenario, "--json", tmp_path / "r.json"]) == 0
+
+
+def test_balance_rows_equal_the_flat_oracle_exactly_on_the_identity_frame():
+    """On the identity frame each `kinematics` balance row's residual fields are the
+    textbook curl, gradient and dot-product transcriptions, to the last digit."""
+    from fractions import Fraction
+
+    from defectgeo.scenario import parse_scenario
+
+    from util import exact_values, flat_disclination_point_balance, flat_dislocation_balance
+
+    text = "[defects]" + FULL_TRIAD.split("[defects]")[1]
+    rows = {name: value[0] for name, value, _ in _command_rows(text, "kinematics") if name in BALANCE_ROWS}
+    d = parse_scenario(text).defects
+    curl_m, beltrami, bilinear = flat_disclination_point_balance(d)
+    flat = {
+        "dislocation-balance": flat_dislocation_balance(d),
+        "point-defect-curl": curl_m,
+        "disclination-beltrami": beltrami,
+        "bilinear-constraint": [f for row in bilinear for f in row],
+    }
+    assert set(rows) == set(flat) == BALANCE_ROWS
+    point = (Fraction(1, 3), Fraction(-2, 7), Fraction(3, 5), Fraction(0))
+    for name, residual in rows.items():
+        got = exact_values([c for f in residual for c in f.comps], point)
+        want = exact_values([f.comps[0] for f in flat[name]], point)
+        assert got == want and any(want), name
 
 
 def test_each_calibrate_pair_row_reads_its_fields_in_frame_components(tmp_path):

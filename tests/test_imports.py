@@ -83,7 +83,6 @@ KEEP = {
     "transform_coframe": "frame covariance in orthonormal frames, checked by test_frame_transform_*",
     "transform_connection": "frame covariance in orthonormal frames, checked by test_frame_transform_*",
     "transform_tensor": "frame covariance in orthonormal frames, checked by test_frame_transform_*",
-    "contortion": "frame covariance in orthonormal frames, checked by test_frame_transform_*",
     "parse_scenario_file": "bench/spans.py names it and tests/util.py uses it",
     "depends_on": "ROADMAP item 2 builds on it",
     "sample_points": "the README quick start and the tests build point sets with it",
